@@ -7,7 +7,7 @@ totals.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .diff import ChangeCounts, DiffReport, StructureDiff, diff_profiles, \
     diff_structure, member_identities, summarize_diff
@@ -232,8 +232,10 @@ def volatility_stats(
         names = sorted({n for p in profiles for n in p.structures})
     else:
         names = list(watchlist)
-    survived: Dict[Tuple[str, str, int], bool] = {}
-    moved: Dict[Tuple[str, str, int], bool] = {}
+    # Member identities (name, ordinal) per structure, so every count below
+    # is one pass over the sequence.
+    survived: Dict[str, Set[Tuple[str, int]]] = {name: set() for name in names}
+    moved: Dict[str, Set[Tuple[str, int]]] = {name: set() for name in names}
     for old, new in zip(profiles, profiles[1:]):
         for name in names:
             old_rec = old.structures.get(name)
@@ -242,21 +244,22 @@ def volatility_stats(
                 continue
             old_map = dict(zip(member_identities(old_rec.members), old_rec.members))
             new_map = dict(zip(member_identities(new_rec.members), new_rec.members))
+            survived_here = survived[name]
+            moved_here = moved[name]
             for identity, member in old_map.items():
                 counterpart = new_map.get(identity)
                 if counterpart is None:
                     continue
-                key = (name,) + identity
-                survived[key] = True
+                survived_here.add(identity)
                 if counterpart.offset != member.offset:
-                    moved[key] = True
+                    moved_here.add(identity)
     per_structure: Dict[str, StructureVolatility] = {}
     for name in names:
-        s = sum(1 for key in survived if key[0] == name)
-        m = sum(1 for key in moved if key[0] == name)
+        s = len(survived[name])
+        m = len(moved[name])
         per_structure[name] = StructureVolatility(s, m, (m / s) if s else 0.0)
-    total_s = len(survived)
-    total_m = len(moved)
+    total_s = sum(len(keys) for keys in survived.values())
+    total_m = sum(len(keys) for keys in moved.values())
     return VolatilityStats(
         per_structure=per_structure,
         overall_rate=(total_m / total_s) if total_s else 0.0,

@@ -153,13 +153,12 @@ def _load_sequence(args) -> List[Profile]:
         raise UsageError("give profile files, or --repo (or $STRUCTDRIFT_REPO)")
     if not args.arch:
         raise UsageError("--arch is required when reading a sequence from --repo")
-    index = index_repository(args.repo)
-    paths = index.sequence(args.arch)
-    if not paths:
+    profiles = index_repository(args.repo, args.arch).sequence(args.arch)
+    if not profiles:
         raise StructDriftError(
             f"no {args.arch} profiles found under {args.repo}"
         )
-    return [read_profile(p) for p in paths]
+    return profiles
 
 
 class UsageError(Exception):

@@ -188,45 +188,65 @@ def dumps_diff(report: DiffReport) -> str:
     return json.dumps(diff_to_doc(report), ensure_ascii=False, indent=2) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _member_list(doc, what: str) -> List[MemberRecord]:
     if not isinstance(doc, list):
         raise SchemaError(f"{what} must be a list")
     members = []
     for m in doc:
         if not isinstance(m, dict) or not isinstance(m.get("name"), str) \
-                or not isinstance(m.get("offset"), int):
+                or not _is_int(m.get("offset")):
             raise SchemaError(f"malformed member entry in {what}")
         members.append(MemberRecord(m["name"], m["offset"]))
     return members
+
+
+def _name_list(doc, what: str) -> List[str]:
+    if not all(isinstance(n, str) for n in doc):
+        raise SchemaError(f"{what} must list structure names")
+    return list(doc)
 
 
 def doc_to_diff(doc: dict) -> DiffReport:
     for key, ty in (("from", str), ("to", str), ("added_structures", list),
                     ("removed_structures", list), ("modified", list),
                     ("unchanged_count", int)):
-        if not isinstance(doc.get(key), ty):
+        value = doc.get(key)
+        if not isinstance(value, ty) or (ty is int and isinstance(value, bool)):
             raise SchemaError(f"diff field {key!r} missing or wrong type")
     report = DiffReport(
         from_label=doc["from"],
         to_label=doc["to"],
-        added_structures=[str(n) for n in doc["added_structures"]],
-        removed_structures=[str(n) for n in doc["removed_structures"]],
+        added_structures=_name_list(doc["added_structures"], "added_structures"),
+        removed_structures=_name_list(doc["removed_structures"], "removed_structures"),
         unchanged_count=doc["unchanged_count"],
     )
     for entry in doc["modified"]:
         if not isinstance(entry, dict):
             raise SchemaError("modified entry is not an object")
+        name = entry.get("name")
+        if not isinstance(name, str) or not name:
+            raise SchemaError("modified entry needs a non-empty string name")
+        for key in ("old_size", "new_size", "old_member_count", "shared_member_count"):
+            if not _is_int(entry.get(key)):
+                raise SchemaError(f"{name}: {key!r} missing or not an integer")
+        offset_changes = entry.get("offset_changes")
+        if not isinstance(offset_changes, list):
+            raise SchemaError(f"{name}: offset_changes must be a list")
         changes = []
-        for c in entry.get("offset_changes", []):
+        for c in offset_changes:
             if not isinstance(c, dict) or not isinstance(c.get("member"), str) \
-                    or not isinstance(c.get("old"), int) or not isinstance(c.get("new"), int):
+                    or not _is_int(c.get("old")) or not _is_int(c.get("new")):
                 raise SchemaError("malformed offset_changes entry")
             changes.append(MemberChange(c["member"], c["old"], c["new"]))
         report.modified.append(
             StructureDiff(
-                name=entry.get("name", ""),
-                old_size=entry.get("old_size", 0),
-                new_size=entry.get("new_size", 0),
+                name=name,
+                old_size=entry["old_size"],
+                new_size=entry["new_size"],
                 member_additions=_member_list(
                     entry.get("member_additions"), "member_additions"
                 ),
@@ -234,8 +254,8 @@ def doc_to_diff(doc: dict) -> DiffReport:
                     entry.get("member_removals"), "member_removals"
                 ),
                 offset_changes=changes,
-                old_member_count=entry.get("old_member_count", 0),
-                shared_member_count=entry.get("shared_member_count", 0),
+                old_member_count=entry["old_member_count"],
+                shared_member_count=entry["shared_member_count"],
             )
         )
     return report

@@ -300,7 +300,7 @@ class UnitWalker:
             attrs: dict = {}
             for attr, form, const in decl.specs:
                 if form == FORM_INDIRECT:
-                    form = cur.uleb()
+                    form = self._indirect_form()
                 if attr in self.wanted:
                     attrs[attr] = self._value(form, const)
                 else:
@@ -310,6 +310,18 @@ class UnitWalker:
             yield depth, decl.tag, attrs
             if decl.has_children:
                 depth += 1
+
+    def _indirect_form(self) -> int:
+        """Read the form named by DW_FORM_indirect, following nested ones.
+
+        A loop rather than recursion: every step consumes at least one byte,
+        so a hostile chain ends at the section end in MalformedDwarfError.
+        """
+        cur = self.cur
+        form = cur.uleb()
+        while form == FORM_INDIRECT:
+            form = cur.uleb()
+        return form
 
     def _strx(self, index: int) -> str:
         cur = self.cur
@@ -431,7 +443,7 @@ class UnitWalker:
         elif form in (FORM_FLAG_PRESENT, FORM_IMPLICIT_CONST):
             pass
         elif form == FORM_INDIRECT:
-            self._skip(cur.uleb())
+            self._skip(self._indirect_form())
         else:
             raise cur.fail(f"unknown attribute form {form:#x}")
 

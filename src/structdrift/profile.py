@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InvariantError, SchemaError
 
@@ -153,12 +153,14 @@ def write_profile(profile: Profile, destination) -> None:
 
 
 def _reject_duplicate_keys(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise SchemaError(f"duplicate key {key!r}")
-        seen[key] = value
-    return seen
+    result = dict(pairs)
+    if len(result) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key {key!r}")
+            seen.add(key)
+    return result
 
 
 def parse_json_document(text: str, expected_schema: str) -> dict:
@@ -185,6 +187,14 @@ def read_text(source) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{source} is not valid UTF-8: {exc}") from exc
+
+
+def _member_record(doc, where: str) -> MemberRecord:
+    _check_type(doc, dict, where)
+    return MemberRecord(
+        _check_type(doc.get("name"), str, f"{where}.name"),
+        _check_type(doc.get("offset"), int, f"{where}.offset"),
+    )
 
 
 def doc_to_profile(doc: dict) -> Profile:
@@ -222,14 +232,17 @@ def doc_to_profile(doc: dict) -> Profile:
         size = _check_type(body.get("size"), int, f"{name}.size")
         members_doc = _check_type(body.get("members"), list, f"{name}.members")
         members = []
+        # Exact-type tests pass what json.loads produces with one comparison
+        # per value; anything else takes _member_record, whose _check_type
+        # calls name the offending field.
         for i, m in enumerate(members_doc):
-            _check_type(m, dict, f"{name}.members[{i}]")
-            members.append(
-                MemberRecord(
-                    _check_type(m.get("name"), str, f"{name}.members[{i}].name"),
-                    _check_type(m.get("offset"), int, f"{name}.members[{i}].offset"),
-                )
-            )
+            if type(m) is dict:
+                member_name = m.get("name")
+                offset = m.get("offset")
+                if type(member_name) is str and type(offset) is int:
+                    members.append(MemberRecord(member_name, offset))
+                    continue
+            members.append(_member_record(m, f"{name}.members[{i}]"))
         structures[name] = StructureRecord(name, size, members)
     profile = Profile(meta, structures)
     validate_profile(profile)
@@ -246,10 +259,15 @@ def read_profile(source) -> Profile:
 
 @dataclass
 class RepositoryIndex:
-    """Profiles found under <root>/<version>/<architecture>/<stem>.profile.json."""
+    """Profiles found under <root>/<version>/<architecture>/<stem>.profile.json.
+
+    `profiles` holds the validated profiles of the architecture the index
+    was built for, so a sequence is analyzed without reading a file twice.
+    """
 
     entries: Dict[Tuple[str, str], Path]
     skipped: List[Tuple[Path, str]]
+    profiles: Dict[Tuple[str, str], Profile] = field(default_factory=dict, repr=False)
 
     def versions(self, architecture: str) -> List[str]:
         labels = sorted(
@@ -257,15 +275,23 @@ class RepositoryIndex:
         )
         return labels
 
-    def sequence(self, architecture: str) -> List[Path]:
-        return [self.entries[(v, architecture)] for v in self.versions(architecture)]
+    def sequence(self, architecture: str) -> List[Profile]:
+        """Profiles of `architecture` in version order; the index must have
+        been built with index_repository(root, architecture)."""
+        return [self.profiles[(v, architecture)] for v in self.versions(architecture)]
 
 
-def index_repository(root) -> RepositoryIndex:
+def index_repository(root, architecture: Optional[str] = None) -> RepositoryIndex:
+    """Read and validate every profile under `root`.
+
+    The profiles of `architecture` are kept in the index; the others are
+    dropped once validated, so memory stays that of one architecture.
+    """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"repository root {root} does not exist")
     entries: Dict[Tuple[str, str], Path] = {}
+    profiles: Dict[Tuple[str, str], Profile] = {}
     skipped: List[Tuple[Path, str]] = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
@@ -283,4 +309,6 @@ def index_repository(root) -> RepositoryIndex:
                 skipped.append((path, f"duplicate profile for {key[0]}/{key[1]}"))
                 continue
             entries[key] = path
-    return RepositoryIndex(entries, skipped)
+            if key[1] == architecture:
+                profiles[key] = profile
+    return RepositoryIndex(entries, skipped, profiles)

@@ -10,8 +10,15 @@ For each fixture binary this script freezes two independent oracles:
 The test suite compares extractor output against these files; it never
 invokes a compiler itself. Rerun this script only to rebuild fixtures,
 then commit the new binaries and oracle files together.
+
+Where clang is missing, `--binaries-only --cc gcc` rebuilds just the
+binaries with gcc/g++ and leaves every *.oracle.json untouched (the
+oracles need clang's record-layout dump, which gcc cannot produce):
+
+    python tests/fixtures/generate.py --binaries-only --cc gcc
 """
 
+import argparse
 import json
 import re
 import subprocess
@@ -24,7 +31,13 @@ CLANGXX = "clang++"
 CLANG = "clang"
 GXX = "g++"
 
-COMMON = ["-shared", "-fPIC", "-nostdlib", "-g"]
+# --cc choice -> (C compiler, C++ compiler) standing in for clang/clang++.
+COMPILERS = {"clang": (CLANG, CLANGXX), "gcc": ("gcc", GXX)}
+
+# Record source paths relative to this directory, so the binaries do not
+# depend on where the repository is checked out.
+PREFIX_MAP = [f"-fdebug-prefix-map={HERE}=."]
+COMMON = ["-shared", "-fPIC", "-nostdlib", "-g"] + PREFIX_MAP
 CXXFLAGS = ["-fno-rtti", "-fno-exceptions"]
 
 # (output stem, compiler, source, extra flags)
@@ -42,8 +55,9 @@ FIELD_RE = re.compile(r"^\s*(\d+)(?::\d+-\d+)? \|( +)(.*?)\s*$")
 SIZEOF_RE = re.compile(r"\[sizeof=(\d+)")
 
 
-def run(cmd, **kw):
-    result = subprocess.run(cmd, capture_output=True, text=True, **kw)
+def run(cmd):
+    # Run from this directory so the recorded compilation directory maps too.
+    result = subprocess.run(cmd, capture_output=True, text=True, cwd=HERE)
     if result.returncode != 0:
         sys.exit(f"command failed: {' '.join(cmd)}\n{result.stderr}")
     return result
@@ -120,8 +134,23 @@ def dwarf_versions(binary):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--binaries-only", action="store_true",
+                        help="rebuild the .so fixtures; never rewrite *.oracle.json")
+    parser.add_argument("--cc", choices=sorted(COMPILERS), default="clang",
+                        help="compiler family for the clang-built fixtures "
+                             "(gcc needs --binaries-only)")
+    args = parser.parse_args()
+    if args.cc != "clang" and not args.binaries_only:
+        parser.error("oracles need clang's record-layout dump; "
+                     "use --binaries-only with --cc gcc")
+    cc, cxx = COMPILERS[args.cc]
+    stand_in = {CLANG: cc, CLANGXX: cxx}
     for stem, compiler, source, flags in BUILDS:
-        binary = compile_fixture(stem, compiler, source, flags)
+        binary = compile_fixture(stem, stand_in[compiler], source, flags)
+        if args.binaries_only:
+            print(f"{binary.name}: built")
+            continue
         dump_flags = [f for f in flags if not f.startswith("-gdwarf")]
         dump = record_layout_dump(compiler, source, dump_flags)
         structures = parse_layout_dump(dump)
@@ -137,16 +166,16 @@ def main():
 
     # Differential fixture: same source, GCC producer (data_bit_offset,
     # implicit_const forms). Compared in tests against the clang build.
-    run([GXX, "-shared", "-fPIC", "-g", "-gdwarf-5"] + CXXFLAGS
+    run([GXX, "-shared", "-fPIC", "-g", "-gdwarf-5"] + PREFIX_MAP + CXXFLAGS
         + [str(HERE / "layouts.cpp"), "-o", str(HERE / "layouts-gcc-dwarf5-64.so")])
     print("layouts-gcc-dwarf5-64.so: built")
 
     # Two compilation units: one identical duplicate type, one conflicting.
-    run([CLANG, "-c", "-fPIC", "-g", "-gdwarf-4",
-         str(HERE / "merge_a.c"), "-o", str(HERE / "merge_a.o")])
-    run([CLANG, "-c", "-fPIC", "-g", "-gdwarf-4",
-         str(HERE / "merge_b.c"), "-o", str(HERE / "merge_b.o")])
-    run([CLANG, "-shared", "-nostdlib", str(HERE / "merge_a.o"),
+    run([cc, "-c", "-fPIC", "-g", "-gdwarf-4"] + PREFIX_MAP
+        + [str(HERE / "merge_a.c"), "-o", str(HERE / "merge_a.o")])
+    run([cc, "-c", "-fPIC", "-g", "-gdwarf-4"] + PREFIX_MAP
+        + [str(HERE / "merge_b.c"), "-o", str(HERE / "merge_b.o")])
+    run([cc, "-shared", "-nostdlib", str(HERE / "merge_a.o"),
          str(HERE / "merge_b.o"), "-o", str(HERE / "merge-two-cu.so")])
     (HERE / "merge_a.o").unlink()
     (HERE / "merge_b.o").unlink()

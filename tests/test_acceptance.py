@@ -207,11 +207,11 @@ def test_round_trip_stability(tmp_path):
 def run_dataset_checks(root):
     """Assertions shared by the gated criterion and its machinery test."""
     started = time.perf_counter()
-    index = index_repository(root)
+    index = index_repository(root, "x86_64")
     labels = ["9", "10", "11", "12", "13", "14"]
     missing = [v for v in labels if (v, "x86_64") not in index.entries]
     assert not missing, f"dataset lacks x86_64 profiles for: {missing}"
-    sequence = [read_profile(index.entries[(v, "x86_64")]) for v in labels]
+    sequence = [index.profiles[(v, "x86_64")] for v in labels]
 
     watchlist_path = os.path.join(root, "watchlist.json")
     if os.path.exists(watchlist_path):

@@ -250,6 +250,65 @@ def test_volatility_all_structures_mode():
     assert set(stats.per_structure) == {"S", "T"}
 
 
+def brute_force_volatility(seq, names):
+    """Quadratic reference: one scan of every surviving key per structure."""
+    survived, moved = set(), set()
+    for old, new in zip(seq, seq[1:]):
+        for name in names:
+            if name not in old.structures or name not in new.structures:
+                continue
+            old_ids = _identities(old.structures[name].members)
+            new_ids = _identities(new.structures[name].members)
+            for identity, offset in old_ids.items():
+                if identity in new_ids:
+                    survived.add((name,) + identity)
+                    if new_ids[identity] != offset:
+                        moved.add((name,) + identity)
+    return {
+        name: (sum(1 for k in survived if k[0] == name),
+               sum(1 for k in moved if k[0] == name))
+        for name in names
+    }
+
+
+def _identities(members):
+    seen = {}
+    out = {}
+    for m in members:
+        ordinal = seen.get(m.name, 0)
+        seen[m.name] = ordinal + 1
+        out[(m.name, ordinal)] = m.offset
+    return out
+
+
+@st.composite
+def drifting_sequences(draw):
+    """Profiles over a small name pool, so structures and members recur."""
+    seq = []
+    for i in range(draw(st.integers(2, 5))):
+        structures = {}
+        for name in draw(st.sets(st.sampled_from("ABCD"))):
+            members = draw(st.lists(st.tuples(st.sampled_from("xyz"),
+                                              st.integers(0, 6)), max_size=5))
+            structures[name] = (8, members)
+        seq.append(make_profile(str(9 + i), structures))
+    return seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(drifting_sequences(), st.one_of(st.none(), st.lists(st.sampled_from("ABCDE"))))
+def test_volatility_matches_brute_force(seq, watchlist):
+    stats = volatility_stats(seq, watchlist)
+    names = sorted({n for p in seq for n in p.structures}) if watchlist is None \
+        else watchlist
+    want = brute_force_volatility(seq, names)
+    got = {name: (v.surviving_members, v.members_with_offset_change)
+           for name, v in stats.per_structure.items()}
+    assert got == want
+    assert stats.total_surviving == sum(s for s, _ in want.values())
+    assert stats.total_moved == sum(m for _, m in want.values())
+
+
 def test_volatility_requires_two_profiles():
     with pytest.raises(ValueError):
         volatility_stats([make_profile("9", {})], ["S"])

@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,28 @@ def test_score_json_round_trips(art_repo, capsys):
     matrix = loads_matrix(capsys.readouterr().out)
     assert len(matrix.transitions) == 5
     assert matrix.scores["Object"][4] is None  # absent on both sides of 13->14
+
+
+@pytest.mark.parametrize("command", [
+    ["score"],
+    ["volatility", "--scope", "default"],
+    ["aggregate"],
+    ["timeline", "Runtime", "--member", "heap_"],
+])
+def test_repository_commands_read_each_profile_once(art_repo, monkeypatch, command):
+    import structdrift.profile as profile_module
+
+    reads = Counter()
+    read_text = profile_module.read_text
+
+    def counting_read_text(source):
+        reads[Path(source)] += 1
+        return read_text(source)
+
+    monkeypatch.setattr(profile_module, "read_text", counting_read_text)
+    assert run(command + ["--repo", str(art_repo), "--arch", "x86_64"]) == 0
+    assert sorted(reads) == sorted(art_repo.rglob("*.profile.json"))
+    assert set(reads.values()) == {1}
 
 
 # ------------------------------------------------------------------- stats

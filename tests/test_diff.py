@@ -11,7 +11,8 @@ from structdrift import (
     diff_structure,
     summarize_diff,
 )
-from structdrift.diff import dumps_diff, loads_diff
+from structdrift.diff import diff_to_doc, doc_to_diff, dumps_diff, loads_diff
+from structdrift.errors import SchemaError
 
 from conftest import make_profile, profiles
 
@@ -239,6 +240,49 @@ def test_diff_report_round_trip():
     new = make_profile("10", {"A": (24, [("x", 4), ("y", 8)]), "C": (8, [])})
     report = diff_profiles(old, new)
     assert loads_diff(dumps_diff(report)) == report
+
+
+def _diff_doc():
+    old = make_profile("9", {"A": (16, [("x", 0), ("x", 8)]), "B": (8, [])})
+    new = make_profile("10", {"A": (24, [("x", 4), ("y", 8)]), "C": (8, [])})
+    return diff_to_doc(diff_profiles(old, new))
+
+
+def _entry(doc):
+    return doc["modified"][0]
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: d.update(unchanged_count=True), id="unchanged-count-bool"),
+    pytest.param(lambda d: d["added_structures"].append(3), id="added-name-int"),
+    pytest.param(lambda d: _entry(d).update(old_size=True), id="old-size-bool"),
+    pytest.param(lambda d: _entry(d).update(new_size=False), id="new-size-bool"),
+    pytest.param(lambda d: _entry(d).update(old_member_count=True),
+                 id="old-member-count-bool"),
+    pytest.param(lambda d: _entry(d).update(shared_member_count=False),
+                 id="shared-member-count-bool"),
+    pytest.param(lambda d: _entry(d).pop("old_size"), id="old-size-missing"),
+    pytest.param(lambda d: _entry(d).pop("shared_member_count"),
+                 id="shared-member-count-missing"),
+    pytest.param(lambda d: _entry(d)["offset_changes"][0].update(old=True),
+                 id="change-old-bool"),
+    pytest.param(lambda d: _entry(d)["offset_changes"][0].update(new=False),
+                 id="change-new-bool"),
+    pytest.param(lambda d: _entry(d).pop("offset_changes"), id="offset-changes-missing"),
+    pytest.param(lambda d: _entry(d)["member_additions"][0].update(offset=True),
+                 id="addition-offset-bool"),
+    pytest.param(lambda d: _entry(d)["member_removals"][0].update(offset=True),
+                 id="removal-offset-bool"),
+    pytest.param(lambda d: _entry(d).pop("name"), id="name-missing"),
+    pytest.param(lambda d: _entry(d).update(name=""), id="name-empty"),
+    pytest.param(lambda d: _entry(d).update(name=7), id="name-int"),
+])
+def test_diff_reader_rejects_malformed_fields(mutate):
+    doc = _diff_doc()
+    doc_to_diff(doc)  # the unmutated document loads
+    mutate(doc)
+    with pytest.raises(SchemaError):
+        doc_to_diff(doc)
 
 
 # -------------------------------------------------------------- properties

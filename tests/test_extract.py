@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from structdrift import (
@@ -10,6 +12,13 @@ from structdrift import (
     extract_profile,
     extract_profile_with_meta,
     merge_duplicate_definitions,
+)
+from structdrift.dwarf import (
+    AT_NAME,
+    StringTables,
+    UnitWalker,
+    iter_unit_headers,
+    parse_abbrev_table,
 )
 from structdrift.elf import ElfFile
 from structdrift.profile import dumps_profile
@@ -121,6 +130,65 @@ def test_malformed_version_reports_offset(tmp_path):
         extract_profile(patched)
     assert exc_info.value.section == ".debug_info"
     assert exc_info.value.offset >= 0
+
+
+# A DWARF 4 unit whose one DIE, a structure type, has DW_AT_name (decoded)
+# and DW_AT_decl_line (skipped), both declared DW_FORM_indirect: the DIE's
+# bytes then name the real form, here through a chain of nested indirects.
+INDIRECT_ABBREV = bytes([1, 0x13, 0, 0x03, 0x16, 0x3B, 0x16, 0, 0, 0])
+CHAIN = 5000  # well past the interpreter's recursion limit
+
+
+def _indirect_unit(die: bytes) -> bytes:
+    body = (4).to_bytes(2, "little") + (0).to_bytes(4, "little") + bytes([8]) + die
+    return len(body).to_bytes(4, "little") + body
+
+
+def _walk(info: bytes):
+    header = next(iter_unit_headers(info))
+    walker = UnitWalker(info, header, parse_abbrev_table(INDIRECT_ABBREV, 0),
+                        StringTables(), frozenset({AT_NAME}))
+    return list(walker)
+
+
+def test_nested_indirect_forms_resolve():
+    chain = b"\x16" * CHAIN
+    die = b"\x01" + chain + b"\x08Deep\x00" + chain + b"\x0b\x07" + b"\x00"
+    assert _walk(_indirect_unit(die)) == [(0, 0x13, {AT_NAME: "Deep"})]
+
+
+def test_endless_indirect_chain_is_malformed_dwarf():
+    with pytest.raises(MalformedDwarfError) as exc_info:
+        _walk(_indirect_unit(b"\x01" + b"\x16" * CHAIN))
+    assert exc_info.value.section == ".debug_info"
+
+
+def _with_debug_sections(tmp_path, info: bytes, abbrev: bytes):
+    """Copy a 64-bit fixture, pointing its info/abbrev headers at new bytes."""
+    data = bytearray(fixture_path("layouts-dwarf4-64.so").read_bytes())
+    elf = ElfFile(bytes(data))
+    (shoff,) = struct.unpack_from("<Q", data, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
+    for name, blob in ((".debug_info", info), (".debug_abbrev", abbrev)):
+        sec = elf.sections[name]
+        for i in range(shnum):
+            base = shoff + i * shentsize
+            if struct.unpack_from("<QQ", data, base + 24) == (sec.offset, sec.size):
+                struct.pack_into("<QQ", data, base + 24, len(data), len(blob))
+                data += blob
+                break
+    patched = tmp_path / "indirect.so"
+    patched.write_bytes(bytes(data))
+    return patched
+
+
+def test_endless_indirect_chain_exits_with_input_error(tmp_path, capsys):
+    from structdrift.cli import EXIT_INPUT, run
+
+    info = _indirect_unit(b"\x01" + b"\x16" * CHAIN)
+    patched = _with_debug_sections(tmp_path, info, INDIRECT_ABBREV)
+    assert run(["extract", str(patched)]) == EXIT_INPUT
+    assert ".debug_info offset" in capsys.readouterr().err
 
 
 def test_malformed_abbrev_reference(tmp_path):

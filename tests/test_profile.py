@@ -110,6 +110,39 @@ def test_duplicate_structure_key_rejected():
         loads_profile(mutated)
 
 
+def _mutated_members(mutate):
+    doc = json.loads(_canonical_text())
+    mutate(doc["structures"]["S"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(_canonical_text().replace('"name": "a"', '"name": "a", "name": "z"'),
+                 "duplicate key 'name'", id="duplicate-member-field"),
+    pytest.param(_canonical_text().replace('"schema"', '"schema": 1, "schema"'),
+                 "duplicate key 'schema'", id="duplicate-top-level-key"),
+    pytest.param(_mutated_members(lambda s: s["members"][1].update(offset=True)),
+                 "S.members[1].offset must be an integer, got a boolean",
+                 id="boolean-offset"),
+    pytest.param(_mutated_members(lambda s: s["members"][0].update(offset="0")),
+                 "S.members[0].offset has wrong type str", id="string-offset"),
+    pytest.param(_mutated_members(lambda s: s["members"][0].pop("offset")),
+                 "S.members[0].offset has wrong type NoneType", id="missing-offset"),
+    pytest.param(_mutated_members(lambda s: s["members"][0].update(name=5)),
+                 "S.members[0].name has wrong type int", id="integer-name"),
+    pytest.param(_mutated_members(lambda s: s["members"].__setitem__(1, ["b", 8])),
+                 "S.members[1] has wrong type list", id="member-not-object"),
+    pytest.param(_mutated_members(lambda s: s.update(members={})),
+                 "S.members has wrong type dict", id="members-not-list"),
+    pytest.param(_mutated_members(lambda s: s.update(size=False)),
+                 "S.size must be an integer, got a boolean", id="boolean-size"),
+])
+def test_schema_error_messages(text, message):
+    with pytest.raises(SchemaError) as exc_info:
+        loads_profile(text)
+    assert str(exc_info.value) == message
+
+
 def test_missing_meta_field_rejected():
     doc = json.loads(_canonical_text())
     del doc["meta"]["architecture"]
@@ -187,6 +220,19 @@ def test_index_full_grid(tmp_repo):
     assert len(index.entries) == 24
     assert index.skipped == []
     assert index.versions("x86_64") == ["9", "10", "11", "12", "13", "14"]
+    assert index.profiles == {}
+
+
+def test_index_keeps_profiles_of_one_architecture(tmp_repo):
+    for version in ["10", "9"]:
+        for arch in ["arm64", "x86_64"]:
+            tmp_repo(make_profile(version, {"S": (8, [("a", 0)])}, arch=arch))
+    index = index_repository(tmp_repo.root, "arm64")
+    assert len(index.entries) == 4
+    assert sorted(index.profiles) == [("10", "arm64"), ("9", "arm64")]
+    assert index.sequence("arm64") == [
+        read_profile(index.entries[(v, "arm64")]) for v in ["9", "10"]
+    ]
 
 
 def test_index_isolates_corrupt_files(tmp_repo):
