@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .diff import ChangeCounts, DiffReport, StructureDiff, diff_profiles, \
-    diff_structure, member_identities, summarize_diff
+    diff_structure, match_members, member_identities, summarize_diff
 from .extract import extract_profile_with_meta
 from .profile import Profile, version_key
 
@@ -79,6 +79,11 @@ class BinaryStats:
     binary_size_mb: float
     symbol_count: int
     dwarf_versions: Tuple[int, ...]
+
+
+@dataclass
+class StatsReport:
+    sources: List[BinaryStats]
 
 
 @dataclass
@@ -194,12 +199,9 @@ def _member_offset(profile: Profile, structure: str, member: str, ordinal: int):
     record = profile.structures.get(structure)
     if record is None:
         return None
-    seen = 0
-    for m in record.members:
-        if m.name == member:
-            if seen == ordinal:
-                return m.offset
-            seen += 1
+    for identity, m in zip(member_identities(record.members), record.members):
+        if identity == (member, ordinal):
+            return m.offset
     return None
 
 
@@ -242,16 +244,11 @@ def volatility_stats(
             new_rec = new.structures.get(name)
             if old_rec is None or new_rec is None:
                 continue
-            old_map = dict(zip(member_identities(old_rec.members), old_rec.members))
-            new_map = dict(zip(member_identities(new_rec.members), new_rec.members))
             survived_here = survived[name]
             moved_here = moved[name]
-            for identity, member in old_map.items():
-                counterpart = new_map.get(identity)
-                if counterpart is None:
-                    continue
+            for identity, a, b in match_members(old_rec.members, new_rec.members)[0]:
                 survived_here.add(identity)
-                if counterpart.offset != member.offset:
+                if a.offset != b.offset:
                     moved_here.add(identity)
     per_structure: Dict[str, StructureVolatility] = {}
     for name in names:

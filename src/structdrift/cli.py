@@ -1,7 +1,7 @@
 """Command-line front end: extract, store, diff, analyze, report.
 
 Exit codes: 0 success, 1 breaking changes found under --fail-on-break,
-2 usage error, 3 unreadable or malformed input.
+2 usage error, 3 unreadable or malformed input, 4 internal error.
 """
 
 import argparse
@@ -10,6 +10,7 @@ import sys
 from typing import List, Optional
 
 from .analytics import (
+    StatsReport,
     aggregate_transitions,
     binary_stats,
     impact_matrix,
@@ -28,13 +29,14 @@ from .profile import (
     version_key,
 )
 from .render import UnsupportedFormatError, render_report
-from .watch import REASON_NOT_APPLICABLE, assess_capabilities, default_chains, \
-    default_watchlist, load_chains, load_watchlist, resolve_chain
+from .watch import REASON_NOT_APPLICABLE, ChainReports, assess_capabilities, \
+    default_chains, default_watchlist, load_chains, load_watchlist, resolve_chain
 
 EXIT_OK = 0
 EXIT_BREAKAGE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _add_output_options(parser, formats=("json", "table")):
@@ -218,7 +220,7 @@ def _cmd_stats(args) -> int:
             stats = binary_stats(read_profile(source))
             stats.source = str(source)
             results.append(stats)
-    _emit(args, render_report(results, args.format))
+    _emit(args, render_report(StatsReport(results), args.format))
     return EXIT_OK
 
 
@@ -254,14 +256,16 @@ def _cmd_chains(args) -> int:
     profiles = [read_profile(p) for p in args.profiles]
     if len(profiles) == 1:
         profile = profiles[0]
-        reports = [resolve_chain(profile, chain) for chain in chains]
-        context = {"profile_version": profile.meta.platform_version}
-        _emit(args, render_report(reports, args.format, context))
+        reports = ChainReports(
+            profile.meta.platform_version,
+            [resolve_chain(profile, chain) for chain in chains],
+        )
+        _emit(args, render_report(reports, args.format))
         # Chains outside their version range are not breakage.
         broken = any(
             r.first_failure is not None
             and r.first_failure[1] != REASON_NOT_APPLICABLE
-            for r in reports
+            for r in reports.reports
         )
     else:
         profiles.sort(key=lambda p: version_key(p.meta.platform_version))
@@ -303,6 +307,10 @@ def run(argv: List[str]) -> int:
     except (StructDriftError, OSError) as exc:
         print(f"structdrift: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # Never exit 1 here: --fail-on-break users read 1 as breakage.
+        print(f"structdrift: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -6,7 +6,6 @@ Every structure name in either catalog lands in exactly one of: added,
 removed, modified, unchanged.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,31 +80,47 @@ def member_identities(members: Sequence[MemberRecord]) -> List[Tuple[str, int]]:
     return identities
 
 
+MemberPair = Tuple[Tuple[str, int], MemberRecord, MemberRecord]
+
+
+def match_members(
+    old: Sequence[MemberRecord], new: Sequence[MemberRecord]
+) -> Tuple[List[MemberPair], List[MemberRecord], List[MemberRecord]]:
+    """Pair members by identity.
+
+    Returns (identity, old member, new member) for each shared identity,
+    then the removed members in old order and the added ones in new order.
+    """
+    unmatched = dict(zip(member_identities(new), new))
+    pairs: List[MemberPair] = []
+    removed = []
+    for identity, member in zip(member_identities(old), old):
+        counterpart = unmatched.pop(identity, None)
+        if counterpart is None:
+            removed.append(member)
+        else:
+            pairs.append((identity, member, counterpart))
+    return pairs, removed, list(unmatched.values())
+
+
 def diff_structure(old: StructureRecord, new: StructureRecord) -> StructureDiff:
     if old.name != new.name:
         raise ValueError(f"structure name mismatch: {old.name!r} vs {new.name!r}")
-    old_ids = dict(zip(member_identities(old.members), old.members))
-    new_ids = dict(zip(member_identities(new.members), new.members))
-    diff = StructureDiff(
+    pairs, removed, added = match_members(old.members, new.members)
+    return StructureDiff(
         name=old.name,
         old_size=old.byte_size,
         new_size=new.byte_size,
+        member_additions=added,
+        member_removals=removed,
+        offset_changes=[
+            MemberChange(a.name, a.offset, b.offset)
+            for _, a, b in pairs
+            if a.offset != b.offset
+        ],
         old_member_count=len(old.members),
+        shared_member_count=len(pairs),
     )
-    for identity, member in new_ids.items():
-        if identity not in old_ids:
-            diff.member_additions.append(member)
-    for identity, member in old_ids.items():
-        counterpart = new_ids.get(identity)
-        if counterpart is None:
-            diff.member_removals.append(member)
-            continue
-        diff.shared_member_count += 1
-        if counterpart.offset != member.offset:
-            diff.offset_changes.append(
-                MemberChange(member.name, member.offset, counterpart.offset)
-            )
-    return diff
 
 
 def diff_profiles(
@@ -184,10 +199,6 @@ def diff_to_doc(report: DiffReport) -> dict:
     }
 
 
-def dumps_diff(report: DiffReport) -> str:
-    return json.dumps(diff_to_doc(report), ensure_ascii=False, indent=2) + "\n"
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -261,9 +272,5 @@ def doc_to_diff(doc: dict) -> DiffReport:
     return report
 
 
-def loads_diff(text: str) -> DiffReport:
-    return doc_to_diff(parse_json_document(text, DIFF_SCHEMA))
-
-
 def read_diff(source) -> DiffReport:
-    return loads_diff(read_text(source))
+    return doc_to_diff(parse_json_document(read_text(source), DIFF_SCHEMA))

@@ -118,6 +118,8 @@ def validate_profile(profile: Profile) -> None:
 
 
 def profile_to_doc(profile: Profile) -> dict:
+    """Canonical document; rejects non-canonical profiles."""
+    validate_profile(profile)
     meta = profile.meta
     return {
         "schema": PROFILE_SCHEMA,
@@ -142,7 +144,6 @@ def profile_to_doc(profile: Profile) -> dict:
 
 def dumps_profile(profile: Profile) -> str:
     """Serialize to canonical text; rejects non-canonical profiles."""
-    validate_profile(profile)
     return json.dumps(profile_to_doc(profile), ensure_ascii=False, indent=2) + "\n"
 
 

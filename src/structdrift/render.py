@@ -1,27 +1,27 @@
-"""Report serialization: canonical JSON (with readers), CSV and tables.
+"""Report serialization: canonical JSON, CSV and tables.
 
-CSV is available for matrix-, aggregate- and timeline-shaped reports;
-real-valued cells carry three fraction digits, counts and offsets stay
-plain integers, and absent cells are left empty. Table output is
-fixed-width and carries the same values as the JSON form.
+One registry maps each report type to its JSON document, table and
+optional CSV renderers. CSV is available for matrix-, aggregate- and
+timeline-shaped reports; real-valued cells carry three fraction digits,
+counts and offsets stay plain integers, and absent cells are left empty.
+Table output is fixed-width and carries the same values as the JSON form.
 """
 
 import json
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional
 
 from .analytics import (
-    BinaryStats,
     ImpactMatrix,
     ImpactScore,
-    StructureVolatility,
+    StatsReport,
     TimelineReport,
     TransitionTable,
     VolatilityStats,
 )
-from .diff import ChangeCounts, DiffReport, dumps_diff
+from .diff import ChangeCounts, DiffReport, diff_to_doc
 from .errors import SchemaError
-from .profile import Profile, RepositoryIndex, dumps_profile, parse_json_document
-from .watch import CapabilityAssessment, ChainReport, TransitionNote
+from .profile import Profile, RepositoryIndex, profile_to_doc
+from .watch import CapabilityAssessment, ChainReports
 
 IMPACT_SCHEMA = "structdrift-impact/1"
 TIMELINE_SCHEMA = "structdrift-timeline/1"
@@ -71,27 +71,6 @@ def matrix_to_doc(matrix: ImpactMatrix) -> dict:
     }
 
 
-def doc_to_matrix(doc: dict) -> ImpactMatrix:
-    transitions = [(t["from"], t["to"]) for t in doc.get("transitions", [])]
-    structures = list(doc.get("structures", []))
-    scores = {}
-    for name, row in doc.get("scores", {}).items():
-        cells: List[Optional[ImpactScore]] = []
-        for cell, transition in zip(row, transitions):
-            if cell is None:
-                cells.append(None)
-            else:
-                cells.append(
-                    ImpactScore(name, transition, cell["score"], dict(cell["factors"]))
-                )
-        scores[name] = cells
-    return ImpactMatrix(structures, transitions, doc.get("watchlist"), scores)
-
-
-def loads_matrix(text: str) -> ImpactMatrix:
-    return doc_to_matrix(parse_json_document(text, IMPACT_SCHEMA))
-
-
 def matrix_to_csv(matrix: ImpactMatrix) -> str:
     header = ["structure"] + [transition_label(a, b) for a, b in matrix.transitions]
     lines = [",".join(header)]
@@ -114,15 +93,6 @@ def timeline_to_doc(report: TimelineReport) -> dict:
             {"version": version, "value": value} for version, value in report.points
         ],
     }
-
-
-def doc_to_timeline(doc: dict) -> TimelineReport:
-    points = [(p["version"], p["value"]) for p in doc.get("points", [])]
-    return TimelineReport(doc.get("structure", ""), doc.get("member"), points)
-
-
-def loads_timeline(text: str) -> TimelineReport:
-    return doc_to_timeline(parse_json_document(text, TIMELINE_SCHEMA))
 
 
 def timeline_to_csv(report: TimelineReport) -> str:
@@ -152,29 +122,9 @@ def volatility_to_doc(stats: VolatilityStats) -> dict:
     }
 
 
-def doc_to_volatility(doc: dict) -> VolatilityStats:
-    per_structure = {
-        name: StructureVolatility(
-            v["surviving_members"], v["members_with_offset_change"], v["rate"]
-        )
-        for name, v in doc.get("per_structure", {}).items()
-    }
-    return VolatilityStats(
-        per_structure=per_structure,
-        overall_rate=doc.get("overall_rate", 0.0),
-        total_surviving=doc.get("total_surviving", 0),
-        total_moved=doc.get("total_moved", 0),
-        watchlist_name=doc.get("watchlist"),
-    )
-
-
-def loads_volatility(text: str) -> VolatilityStats:
-    return doc_to_volatility(parse_json_document(text, VOLATILITY_SCHEMA))
-
-
 # ----------------------------------------------------------------- stats
 
-def stats_to_doc(stats_list: Sequence[BinaryStats]) -> dict:
+def stats_to_doc(stats: StatsReport) -> dict:
     return {
         "schema": STATS_SCHEMA,
         "sources": [
@@ -184,20 +134,9 @@ def stats_to_doc(stats_list: Sequence[BinaryStats]) -> dict:
                 "symbol_count": s.symbol_count,
                 "dwarf_versions": list(s.dwarf_versions),
             }
-            for s in stats_list
+            for s in stats.sources
         ],
     }
-
-
-def loads_stats(text: str) -> List[BinaryStats]:
-    doc = parse_json_document(text, STATS_SCHEMA)
-    return [
-        BinaryStats(
-            s["source"], s["binary_size_mb"], s["symbol_count"],
-            tuple(s["dwarf_versions"]),
-        )
-        for s in doc.get("sources", [])
-    ]
 
 
 # ------------------------------------------------------------- aggregate
@@ -213,17 +152,6 @@ def _counts_to_doc(counts: ChangeCounts) -> dict:
     }
 
 
-def _doc_to_counts(doc: dict) -> ChangeCounts:
-    return ChangeCounts(
-        offset_changes=doc.get("offset_changes", 0),
-        member_additions=doc.get("member_additions", 0),
-        member_removals=doc.get("member_removals", 0),
-        structure_removals=doc.get("structure_removals", 0),
-        structure_additions=doc.get("structure_additions", 0),
-        total_impact=doc.get("total_impact", 0),
-    )
-
-
 def aggregate_to_doc(table: TransitionTable) -> dict:
     return {
         "schema": AGGREGATE_SCHEMA,
@@ -234,19 +162,6 @@ def aggregate_to_doc(table: TransitionTable) -> dict:
         ],
         "totals": _counts_to_doc(table.totals),
     }
-
-
-def doc_to_aggregate(doc: dict) -> TransitionTable:
-    rows = [
-        (row["from"], row["to"], _doc_to_counts(row)) for row in doc.get("rows", [])
-    ]
-    return TransitionTable(
-        rows, _doc_to_counts(doc.get("totals", {})), doc.get("watchlist")
-    )
-
-
-def loads_aggregate(text: str) -> TransitionTable:
-    return doc_to_aggregate(parse_json_document(text, AGGREGATE_SCHEMA))
 
 
 def aggregate_to_csv(table: TransitionTable) -> str:
@@ -266,10 +181,10 @@ def aggregate_to_csv(table: TransitionTable) -> str:
 
 # ---------------------------------------------------------- chain reports
 
-def chain_reports_to_doc(reports: Sequence[ChainReport], profile_version: str) -> dict:
+def chain_reports_to_doc(chains: ChainReports) -> dict:
     return {
         "schema": CHAIN_REPORTS_SCHEMA,
-        "profile_version": profile_version,
+        "profile_version": chains.profile_version,
         "reports": [
             {
                 "chain": r.chain_id,
@@ -282,29 +197,9 @@ def chain_reports_to_doc(reports: Sequence[ChainReport], profile_version: str) -
                 if r.first_failure is None
                 else {"step": r.first_failure[0], "reason": r.first_failure[1]},
             }
-            for r in reports
+            for r in chains.reports
         ],
     }
-
-
-def loads_chain_reports(text: str):
-    doc = parse_json_document(text, CHAIN_REPORTS_SCHEMA)
-    reports = []
-    for r in doc.get("reports", []):
-        failure = r.get("first_failure")
-        reports.append(
-            ChainReport(
-                chain_id=r["chain"],
-                status=r["status"],
-                resolved_steps=[
-                    (s["structure"], s["member"], s["offset"])
-                    for s in r.get("resolved_steps", [])
-                ],
-                first_failure=None if failure is None
-                else (failure["step"], failure["reason"]),
-            )
-        )
-    return doc.get("profile_version", ""), reports
 
 
 def capabilities_to_doc(assessment: CapabilityAssessment) -> dict:
@@ -325,18 +220,6 @@ def capabilities_to_doc(assessment: CapabilityAssessment) -> dict:
             for n in assessment.annotations
         ],
     }
-
-
-def loads_capabilities(text: str) -> CapabilityAssessment:
-    doc = parse_json_document(text, CAPABILITIES_SCHEMA)
-    return CapabilityAssessment(
-        versions=list(doc.get("versions", [])),
-        statuses={c: list(s) for c, s in doc.get("capabilities", {}).items()},
-        annotations=[
-            TransitionNote(a["from"], a["to"], a["capability"], a["kind"], a["detail"])
-            for a in doc.get("annotations", [])
-        ],
-    )
 
 
 # ----------------------------------------------------------------- index
@@ -452,25 +335,25 @@ def _volatility_table(stats: VolatilityStats) -> str:
     return head + _fixed_table(["structure", "surviving", "moved", "rate"], rows)
 
 
-def _stats_table(stats_list: Sequence[BinaryStats]) -> str:
+def _stats_table(stats: StatsReport) -> str:
     rows = [
         [s.source, f"{s.binary_size_mb:.2f}", str(s.symbol_count),
          ",".join(str(v) for v in s.dwarf_versions)]
-        for s in stats_list
+        for s in stats.sources
     ]
     return _fixed_table(["source", "size_mb", "symbols", "dwarf"], rows)
 
 
-def _chain_reports_table(reports: Sequence[ChainReport], version: str) -> str:
+def _chain_reports_table(chains: ChainReports) -> str:
     rows = []
-    for r in reports:
+    for r in chains.reports:
         if r.first_failure is None:
             where = "-"
         else:
             where = f"step {r.first_failure[0]}: {r.first_failure[1]}"
         rows.append([r.chain_id, r.status, str(len(r.resolved_steps)), where])
     return (
-        f"chains against profile {version}\n"
+        f"chains against profile {chains.profile_version}\n"
         + _fixed_table(["chain", "status", "steps_resolved", "failure"], rows)
     )
 
@@ -503,67 +386,40 @@ def _index_table(index: RepositoryIndex) -> str:
     return body
 
 
-_CSV_RENDERERS = {
-    ImpactMatrix: matrix_to_csv,
-    TransitionTable: aggregate_to_csv,
-    TimelineReport: timeline_to_csv,
+class _Renderers(NamedTuple):
+    to_doc: Callable[..., dict]
+    table: Callable[..., str]
+    csv: Optional[Callable[..., str]] = None
+
+
+_RENDERERS = {
+    Profile: _Renderers(profile_to_doc, _profile_table),
+    DiffReport: _Renderers(diff_to_doc, _diff_table),
+    ImpactMatrix: _Renderers(matrix_to_doc, _matrix_table, matrix_to_csv),
+    TimelineReport: _Renderers(timeline_to_doc, _timeline_table, timeline_to_csv),
+    VolatilityStats: _Renderers(volatility_to_doc, _volatility_table),
+    TransitionTable: _Renderers(aggregate_to_doc, _aggregate_table, aggregate_to_csv),
+    CapabilityAssessment: _Renderers(capabilities_to_doc, _capabilities_table),
+    RepositoryIndex: _Renderers(index_to_doc, _index_table),
+    StatsReport: _Renderers(stats_to_doc, _stats_table),
+    ChainReports: _Renderers(chain_reports_to_doc, _chain_reports_table),
 }
 
 
-def render_report(report, fmt: str, context: Optional[dict] = None) -> str:
+def render_report(report, fmt: str) -> str:
     """Render any module report; csv only exists for matrix-shaped ones."""
-    context = context or {}
+    renderers = _RENDERERS.get(type(report))
+    kind = type(report).__name__
     if fmt == "json":
-        if isinstance(report, Profile):
-            return dumps_profile(report)
-        if isinstance(report, DiffReport):
-            return dumps_diff(report)
-        if isinstance(report, ImpactMatrix):
-            return _dumps(matrix_to_doc(report))
-        if isinstance(report, TimelineReport):
-            return _dumps(timeline_to_doc(report))
-        if isinstance(report, VolatilityStats):
-            return _dumps(volatility_to_doc(report))
-        if isinstance(report, TransitionTable):
-            return _dumps(aggregate_to_doc(report))
-        if isinstance(report, CapabilityAssessment):
-            return _dumps(capabilities_to_doc(report))
-        if isinstance(report, RepositoryIndex):
-            return _dumps(index_to_doc(report))
-        if isinstance(report, list) and all(isinstance(r, BinaryStats) for r in report):
-            return _dumps(stats_to_doc(report))
-        if isinstance(report, list) and all(isinstance(r, ChainReport) for r in report):
-            return _dumps(
-                chain_reports_to_doc(report, context.get("profile_version", ""))
-            )
-        raise UnsupportedFormatError(f"no json renderer for {type(report).__name__}")
+        if renderers is None:
+            raise UnsupportedFormatError(f"no json renderer for {kind}")
+        return _dumps(renderers.to_doc(report))
     if fmt == "csv":
-        renderer = _CSV_RENDERERS.get(type(report))
-        if renderer is None:
-            raise UnsupportedFormatError(
-                f"csv output is not available for {type(report).__name__} reports"
-            )
-        return renderer(report)
+        if renderers is None or renderers.csv is None:
+            raise UnsupportedFormatError(f"csv output is not available for {kind} reports")
+        return renderers.csv(report)
     if fmt == "table":
-        if isinstance(report, Profile):
-            return _profile_table(report)
-        if isinstance(report, DiffReport):
-            return _diff_table(report)
-        if isinstance(report, ImpactMatrix):
-            return _matrix_table(report)
-        if isinstance(report, TimelineReport):
-            return _timeline_table(report)
-        if isinstance(report, VolatilityStats):
-            return _volatility_table(report)
-        if isinstance(report, TransitionTable):
-            return _aggregate_table(report)
-        if isinstance(report, CapabilityAssessment):
-            return _capabilities_table(report)
-        if isinstance(report, RepositoryIndex):
-            return _index_table(report)
-        if isinstance(report, list) and all(isinstance(r, BinaryStats) for r in report):
-            return _stats_table(report)
-        if isinstance(report, list) and all(isinstance(r, ChainReport) for r in report):
-            return _chain_reports_table(report, context.get("profile_version", ""))
-        raise UnsupportedFormatError(f"no table renderer for {type(report).__name__}")
+        if renderers is None:
+            raise UnsupportedFormatError(f"no table renderer for {kind}")
+        return renderers.table(report)
     raise UnsupportedFormatError(f"unknown format {fmt!r}")

@@ -7,7 +7,6 @@ profile and contain the named member. The shipped chain and watchlist
 definitions live in data files so deployments can amend them.
 """
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -74,6 +73,14 @@ class ChainReport:
     status: str
     resolved_steps: List[Tuple[str, str, int]] = field(default_factory=list)
     first_failure: Optional[Tuple[int, str]] = None  # (step index, reason)
+
+
+@dataclass
+class ChainReports:
+    """Every chain resolved against one profile."""
+
+    profile_version: str
+    reports: List[ChainReport]
 
 
 @dataclass
@@ -150,6 +157,10 @@ def parse_chains(text: str) -> List[ChainSpec]:
             raise SchemaError(f"chain {chain_id}: applicable_versions must be an object")
         min_v = versions.get("min")
         max_v = versions.get("max")
+        if any(v is not None and not isinstance(v, str) for v in (min_v, max_v)):
+            raise SchemaError(
+                f"chain {chain_id}: applicable_versions bounds must be strings"
+            )
         if min_v is not None and max_v is not None \
                 and version_key(min_v) > version_key(max_v):
             raise SchemaError(f"chain {chain_id}: applicable_versions range is inverted")
@@ -241,25 +252,3 @@ def assess_capabilities(
                         )
                     )
     return CapabilityAssessment(versions, statuses, annotations)
-
-
-def chains_to_doc(chains: Sequence[ChainSpec]) -> dict:
-    entries = []
-    for chain in chains:
-        entry: dict = {"id": chain.id, "capability": chain.capability}
-        if chain.min_version is not None or chain.max_version is not None:
-            versions = {}
-            if chain.min_version is not None:
-                versions["min"] = chain.min_version
-            if chain.max_version is not None:
-                versions["max"] = chain.max_version
-            entry["applicable_versions"] = versions
-        entry["steps"] = [
-            {"structure": s.structure, "member": s.member} for s in chain.steps
-        ]
-        entries.append(entry)
-    return {"schema": CHAINS_SCHEMA, "chains": entries}
-
-
-def dumps_chains(chains: Sequence[ChainSpec]) -> str:
-    return json.dumps(chains_to_doc(chains), ensure_ascii=False, indent=2) + "\n"

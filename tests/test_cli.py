@@ -7,16 +7,7 @@ import pytest
 
 from structdrift import read_diff, read_profile, write_profile
 from structdrift.cli import run
-from structdrift.render import (
-    AGGREGATE_CSV_HEADER,
-    loads_aggregate,
-    loads_capabilities,
-    loads_chain_reports,
-    loads_matrix,
-    loads_stats,
-    loads_timeline,
-    loads_volatility,
-)
+from structdrift.render import AGGREGATE_CSV_HEADER
 
 from conftest import art_profile, art_sequence, fixture_path
 
@@ -138,9 +129,10 @@ def test_score_csv_has_three_decimal_cells(tmp_path, capsys):
 
 def test_score_json_round_trips(art_repo, capsys):
     assert run(["score", "--repo", str(art_repo), "--arch", "x86_64"]) == 0
-    matrix = loads_matrix(capsys.readouterr().out)
-    assert len(matrix.transitions) == 5
-    assert matrix.scores["Object"][4] is None  # absent on both sides of 13->14
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "structdrift-impact/1"
+    assert len(doc["transitions"]) == 5
+    assert doc["scores"]["Object"][4] is None  # absent on both sides of 13->14
 
 
 @pytest.mark.parametrize("command", [
@@ -171,10 +163,12 @@ def test_stats_on_binary_and_profile(tmp_path, capsys):
     profile_path = write_tmp_profile(tmp_path, art_profile("9"), "p.profile.json")
     assert run(["stats", str(fixture_path("triple-dwarf4-64.so")),
                 profile_path]) == 0
-    stats = loads_stats(capsys.readouterr().out)
-    assert stats[0].symbol_count == 3
-    assert stats[0].dwarf_versions == (4,)
-    assert stats[1].source == profile_path
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "structdrift-stats/1"
+    stats = doc["sources"]
+    assert stats[0]["symbol_count"] == 3
+    assert stats[0]["dwarf_versions"] == [4]
+    assert stats[1]["source"] == profile_path
 
 
 # --------------------------------------------------------------- aggregate
@@ -199,8 +193,9 @@ def test_aggregate_table_has_total_row(art_repo, capsys):
 
 def test_aggregate_json_round_trips(art_repo, capsys):
     assert run(["aggregate", "--repo", str(art_repo), "--arch", "x86_64"]) == 0
-    table = loads_aggregate(capsys.readouterr().out)
-    assert len(table.rows) == 5
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "structdrift-aggregate/1"
+    assert len(doc["rows"]) == 5
 
 
 def test_sequence_command_is_byte_deterministic(art_repo, capsys):
@@ -217,8 +212,9 @@ def test_sequence_command_is_byte_deterministic(art_repo, capsys):
 def test_timeline_size_and_member(art_repo, capsys):
     assert run(["timeline", "Runtime", "--repo", str(art_repo),
                 "--arch", "x86_64", "--member", "thread_list_"]) == 0
-    report = loads_timeline(capsys.readouterr().out)
-    assert [v for _, v in report.points] == [512, 464, 512, 512, 512, 512]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "structdrift-timeline/1"
+    assert [p["value"] for p in doc["points"]] == [512, 464, 512, 512, 512, 512]
 
     assert run(["timeline", "Thread", "--repo", str(art_repo),
                 "--arch", "x86_64", "--format", "csv"]) == 0
@@ -239,9 +235,10 @@ def test_timeline_absent_cells_empty_in_csv(art_repo, capsys):
 def test_volatility_json(art_repo, capsys):
     assert run(["volatility", "--repo", str(art_repo), "--arch", "x86_64",
                 "--scope", "default"]) == 0
-    stats = loads_volatility(capsys.readouterr().out)
-    assert 0.0 <= stats.overall_rate <= 1.0
-    assert stats.per_structure["Runtime"].members_with_offset_change == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "structdrift-volatility/1"
+    assert 0.0 <= doc["overall_rate"] <= 1.0
+    assert doc["per_structure"]["Runtime"]["members_with_offset_change"] == 2
 
 
 # ------------------------------------------------------------------ chains
@@ -258,13 +255,41 @@ def test_chains_fail_on_break(tmp_path):
 def test_chains_single_profile_report(tmp_path, capsys):
     path = write_tmp_profile(tmp_path, art_profile("9"), "p.profile.json")
     assert run(["chains", path]) == 0
-    version, reports = loads_chain_reports(capsys.readouterr().out)
-    assert version == "9"
-    statuses = {r.chain_id: r.status for r in reports}
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "structdrift-chain-reports/1"
+    assert doc["profile_version"] == "9"
+    statuses = {r["chain"]: r["status"] for r in doc["reports"]}
     assert statuses["thread-enumeration"] == "resolved"
     assert statuses["dex-recovery-jit"] == "broken"  # not applicable at 9
-    jit = next(r for r in reports if r.chain_id == "dex-recovery-jit")
-    assert jit.first_failure == (0, "chain-not-applicable")
+    jit = next(r for r in doc["reports"] if r["chain"] == "dex-recovery-jit")
+    assert jit["first_failure"] == {"step": 0, "reason": "chain-not-applicable"}
+
+
+def write_chain_spec(tmp_path, chains):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"schema": "structdrift-chains/1", "chains": chains}))
+    return str(path)
+
+
+def test_chains_empty_spec_renders_chain_report(tmp_path, capsys):
+    profile = write_tmp_profile(tmp_path, art_profile("9"), "p9.profile.json")
+    spec = write_chain_spec(tmp_path, [])
+    assert run(["chains", profile, "--chains", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"schema": "structdrift-chain-reports/1", "profile_version": "9",
+                   "reports": []}
+    assert run(["chains", profile, "--chains", spec, "--format", "table"]) == 0
+    assert capsys.readouterr().out.startswith("chains against profile 9\nchain ")
+
+
+def test_chains_non_string_version_bound_is_input_error(tmp_path, capsys):
+    profile = write_tmp_profile(tmp_path, art_profile("9"), "p9.profile.json")
+    spec = write_chain_spec(tmp_path, [{
+        "id": "a", "capability": "heap_analysis", "applicable_versions": {"min": 5},
+        "steps": [{"structure": "Runtime", "member": "heap_"}],
+    }])
+    assert run(["chains", profile, "--chains", spec, "--fail-on-break"]) == 3
+    assert "bounds must be strings" in capsys.readouterr().err
 
 
 def test_chains_capability_assessment(tmp_path, capsys):
@@ -273,9 +298,10 @@ def test_chains_capability_assessment(tmp_path, capsys):
         for p in art_sequence()
     ]
     assert run(["chains", *paths]) == 0
-    assessment = loads_capabilities(capsys.readouterr().out)
-    assert assessment.statuses["object_reconstruction"][-1] == "broken"
-    assert any(n.kind == "broke" for n in assessment.annotations)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "structdrift-capabilities/1"
+    assert doc["capabilities"]["object_reconstruction"][-1] == "broken"
+    assert any(n["kind"] == "broke" for n in doc["annotations"])
 
 
 # ------------------------------------------------------------------- index
@@ -307,9 +333,9 @@ def test_custom_watchlist_file(tmp_path, capsys):
                               ("oat_file_manager_", 600)])
     ), "b.profile.json")
     assert run(["volatility", a, b, "--scope", str(watchlist)]) == 0
-    stats = loads_volatility(capsys.readouterr().out)
-    assert stats.watchlist_name == "mine"
-    assert list(stats.per_structure) == ["Runtime"]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["watchlist"] == "mine"
+    assert list(doc["per_structure"]) == ["Runtime"]
 
 
 def test_matrix_csv_leaves_absent_cells_empty(tmp_path, capsys):
@@ -348,6 +374,18 @@ def test_sequence_too_short_is_usage_error(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+def test_unexpected_exception_is_internal_error(art_repo, capsys, monkeypatch):
+    import structdrift.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "index_repository", boom)
+    assert run(["index", "--repo", str(art_repo)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RuntimeError" in err
 
 
 def test_unsupported_render_format_rejected():
@@ -392,15 +430,15 @@ def test_binary_to_analysis_pipeline(tmp_path, capsys):
     assert float(rows["Ring"]) > float(rows["Registry"]) == 0.0
 
     assert run(["timeline", "LinkNode", str(old_path), str(new_path)]) == 0
-    report = loads_timeline(capsys.readouterr().out)
-    assert [v for _, v in report.points] == [24, 24]
+    doc = json.loads(capsys.readouterr().out)
+    assert [p["value"] for p in doc["points"]] == [24, 24]
 
     assert run(["volatility", str(old_path), str(new_path)]) == 0
-    stats = loads_volatility(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     # Survivors: LinkNode 3, Ring 2 (head, capacity), Registry 3; only
     # capacity moved.
-    assert stats.total_surviving == 8
-    assert stats.total_moved == 1
+    assert doc["total_surviving"] == 8
+    assert doc["total_moved"] == 1
 
 
 # ------------------------------------------------------------------- fuzz

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from structdrift import (
     diff_structure,
     summarize_diff,
 )
-from structdrift.diff import diff_to_doc, doc_to_diff, dumps_diff, loads_diff
+from structdrift.diff import diff_to_doc, doc_to_diff, read_diff
 from structdrift.errors import SchemaError
+from structdrift.render import render_report
 
 from conftest import make_profile, profiles
 
@@ -235,11 +237,15 @@ def test_table_arithmetic_matches_row_sum():
     assert counts.total_impact == 1 + 1 + 1 + 1
 
 
-def test_diff_report_round_trip():
+def test_diff_report_round_trip(tmp_path):
     old = make_profile("9", {"A": (16, [("x", 0), ("x", 8)]), "B": (8, [])})
     new = make_profile("10", {"A": (24, [("x", 4), ("y", 8)]), "C": (8, [])})
     report = diff_profiles(old, new)
-    assert loads_diff(dumps_diff(report)) == report
+    text = render_report(report, "json")
+    assert doc_to_diff(json.loads(text)) == report
+    path = tmp_path / "diff.json"
+    path.write_text(text, encoding="utf-8")
+    assert read_diff(path) == report
 
 
 def _diff_doc():

@@ -1,3 +1,4 @@
+import random
 import struct
 
 import pytest
@@ -20,7 +21,7 @@ from structdrift.dwarf import (
     iter_unit_headers,
     parse_abbrev_table,
 )
-from structdrift.elf import ElfFile
+from structdrift.elf import ElfFile, load_elf
 from structdrift.profile import dumps_profile
 
 from conftest import ORACLE_FIXTURES, fixture_path, load_oracle
@@ -360,3 +361,31 @@ def test_merge_never_invents_names():
     ]
     catalog, _ = merge_duplicate_definitions(entries)
     assert set(catalog) <= {"A", "B"}
+
+
+FUZZ_CASES = 300
+
+
+@pytest.mark.parametrize("region", ["header", ".debug_info", ".debug_abbrev", ".debug_str"])
+def test_mutated_fixture_never_escapes(tmp_path, capsys, region):
+    # Seeded, bounded byte mutation: every case must end in success or a
+    # clean input error, never a traceback or exit code 1.
+    from structdrift.cli import run
+
+    source = fixture_path("layouts-dwarf5-64.so")
+    original = source.read_bytes()
+    if region == "header":
+        start, size = 0, 64
+    else:
+        section = load_elf(source).sections[region]
+        start, size = section.offset, section.size
+    rng = random.Random(f"{region}-2024")
+    target = tmp_path / "mutated.so"
+    for case in range(FUZZ_CASES):
+        data = bytearray(original)
+        for _ in range(rng.randint(1, 7)):
+            data[start + rng.randrange(size)] = rng.randrange(256)
+        target.write_bytes(bytes(data))
+        code = run(["extract", str(target)])
+        capsys.readouterr()
+        assert code in (0, 3), (region, case, code)

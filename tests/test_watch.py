@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import pytest
 
 from structdrift import (
@@ -15,7 +18,6 @@ from structdrift.watch import (
     REASON_STRUCTURE_MISSING,
     STATUS_BROKEN,
     STATUS_RESOLVED,
-    dumps_chains,
     parse_chains,
     parse_watchlist,
 )
@@ -50,8 +52,29 @@ def test_default_chains_cover_all_capabilities():
 
 
 def test_default_chains_round_trip():
-    chains = default_chains()
-    assert parse_chains(dumps_chains(chains)) == chains
+    # Every field of the shipped file survives parsing.
+    text = resources.files("structdrift.data").joinpath("chains.json").read_text("utf-8")
+    chains = parse_chains(text)
+    expected = []
+    for entry in json.loads(text)["chains"]:
+        versions = entry.get("applicable_versions", {})
+        expected.append({
+            "id": entry["id"],
+            "capability": entry["capability"],
+            "steps": [(s["structure"], s["member"]) for s in entry["steps"]],
+            "min": versions.get("min"),
+            "max": versions.get("max"),
+        })
+    assert [
+        {
+            "id": c.id,
+            "capability": c.capability,
+            "steps": [(s.structure, s.member) for s in c.steps],
+            "min": c.min_version,
+            "max": c.max_version,
+        }
+        for c in chains
+    ] == expected
 
 
 # -------------------------------------------------------------- resolution
@@ -215,3 +238,13 @@ def test_chains_file_validation():
         parse_chains(header + '[{"id": "a", "capability": "heap_analysis", '
                      '"applicable_versions": {"min": "12", "max": "9"}, '
                      '"steps": [{"structure": "S", "member": "m"}]}]}')
+
+
+@pytest.mark.parametrize("versions", [{"min": 5}, {"min": "9", "max": 14}, {"max": [9]}])
+def test_chain_version_bounds_must_be_strings(versions):
+    doc = {"schema": "structdrift-chains/1", "chains": [{
+        "id": "a", "capability": "heap_analysis", "applicable_versions": versions,
+        "steps": [{"structure": "S", "member": "m"}],
+    }]}
+    with pytest.raises(SchemaError, match="bounds must be strings"):
+        parse_chains(json.dumps(doc))
