@@ -27,6 +27,7 @@ from .profile import (
     index_repository,
     read_profile,
     version_key,
+    write_text,
 )
 from .render import UnsupportedFormatError, render_report
 from .watch import REASON_NOT_APPLICABLE, ChainReports, assess_capabilities, \
@@ -133,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
 

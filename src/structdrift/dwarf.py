@@ -6,10 +6,20 @@ recover type layouts: names, byte sizes and member locations. DWARF
 versions 2 through 5 are accepted; both .debug_str indirection (strp) and
 the DWARF 5 indexed-string scheme (strx via .debug_str_offsets) are
 supported, as are the GCC and Clang encodings of member positions.
+
+Each abbreviation declaration is compiled once, per unit shape (address
+size, offset size, version) and set of wanted attributes, into a decode
+plan: a tuple of steps run for every DIE that uses its code. A run of
+adjacent fixed-size attributes that are not wanted is one bounds-checked
+skip; wanted fixed-size integers and .debug_str offsets are unpacked in
+place with a precompiled struct; every other form (LEB128, inline
+strings, blocks, strx, DW_FORM_indirect) goes through the general
+per-form decoder. Any read past the section end raises
+MalformedDwarfError.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import MalformedDwarfError
@@ -81,6 +91,35 @@ OP_PLUS_UCONST = 0x23
 
 _UNIT_TYPES_WITH_SIGNATURE = {2, 6}  # DW_UT_type, DW_UT_split_type
 
+# Byte sizes of the forms whose size is fixed by the form alone; the
+# zero-sized forms keep their value in the abbreviation. _form_sizes adds
+# the forms sized by the unit header.
+_FIXED_FORM_SIZES = {
+    FORM_DATA1: 1, FORM_REF1: 1, FORM_FLAG: 1, FORM_STRX1: 1, FORM_ADDRX1: 1,
+    FORM_DATA2: 2, FORM_REF2: 2, FORM_STRX2: 2, FORM_ADDRX2: 2,
+    FORM_STRX3: 3, FORM_ADDRX3: 3,
+    FORM_DATA4: 4, FORM_REF4: 4, FORM_REF_SUP4: 4, FORM_STRX4: 4, FORM_ADDRX4: 4,
+    FORM_DATA8: 8, FORM_REF8: 8, FORM_REF_SIG8: 8, FORM_REF_SUP8: 8,
+    FORM_DATA16: 16,
+    FORM_FLAG_PRESENT: 0, FORM_IMPLICIT_CONST: 0,
+}
+_OFFSET_SIZED_FORMS = (FORM_STRP, FORM_LINE_STRP, FORM_SEC_OFFSET, FORM_STRP_SUP,
+                       FORM_GNU_REF_ALT, FORM_GNU_STRP_ALT)
+_LEB_FORMS = frozenset([FORM_UDATA, FORM_SDATA, FORM_REF_UDATA, FORM_STRX, FORM_ADDRX,
+                        FORM_LOCLISTX, FORM_RNGLISTX, FORM_GNU_ADDR_INDEX,
+                        FORM_GNU_STR_INDEX])
+_BLOCK_FORMS = frozenset([FORM_BLOCK1, FORM_BLOCK2, FORM_BLOCK4, FORM_BLOCK, FORM_EXPRLOC])
+_UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
+
+# Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
+# the attribute is None for a step that only skips. The kinds up to _STRP
+# read `size` bytes at the current position and share one bounds check.
+_SKIP = 0     # advance over `size` bytes of attributes that are not wanted
+_UNPACK = 1   # unsigned integer of `size` bytes; argument: its unpack_from
+_STRP = 2     # .debug_str offset of `size` bytes; argument: its unpack_from
+_CONST = 3    # value held by the abbreviation; argument: the value
+_GENERAL = 4  # any other form, through UnitWalker._value/_skip; argument: implicit const
+
 
 class Cursor:
     """Bounds-checked little-endian byte reader over one debug section."""
@@ -102,6 +141,12 @@ class Cursor:
         chunk = self.data[self.pos : end]
         self.pos = end
         return chunk
+
+    def skip(self, n: int) -> None:
+        end = self.pos + n
+        if end > len(self.data):
+            raise self.fail(f"unexpected end of data reading {n} bytes")
+        self.pos = end
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -226,6 +271,8 @@ class AbbrevDecl:
     tag: int
     has_children: bool
     specs: List[Tuple[int, int, Optional[int]]]  # (attr, form, implicit const)
+    # Decode plans, keyed by (address size, offset size, version, wanted).
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def parse_abbrev_table(data: bytes, offset: int) -> Dict[int, AbbrevDecl]:
@@ -264,6 +311,47 @@ def _read_cstr_at(table: Optional[bytes], offset: int, cur: Cursor, what: str) -
     return table[offset:end].decode("utf-8", "replace")
 
 
+def _form_sizes(header: UnitHeader) -> Dict[int, int]:
+    """Byte size of every fixed-size form in a unit with this header."""
+    sizes = dict(_FIXED_FORM_SIZES)
+    sizes[FORM_ADDR] = header.address_size
+    for form in _OFFSET_SIZED_FORMS:
+        sizes[form] = header.offset_size
+    # DWARF 2 sized DW_FORM_ref_addr like an address; later versions like an offset.
+    sizes[FORM_REF_ADDR] = header.address_size if header.version == 2 else header.offset_size
+    return sizes
+
+
+def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int], wanted: frozenset) -> tuple:
+    """Turn one abbreviation into (tag, has_children, steps); see the module doc."""
+    steps = []
+    run = 0
+    for attr, form, const in decl.specs:
+        size = sizes.get(form)
+        keep = attr in wanted
+        if not keep and size is not None:
+            run += size
+            continue
+        if run:
+            steps.append((_SKIP, run, None, None))
+            run = 0
+        if not keep:
+            steps.append((_GENERAL, form, None, const))
+        elif form in (FORM_DATA1, FORM_DATA2, FORM_DATA4, FORM_DATA8, FORM_SEC_OFFSET):
+            steps.append((_UNPACK, size, attr, _UNSIGNED[size].unpack_from))
+        elif form == FORM_STRP:
+            steps.append((_STRP, size, attr, _UNSIGNED[size].unpack_from))
+        elif form == FORM_FLAG_PRESENT:
+            steps.append((_CONST, 0, attr, True))
+        elif form == FORM_IMPLICIT_CONST:
+            steps.append((_CONST, 0, attr, const))
+        else:
+            steps.append((_GENERAL, form, attr, const))
+    if run:
+        steps.append((_SKIP, run, None, None))
+    return decl.tag, decl.has_children, tuple(steps)
+
+
 class UnitWalker:
     """Iterates one unit's DIEs, decoding only the attributes in `wanted`."""
 
@@ -281,35 +369,85 @@ class UnitWalker:
         self.abbrevs = abbrevs
         self.strings = strings
         self.wanted = wanted
+        self.sizes = _form_sizes(header)
+        self.plans: Dict[int, tuple] = {}  # abbreviation code -> decode plan
         # Default per DWARF 5: the offset table starts right after its header.
         self.str_offsets_base = 16 if header.dwarf64 else 8
 
     def __iter__(self) -> Iterator[Tuple[int, int, dict]]:
         cur = self.cur
-        header = self.header
+        data = cur.data
+        limit = len(data)
+        end = self.header.end
+        plans = self.plans
+        debug_str = self.strings.debug_str
+        pos = cur.pos
         depth = 0
-        while cur.pos < header.end:
-            code = cur.uleb()
+        while pos < end:
+            code = data[pos]
+            if code < 0x80:
+                pos += 1
+            else:
+                cur.pos = pos
+                code = cur.uleb()
+                pos = cur.pos
             if code == 0:
                 if depth > 0:
                     depth -= 1
                 continue
-            decl = self.abbrevs.get(code)
-            if decl is None:
-                raise cur.fail(f"reference to unknown abbreviation code {code}")
+            plan = plans.get(code)
+            if plan is None:
+                cur.pos = pos
+                plan = self._plan(code)
+            tag, has_children, steps = plan
             attrs: dict = {}
-            for attr, form, const in decl.specs:
-                if form == FORM_INDIRECT:
-                    form = self._indirect_form()
-                if attr in self.wanted:
-                    attrs[attr] = self._value(form, const)
+            for kind, n, attr, arg in steps:
+                if kind <= _STRP:
+                    if pos + n > limit:
+                        cur.pos = pos
+                        raise cur.fail(f"unexpected end of data reading {n} bytes")
+                    if kind == _UNPACK:
+                        attrs[attr] = arg(data, pos)[0]
+                    elif kind == _STRP:
+                        offset = arg(data, pos)[0]
+                        stop = -1 if debug_str is None else debug_str.find(b"\x00", offset)
+                        if stop < 0:  # no table or no terminator: raises
+                            cur.pos = pos + n
+                            _read_cstr_at(debug_str, offset, cur, "strp string")
+                        attrs[attr] = debug_str[offset:stop].decode("utf-8", "replace")
+                    pos += n
+                elif kind == _CONST:
+                    attrs[attr] = arg
                 else:
-                    self._skip(form)
-            if decl.tag == TAG_COMPILE_UNIT and AT_STR_OFFSETS_BASE in attrs:
+                    cur.pos = pos
+                    form = n
+                    if form == FORM_INDIRECT:
+                        form = self._indirect_form()
+                    if attr is None:
+                        self._skip(form)
+                    else:
+                        attrs[attr] = self._value(form, arg)
+                    pos = cur.pos
+            cur.pos = pos
+            if tag == TAG_COMPILE_UNIT and AT_STR_OFFSETS_BASE in attrs:
                 self.str_offsets_base = attrs[AT_STR_OFFSETS_BASE]
-            yield depth, decl.tag, attrs
-            if decl.has_children:
+            yield depth, tag, attrs
+            if has_children:
                 depth += 1
+        cur.pos = pos
+
+    def _plan(self, code: int) -> tuple:
+        """Decode plan for `code`, compiled once per abbreviation and unit shape."""
+        decl = self.abbrevs.get(code)
+        if decl is None:
+            raise self.cur.fail(f"reference to unknown abbreviation code {code}")
+        header = self.header
+        key = (header.address_size, header.offset_size, header.version, self.wanted)
+        plan = decl.plans.get(key)
+        if plan is None:
+            plan = decl.plans[key] = _compile_plan(decl, self.sizes, self.wanted)
+        self.plans[code] = plan
+        return plan
 
     def _indirect_form(self) -> int:
         """Read the form named by DW_FORM_indirect, following nested ones.
@@ -328,13 +466,25 @@ class UnitWalker:
         offs = self.strings.str_offsets
         if offs is None:
             raise cur.fail("strx form but .debug_str_offsets is absent")
+        base = self.str_offsets_base
+        if type(base) is not int or base < 0:
+            raise cur.fail(f"DW_AT_str_offsets_base {base!r} is not a section offset")
         osize = self.header.offset_size
-        pos = self.str_offsets_base + index * osize
+        pos = base + index * osize
         if pos + osize > len(offs):
             raise cur.fail(f"string index {index} out of range")
-        fmt = "<Q" if osize == 8 else "<I"
-        offset = struct.unpack_from(fmt, offs, pos)[0]
+        offset = _UNSIGNED[osize].unpack_from(offs, pos)[0]
         return _read_cstr_at(self.strings.debug_str, offset, cur, "strx string")
+
+    def _block_length(self, form: int) -> int:
+        cur = self.cur
+        if form == FORM_BLOCK1:
+            return cur.u8()
+        if form == FORM_BLOCK2:
+            return cur.u16()
+        if form == FORM_BLOCK4:
+            return cur.u32()
+        return cur.uleb()
 
     def _value(self, form: int, const: Optional[int]):
         cur = self.cur
@@ -353,7 +503,7 @@ class UnitWalker:
             return cur.sleb()
         if form == FORM_IMPLICIT_CONST:
             return const
-        if form in (FORM_FLAG,):
+        if form == FORM_FLAG:
             return cur.u8() != 0
         if form == FORM_FLAG_PRESENT:
             return True
@@ -377,71 +527,25 @@ class UnitWalker:
             return self._strx(cur.u32())
         if form == FORM_GNU_STR_INDEX:
             return self._strx(cur.uleb())
-        if form in (FORM_BLOCK1, FORM_BLOCK2, FORM_BLOCK4, FORM_BLOCK, FORM_EXPRLOC):
-            if form == FORM_BLOCK1:
-                n = cur.u8()
-            elif form == FORM_BLOCK2:
-                n = cur.u16()
-            elif form == FORM_BLOCK4:
-                n = cur.u32()
-            else:
-                n = cur.uleb()
-            return cur.take(n)
+        if form in _BLOCK_FORMS:
+            return cur.take(self._block_length(form))
         if form == FORM_SEC_OFFSET:
             return cur.u64() if osize == 8 else cur.u32()
-        # Remaining forms carry values we never interpret; keep the raw int.
+        # Remaining forms carry values we never interpret.
         self._skip(form)
         return None
 
     def _skip(self, form: int) -> None:
         cur = self.cur
-        osize = self.header.offset_size
-        if form in (FORM_DATA1, FORM_REF1, FORM_FLAG, FORM_STRX1, FORM_ADDRX1):
-            cur.take(1)
-        elif form in (FORM_DATA2, FORM_REF2, FORM_STRX2, FORM_ADDRX2):
-            cur.take(2)
-        elif form in (FORM_STRX3, FORM_ADDRX3):
-            cur.take(3)
-        elif form in (FORM_DATA4, FORM_REF4, FORM_REF_SUP4, FORM_STRX4, FORM_ADDRX4):
-            cur.take(4)
-        elif form in (FORM_DATA8, FORM_REF8, FORM_REF_SIG8, FORM_REF_SUP8):
-            cur.take(8)
-        elif form == FORM_DATA16:
-            cur.take(16)
-        elif form == FORM_ADDR:
-            cur.take(self.header.address_size)
-        elif form in (
-            FORM_UDATA,
-            FORM_SDATA,
-            FORM_REF_UDATA,
-            FORM_STRX,
-            FORM_ADDRX,
-            FORM_LOCLISTX,
-            FORM_RNGLISTX,
-            FORM_GNU_ADDR_INDEX,
-            FORM_GNU_STR_INDEX,
-        ):
+        size = self.sizes.get(form)
+        if size is not None:
+            cur.skip(size)
+        elif form in _LEB_FORMS:
             cur.uleb()
-        elif form in (FORM_STRP, FORM_LINE_STRP, FORM_SEC_OFFSET, FORM_STRP_SUP,
-                      FORM_GNU_REF_ALT, FORM_GNU_STRP_ALT):
-            cur.take(osize)
-        elif form == FORM_REF_ADDR:
-            # DWARF 2 sized this like an address; later versions like an offset.
-            cur.take(self.header.address_size if self.header.version == 2 else osize)
         elif form == FORM_STRING:
             cur.cstr()
-        elif form in (FORM_BLOCK1, FORM_BLOCK2, FORM_BLOCK4, FORM_BLOCK, FORM_EXPRLOC):
-            if form == FORM_BLOCK1:
-                n = cur.u8()
-            elif form == FORM_BLOCK2:
-                n = cur.u16()
-            elif form == FORM_BLOCK4:
-                n = cur.u32()
-            else:
-                n = cur.uleb()
-            cur.take(n)
-        elif form in (FORM_FLAG_PRESENT, FORM_IMPLICIT_CONST):
-            pass
+        elif form in _BLOCK_FORMS:
+            cur.skip(self._block_length(form))
         elif form == FORM_INDIRECT:
             self._skip(self._indirect_form())
         else:

@@ -64,6 +64,7 @@ class RawTypeEntry:
 class ExtractionMeta:
     binary_path: str
     binary_size_bytes: int
+    architecture: Optional[str]  # from the ELF header; None if unsupported
     dwarf_versions_seen: Set[int]
     compilation_unit_count: int
     raw_type_die_count: int
@@ -99,6 +100,11 @@ def detect_dwarf_versions(binary) -> Set[int]:
 
 def _decl_only(attrs: dict, byte_size: Optional[int]) -> bool:
     return byte_size is None or bool(attrs.get(AT_DECLARATION))
+
+
+def _clean_name(value) -> str:
+    # DW_AT_name in a non-string form (hostile input) counts as no name.
+    return value if isinstance(value, str) and value else UNNAMED
 
 
 def _clean_int(value) -> Optional[int]:
@@ -153,7 +159,7 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                 while open_types and depth <= open_types[-1][0]:
                     open_types.pop()
                 if tag in _TYPE_TAGS:
-                    name = attrs.get(AT_NAME) or UNNAMED
+                    name = _clean_name(attrs.get(AT_NAME))
                     byte_size = _clean_int(attrs.get(AT_BYTE_SIZE))
                     entry = RawTypeEntry(
                         name=name,
@@ -174,12 +180,13 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                         skipped_members += 1
                         continue
                     parent.members.append(
-                        RawMemberEntry(attrs.get(AT_NAME) or UNNAMED, offset)
+                        RawMemberEntry(_clean_name(attrs.get(AT_NAME)), offset)
                     )
 
     meta = ExtractionMeta(
         binary_path=str(path),
         binary_size_bytes=path.stat().st_size,
+        architecture=elf.architecture_label(),
         dwarf_versions_seen=versions,
         compilation_unit_count=unit_count,
         raw_type_die_count=len(entries),
@@ -235,8 +242,7 @@ def extract_profile_with_meta(
     meta.merge_conflicts = conflicts
 
     if architecture is None:
-        elf = load_elf(binary)
-        architecture = elf.architecture_label()
+        architecture = meta.architecture
         if architecture is None:
             raise StructDriftError(
                 f"cannot map ELF machine type of {binary} to a supported "

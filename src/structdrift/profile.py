@@ -147,10 +147,35 @@ def dumps_profile(profile: Profile) -> str:
     return json.dumps(profile_to_doc(profile), ensure_ascii=False, indent=2) + "\n"
 
 
+def write_text(destination, text: str) -> None:
+    """Write UTF-8 text so that `destination` is replaced whole or not at all.
+
+    The text goes to a new file in the destination's directory, which is
+    then renamed over the destination; on any failure that file is removed
+    and an earlier destination file is left as it was. A destination that
+    exists and is not a regular file (a pipe, a terminal) is written in
+    place, since it cannot be replaced.
+    """
+    path = Path(destination)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
+
+
 def write_profile(profile: Profile, destination) -> None:
-    text = dumps_profile(profile)
-    with open(destination, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_text(destination, dumps_profile(profile))
 
 
 def _reject_duplicate_keys(pairs):

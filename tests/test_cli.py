@@ -37,6 +37,22 @@ def test_extract_writes_readable_profile(tmp_path, capsys):
     assert "RegionTable" in profile.structures
 
 
+def test_extract_out_failure_keeps_earlier_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "p.profile.json"
+    out.write_bytes(b"earlier\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("os.replace", refuse)
+    code = run(["extract", str(fixture_path("layouts-dwarf4-64.so")),
+                "--version", "9", "--out", str(out)])
+    assert code == 3
+    assert "rename refused" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.profile.json"]
+
+
 def test_extract_stdout_is_deterministic(capsys):
     argv = ["extract", str(fixture_path("layouts-dwarf5-64.so")), "--version", "9"]
     assert run(argv) == 0

@@ -1,7 +1,11 @@
+import dataclasses
+import json
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structdrift import (
     MalformedDwarfError,
@@ -14,8 +18,11 @@ from structdrift import (
     extract_profile_with_meta,
     merge_duplicate_definitions,
 )
+from structdrift import dwarf
 from structdrift.dwarf import (
+    AT_BYTE_SIZE,
     AT_NAME,
+    AT_STR_OFFSETS_BASE,
     StringTables,
     UnitWalker,
     iter_unit_headers,
@@ -190,6 +197,119 @@ def test_endless_indirect_chain_exits_with_input_error(tmp_path, capsys):
     patched = _with_debug_sections(tmp_path, info, INDIRECT_ABBREV)
     assert run(["extract", str(patched)]) == EXIT_INPUT
     assert ".debug_info offset" in capsys.readouterr().err
+
+
+# Crafted hostile units: (abbreviation table, DIE bytes). Each must end in
+# MalformedDwarfError on .debug_info, and in exit code 3 from the CLI.
+STRUCT_ABBREV = [1, 0x13, 0]
+HOSTILE_UNITS = {
+    # DW_AT_name as strx1, but the binary has no .debug_str_offsets.
+    "strx-without-offsets": (bytes(STRUCT_ABBREV + [0x03, 0x25, 0, 0, 0]),
+                             b"\x01\x00"),
+    # An abbreviation code that continues past 63 bits.
+    "oversized-uleb-code": (bytes(STRUCT_ABBREV + [0, 0, 0]),
+                            b"\x80" * 10 + b"\x01"),
+    # DW_AT_byte_size (decoded) and DW_AT_decl_line (skipped) as udata values
+    # that continue past 63 bits.
+    "oversized-uleb-wanted": (bytes(STRUCT_ABBREV + [0x0B, 0x0F, 0, 0, 0]),
+                              b"\x01" + b"\xff" * 10 + b"\x01"),
+    "oversized-uleb-skipped": (bytes(STRUCT_ABBREV + [0x3B, 0x0F, 0, 0, 0]),
+                               b"\x01" + b"\xff" * 10 + b"\x01"),
+    # decl_line data4, decl_column data4 and sibling ref4, all skipped as one
+    # 12-byte run, with 6 bytes left in the section.
+    "skip-run-past-end": (bytes(STRUCT_ABBREV + [0x3B, 0x06, 0x39, 0x06, 0x01, 0x13,
+                                                 0, 0, 0]),
+                          b"\x01" + bytes(6)),
+    # An attribute form no DWARF version defines.
+    "unknown-form": (bytes(STRUCT_ABBREV + [0x3B, 0x7F, 0, 0, 0]), b"\x01\x00"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_UNITS))
+def test_hostile_unit_is_malformed_dwarf(case):
+    abbrev, die = HOSTILE_UNITS[case]
+    info = _indirect_unit(die)
+    header = next(iter_unit_headers(info))
+    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(),
+                        frozenset({AT_NAME, AT_BYTE_SIZE}))
+    with pytest.raises(MalformedDwarfError) as exc_info:
+        list(walker)
+    assert exc_info.value.section == ".debug_info"
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_UNITS))
+def test_hostile_unit_exits_with_input_error(tmp_path, capsys, case):
+    from structdrift.cli import EXIT_INPUT, run
+
+    assert load_elf(fixture_path("layouts-dwarf4-64.so")).debug_section("str_offsets") is None
+    abbrev, die = HOSTILE_UNITS[case]
+    patched = _with_debug_sections(tmp_path, _indirect_unit(die), abbrev)
+    assert run(["extract", str(patched)]) == EXIT_INPUT
+    assert ".debug_info offset" in capsys.readouterr().err
+
+
+# A compile unit DIE whose DW_AT_str_offsets_base has a form that is no
+# section offset, then a structure named through strx1.
+@pytest.mark.parametrize("base_form, base_bytes", [
+    (0x08, b"x\x00"),     # string
+    (0x0D, b"\x78"),      # sdata -8
+    (0x18, b"\x01\x00"),  # exprloc
+])
+def test_str_offsets_base_must_be_an_offset(base_form, base_bytes):
+    abbrev = bytes([1, 0x11, 1, 0x72, base_form, 0, 0,
+                    2, 0x13, 0, 0x03, 0x25, 0, 0, 0])
+    info = _indirect_unit(b"\x01" + base_bytes + b"\x02\x00\x00")
+    header = next(iter_unit_headers(info))
+    strings = StringTables(debug_str=b"S\x00", str_offsets=bytes(16))
+    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), strings,
+                        frozenset({AT_NAME, AT_STR_OFFSETS_BASE}))
+    with pytest.raises(MalformedDwarfError, match="str_offsets_base"):
+        list(walker)
+
+
+def test_non_string_name_counts_as_unnamed(tmp_path, capsys):
+    from structdrift.cli import run
+
+    # Structure "A" (name as string) and a structure whose DW_AT_name is data1.
+    abbrev = bytes([1, 0x13, 0, 0x03, 0x0B, 0x0B, 0x0B, 0, 0,
+                    2, 0x13, 0, 0x03, 0x08, 0x0B, 0x0B, 0, 0, 0])
+    info = _indirect_unit(b"\x01\x05\x08" + b"\x02A\x00\x04")
+    patched = _with_debug_sections(tmp_path, info, abbrev)
+    assert run(["extract", str(patched)]) == 0
+    structures = json.loads(capsys.readouterr().out)["structures"]
+    assert {name: body["size"] for name, body in structures.items()} == \
+        {"A": 4, "UnNamed": 8}
+
+
+def test_die_tree_deeper_than_recursion_limit(tmp_path, capsys):
+    from structdrift.cli import run
+
+    # CHAIN nested structures "A" of 8 bytes, each the only child of the last.
+    abbrev = bytes([1, 0x13, 1, 0x03, 0x08, 0x0B, 0x0B, 0, 0, 0])
+    info = _indirect_unit(b"\x01A\x00\x08" * CHAIN + b"\x00" * CHAIN)
+    header = next(iter_unit_headers(info))
+    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(),
+                        frozenset({AT_NAME}))
+    assert [depth for depth, _, _ in walker] == list(range(CHAIN))
+    patched = _with_debug_sections(tmp_path, info, abbrev)
+    assert run(["extract", str(patched)]) == 0
+    structures = json.loads(capsys.readouterr().out)["structures"]
+    assert {name: body["size"] for name, body in structures.items()} == {"A": 8}
+
+
+def test_extraction_loads_the_elf_once(monkeypatch):
+    import structdrift.extract as extract_module
+
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_elf(path)
+
+    monkeypatch.setattr(extract_module, "load_elf", counting_load)
+    profile, _ = extract_profile_with_meta(fixture_path("layouts-dwarf4-32.so"))
+    assert len(calls) == 1
+    assert profile.meta.architecture == "x86_32"
 
 
 def test_malformed_abbrev_reference(tmp_path):
@@ -389,3 +509,245 @@ def test_mutated_fixture_never_escapes(tmp_path, capsys, region):
         code = run(["extract", str(target)])
         capsys.readouterr()
         assert code in (0, 3), (region, case, code)
+
+
+# ------------------------------------------------------ decoder round trip
+#
+# Random abbreviations over every form the walker knows, DIEs encoded to
+# match, and the walker's output compared with the values encoded.
+
+def _uleb(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def _sleb(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if (value == 0 and not byte & 0x40) or (value == -1 and byte & 0x40):
+            out.append(byte)
+            return bytes(out)
+        out.append(byte | 0x80)
+
+
+ALL_FORMS = sorted(getattr(dwarf, name) for name in dir(dwarf) if name.startswith("FORM_"))
+# DWARF 5 forbids these as the target of DW_FORM_indirect (the constant
+# lives in the abbreviation; the chain is drawn separately).
+_NOT_INDIRECT = {dwarf.FORM_INDIRECT, dwarf.FORM_IMPLICIT_CONST}
+_INT_FORMS = {dwarf.FORM_DATA1: 1, dwarf.FORM_DATA2: 2, dwarf.FORM_DATA4: 4,
+              dwarf.FORM_DATA8: 8}
+_OPAQUE_FORMS = {dwarf.FORM_REF1: 1, dwarf.FORM_REF2: 2, dwarf.FORM_REF4: 4,
+                 dwarf.FORM_REF8: 8, dwarf.FORM_REF_SIG8: 8, dwarf.FORM_REF_SUP4: 4,
+                 dwarf.FORM_REF_SUP8: 8, dwarf.FORM_DATA16: 16, dwarf.FORM_ADDRX1: 1,
+                 dwarf.FORM_ADDRX2: 2, dwarf.FORM_ADDRX3: 3, dwarf.FORM_ADDRX4: 4}
+_OPAQUE_LEB_FORMS = {dwarf.FORM_REF_UDATA, dwarf.FORM_ADDRX, dwarf.FORM_LOCLISTX,
+                     dwarf.FORM_RNGLISTX, dwarf.FORM_GNU_ADDR_INDEX}
+_OFFSET_OPAQUE_FORMS = {dwarf.FORM_STRP_SUP, dwarf.FORM_GNU_REF_ALT,
+                        dwarf.FORM_GNU_STRP_ALT}
+_STRX_SIZES = {dwarf.FORM_STRX1: 1, dwarf.FORM_STRX2: 2, dwarf.FORM_STRX3: 3,
+               dwarf.FORM_STRX4: 4}
+_BLOCK_PREFIX = {dwarf.FORM_BLOCK1: 1, dwarf.FORM_BLOCK2: 2, dwarf.FORM_BLOCK4: 4}
+_TEXT = st.text(st.characters(min_codepoint=1, max_codepoint=0x2FF), max_size=5)
+# Half the draws come from the forms whose size depends on the unit header
+# (address size, offset size, and the version for ref_addr) and from
+# DW_FORM_indirect, whose form is only known while decoding.
+_TRICKY_FORMS = [dwarf.FORM_ADDR, dwarf.FORM_REF_ADDR, dwarf.FORM_STRP,
+                 dwarf.FORM_LINE_STRP, dwarf.FORM_SEC_OFFSET, dwarf.FORM_STRP_SUP,
+                 dwarf.FORM_GNU_REF_ALT, dwarf.FORM_GNU_STRP_ALT, dwarf.FORM_INDIRECT]
+_FORMS = st.one_of(st.sampled_from(ALL_FORMS), st.sampled_from(_TRICKY_FORMS))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shape:
+    version: int
+    dwarf64: bool
+    address_size: int
+    debug_str: list
+    line_str: list
+
+    @property
+    def offset_size(self):
+        return 8 if self.dwarf64 else 4
+
+
+def _table(strings):
+    """(section bytes, offset of each string) for a .debug_str-style table."""
+    blob, offsets = bytearray(), []
+    for text in strings:
+        offsets.append(len(blob))
+        blob += text.encode() + b"\x00"
+    return bytes(blob), offsets
+
+
+def _encode_value(draw, form, const, shape):
+    """(bytes, decoded value) of one attribute of `form`."""
+    osize = shape.offset_size
+    if form in _INT_FORMS:
+        size = _INT_FORMS[form]
+        value = draw(st.integers(0, (1 << 8 * size) - 1))
+        return value.to_bytes(size, "little"), value
+    if form == dwarf.FORM_SEC_OFFSET:
+        value = draw(st.integers(0, (1 << 8 * osize) - 1))
+        return value.to_bytes(osize, "little"), value
+    if form in _OPAQUE_FORMS or form in _OFFSET_OPAQUE_FORMS \
+            or form in (dwarf.FORM_ADDR, dwarf.FORM_REF_ADDR):
+        if form == dwarf.FORM_ADDR:
+            size = shape.address_size
+        elif form == dwarf.FORM_REF_ADDR:
+            size = shape.address_size if shape.version == 2 else osize
+        else:
+            size = _OPAQUE_FORMS.get(form, osize)
+        return draw(st.binary(min_size=size, max_size=size)), None
+    if form == dwarf.FORM_FLAG:
+        byte = draw(st.integers(0, 255))
+        return bytes([byte]), byte != 0
+    if form == dwarf.FORM_FLAG_PRESENT:
+        return b"", True
+    if form == dwarf.FORM_IMPLICIT_CONST:
+        return b"", const
+    if form == dwarf.FORM_UDATA:
+        value = draw(st.integers(0, (1 << 64) - 1))
+        return _uleb(value), value
+    if form == dwarf.FORM_SDATA:
+        value = draw(st.integers(-(1 << 63), (1 << 63) - 1))
+        return _sleb(value), value
+    if form in _OPAQUE_LEB_FORMS:
+        return _uleb(draw(st.integers(0, (1 << 64) - 1))), None
+    if form == dwarf.FORM_STRING:
+        text = draw(_TEXT)
+        return text.encode() + b"\x00", text
+    if form in (dwarf.FORM_STRP, dwarf.FORM_LINE_STRP):
+        strings = shape.debug_str if form == dwarf.FORM_STRP else shape.line_str
+        index = draw(st.integers(0, len(strings) - 1))
+        return _table(strings)[1][index].to_bytes(osize, "little"), strings[index]
+    if form in _STRX_SIZES or form in (dwarf.FORM_STRX, dwarf.FORM_GNU_STR_INDEX):
+        index = draw(st.integers(0, len(shape.debug_str) - 1))
+        if form in _STRX_SIZES:
+            return index.to_bytes(_STRX_SIZES[form], "little"), shape.debug_str[index]
+        return _uleb(index), shape.debug_str[index]
+    if form in _BLOCK_PREFIX or form in (dwarf.FORM_BLOCK, dwarf.FORM_EXPRLOC):
+        payload = draw(st.binary(max_size=6))
+        if form in _BLOCK_PREFIX:
+            prefix = len(payload).to_bytes(_BLOCK_PREFIX[form], "little")
+        else:
+            prefix = _uleb(len(payload))
+        return prefix + payload, payload
+    assert form == dwarf.FORM_INDIRECT, form
+    hops = draw(st.integers(0, 2))
+    target = draw(st.sampled_from([f for f in ALL_FORMS if f not in _NOT_INDIRECT]))
+    encoded, value = _encode_value(draw, target, None, shape)
+    return _uleb(dwarf.FORM_INDIRECT) * hops + _uleb(target) + encoded, value
+
+
+@st.composite
+def _encoded_units(draw):
+    shape = _Shape(
+        version=draw(st.sampled_from([2, 3, 4, 5])),
+        dwarf64=draw(st.booleans()),
+        address_size=draw(st.sampled_from([2, 4, 8])),
+        debug_str=draw(st.lists(_TEXT, min_size=1, max_size=3)),
+        line_str=draw(st.lists(_TEXT, min_size=1, max_size=2)),
+    )
+    # Attribute numbers include two-byte ULEBs; 0x72 would set the string
+    # offsets base, which is tested on its own.
+    attr_ids = st.integers(1, 0x3FFF).filter(lambda a: a != dwarf.AT_STR_OFFSETS_BASE)
+    codes = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True))
+    abbrev = bytearray()
+    decls = {}
+    wanted = set()
+    for code in codes:
+        tag = draw(st.integers(1, 0x40).filter(lambda t: t != dwarf.TAG_COMPILE_UNIT))
+        has_children = draw(st.booleans())
+        attrs = draw(st.lists(attr_ids, max_size=8, unique=True))
+        specs = []
+        abbrev += _uleb(code) + _uleb(tag) + bytes([has_children])
+        for attr in attrs:
+            form = draw(_FORMS)
+            const = None
+            abbrev += _uleb(attr) + _uleb(form)
+            if form == dwarf.FORM_IMPLICIT_CONST:
+                const = draw(st.integers(-(1 << 63), (1 << 63) - 1))
+                abbrev += _sleb(const)
+            if draw(st.booleans()):
+                wanted.add(attr)
+            specs.append((attr, form, const))
+        abbrev += b"\x00\x00"
+        decls[code] = (tag, has_children, specs)
+    abbrev += b"\x00"
+
+    dies, expected, depth = bytearray(), [], 0
+    for _ in range(draw(st.integers(0, 6))):
+        code = draw(st.sampled_from(codes))
+        tag, has_children, specs = decls[code]
+        dies += _uleb(code)
+        values = {}
+        for attr, form, const in specs:
+            encoded, value = _encode_value(draw, form, const, shape)
+            dies += encoded
+            if attr in wanted:
+                values[attr] = value
+        expected.append((depth, tag, values))
+        if has_children:
+            depth += 1
+        for _ in range(draw(st.integers(0, 2))):  # null entries
+            dies += b"\x00"
+            depth = max(depth - 1, 0)
+
+    osize = shape.offset_size
+    if shape.version >= 5:
+        fields = (5).to_bytes(2, "little") + bytes([1, shape.address_size]) \
+            + bytes(osize)
+    else:
+        fields = shape.version.to_bytes(2, "little") + bytes(osize) \
+            + bytes([shape.address_size])
+    body = fields + bytes(dies)
+    if shape.dwarf64:
+        info = b"\xff\xff\xff\xff" + len(body).to_bytes(8, "little") + body
+    else:
+        info = len(body).to_bytes(4, "little") + body
+    debug_str, str_offsets = _table(shape.debug_str)
+    offsets_header = bytes(16 if shape.dwarf64 else 8)
+    strings = StringTables(
+        debug_str=debug_str,
+        line_str=_table(shape.line_str)[0],
+        str_offsets=offsets_header + b"".join(o.to_bytes(osize, "little")
+                                              for o in str_offsets),
+    )
+    return info, bytes(abbrev), strings, frozenset(wanted), expected
+
+
+def _typed(dies):
+    # True == 1 in Python, so compare the value types too.
+    return [(depth, tag, {a: (type(v), v) for a, v in attrs.items()})
+            for depth, tag, attrs in dies]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_encoded_units())
+def test_walker_round_trips_every_form(unit):
+    info, abbrev, strings, wanted, expected = unit
+    header = next(iter_unit_headers(info))
+    table = parse_abbrev_table(abbrev, 0)
+    walker = UnitWalker(info, header, table, strings, wanted)
+    assert _typed(walker) == _typed(expected)
+    assert walker.cur.pos == header.end == len(info)
+    # Cut short at every byte: a clean error, or a prefix of the DIEs.
+    for cut in range(header.die_start, len(info)):
+        short = dataclasses.replace(header, end=cut)
+        walker = UnitWalker(info[:cut], short, table, strings, wanted)
+        got = []
+        try:
+            for die in walker:
+                got.append(die)
+        except MalformedDwarfError as exc:
+            assert exc.section == ".debug_info"
+        assert _typed(got) == _typed(expected[: len(got)])

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from structdrift.profile import (
     loads_profile,
     validate_profile,
     version_key,
+    write_text,
 )
 
 from conftest import make_meta, make_profile, profiles
@@ -187,6 +191,51 @@ def test_write_failure_surfaces_as_oserror(tmp_path):
     profile = make_profile("9", {"S": (8, [])})
     with pytest.raises(OSError):
         write_profile(profile, tmp_path / "no_such_dir" / "p.profile.json")
+
+
+def _refuse_replace(src, dst):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_write_keeps_earlier_file(tmp_path, monkeypatch, failure):
+    # A failure while writing (text that cannot be encoded) or while putting
+    # the new file in place must leave the earlier file and nothing else.
+    path = tmp_path / "p.profile.json"
+    write_profile(make_profile("9", {"S": (8, [("a", 0)])}), path)
+    earlier = path.read_bytes()
+    if failure == "write":
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "{\ud800}")
+    else:
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            write_profile(make_profile("10", {"S": (16, [])}), path)
+    assert path.read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["p.profile.json"]
+
+
+def test_write_replaces_whole_file(tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_text("a much longer earlier text\n")
+    write_text(path, "new\n")
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["report.txt"]
+
+
+def test_write_into_a_pipe_writes_in_place(tmp_path):
+    # `--out /dev/stdout` and the like: a pipe cannot be replaced by a file.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_text(pipe, "report\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b"report\n"]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 @settings(max_examples=120, deadline=None)
