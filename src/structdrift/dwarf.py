@@ -7,19 +7,20 @@ versions 2 through 5 are accepted; both .debug_str indirection (strp) and
 the DWARF 5 indexed-string scheme (strx via .debug_str_offsets) are
 supported, as are the GCC and Clang encodings of member positions.
 
-Each abbreviation declaration is compiled once, per unit shape (address
-size, offset size, version) and set of wanted attributes, into a decode
-plan: a tuple of steps run for every DIE that uses its code. A run of
-adjacent fixed-size attributes that are not wanted is one bounds-checked
-skip; wanted fixed-size integers and .debug_str offsets are unpacked in
-place with a precompiled struct; every other form (LEB128, inline
+Each unit's walker compiles an abbreviation declaration, on its first
+use, into a decode plan for that unit's shape (address size, offset
+size, version) and set of wanted attributes: a tuple of steps run for
+every DIE of the unit that uses its code. A run of adjacent fixed-size
+attributes that are not wanted is one bounds-checked skip; wanted
+fixed-size integers and .debug_str offsets are unpacked in place with a
+precompiled struct; every other form (LEB128, inline
 strings, blocks, strx, DW_FORM_indirect) goes through the general
 per-form decoder. Any read past the section end raises
 MalformedDwarfError.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import MalformedDwarfError
@@ -271,8 +272,6 @@ class AbbrevDecl:
     tag: int
     has_children: bool
     specs: List[Tuple[int, int, Optional[int]]]  # (attr, form, implicit const)
-    # Decode plans, keyed by (address size, offset size, version, wanted).
-    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def parse_abbrev_table(data: bytes, offset: int) -> Dict[int, AbbrevDecl]:
@@ -437,16 +436,11 @@ class UnitWalker:
         cur.pos = pos
 
     def _plan(self, code: int) -> tuple:
-        """Decode plan for `code`, compiled once per abbreviation and unit shape."""
+        """Decode plan for `code`, compiled on its first use in this unit."""
         decl = self.abbrevs.get(code)
         if decl is None:
             raise self.cur.fail(f"reference to unknown abbreviation code {code}")
-        header = self.header
-        key = (header.address_size, header.offset_size, header.version, self.wanted)
-        plan = decl.plans.get(key)
-        if plan is None:
-            plan = decl.plans[key] = _compile_plan(decl, self.sizes, self.wanted)
-        self.plans[code] = plan
+        plan = self.plans[code] = _compile_plan(decl, self.sizes, self.wanted)
         return plan
 
     def _indirect_form(self) -> int:

@@ -64,13 +64,13 @@ class RawTypeEntry:
 class ExtractionMeta:
     binary_path: str
     binary_size_bytes: int
-    architecture: Optional[str]  # from the ELF header; None if unsupported
     dwarf_versions_seen: Set[int]
     compilation_unit_count: int
     raw_type_die_count: int
     unique_type_name_count: int
     members_skipped: int
     merge_conflicts: List[str]
+    architecture: Optional[str] = None  # from the ELF header; None if unsupported
 
 
 def _require_little_endian(elf, path) -> None:
@@ -186,13 +186,13 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
     meta = ExtractionMeta(
         binary_path=str(path),
         binary_size_bytes=path.stat().st_size,
-        architecture=elf.architecture_label(),
         dwarf_versions_seen=versions,
         compilation_unit_count=unit_count,
         raw_type_die_count=len(entries),
         unique_type_name_count=len({e.name for e in entries}),
         members_skipped=skipped_members,
         merge_conflicts=[],
+        architecture=elf.architecture_label(),
     )
     return entries, meta
 

@@ -151,12 +151,13 @@ def write_text(destination, text: str) -> None:
     """Write UTF-8 text so that `destination` is replaced whole or not at all.
 
     The text goes to a new file in the destination's directory, which is
-    then renamed over the destination; on any failure that file is removed
-    and an earlier destination file is left as it was. A destination that
-    exists and is not a regular file (a pipe, a terminal) is written in
-    place, since it cannot be replaced.
+    flushed to disk and then renamed over the destination; on any failure
+    that file is removed and an earlier destination file is left as it was.
+    A symbolic link is followed, so the file it points at is replaced and
+    the link is kept. A destination that exists and is not a regular file
+    (a pipe, a terminal) is written in place, since it cannot be replaced.
     """
-    path = Path(destination)
+    path = Path(os.path.realpath(destination))
     if path.exists() and not path.is_file():
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -165,6 +166,8 @@ def write_text(destination, text: str) -> None:
     try:
         with open(temp, "x", encoding="utf-8", newline="") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(temp, path)
     except BaseException:
         try:

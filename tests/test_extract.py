@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdrift import (
+    ExtractionMeta,
     MalformedDwarfError,
     NoDwarfError,
     NotElfError,
@@ -310,6 +311,15 @@ def test_extraction_loads_the_elf_once(monkeypatch):
     profile, _ = extract_profile_with_meta(fixture_path("layouts-dwarf4-32.so"))
     assert len(calls) == 1
     assert profile.meta.architecture == "x86_32"
+
+
+def test_extraction_meta_keeps_its_positional_fields():
+    # `architecture` was added last, with a default, so callers that build
+    # ExtractionMeta positionally keep every earlier field where it was.
+    meta = ExtractionMeta("a.so", 10, {4}, 1, 2, 2, 0, [])
+    assert meta.dwarf_versions_seen == {4}
+    assert meta.merge_conflicts == []
+    assert meta.architecture is None
 
 
 def test_malformed_abbrev_reference(tmp_path):

@@ -223,6 +223,32 @@ def test_write_replaces_whole_file(tmp_path):
     assert os.listdir(tmp_path) == ["report.txt"]
 
 
+def test_write_through_symlink_replaces_the_target(tmp_path):
+    # `--out link.json` updates the file the link points at; the link stays.
+    target_dir = tmp_path / "store"
+    target_dir.mkdir()
+    target = target_dir / "p.profile.json"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_profile(make_profile("9", {"S": (8, [("a", 0)])}), link)
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert read_profile(target).meta.platform_version == "9"
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "store"]
+    assert os.listdir(target_dir) == ["p.profile.json"]
+
+
+def test_write_is_flushed_to_disk_before_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd)))
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: (events.append("replace"), real_replace(src, dst)))
+    write_text(tmp_path / "report.txt", "new\n")
+    assert events == ["fsync", "replace"]
+
+
 def test_write_into_a_pipe_writes_in_place(tmp_path):
     # `--out /dev/stdout` and the like: a pipe cannot be replaced by a file.
     pipe = tmp_path / "pipe"
