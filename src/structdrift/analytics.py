@@ -4,32 +4,26 @@ Covers per-structure impact scoring of a version transition, size and
 member-offset timelines, pooled volatility rates for surviving members,
 binary-level statistics, and per-transition change aggregates with grand
 totals.
+
+The three sequence analyses (`impact_matrix`, `aggregate_transitions`,
+`volatility_stats`) share one signature, `(profiles, watchlist=None,
+watchlist_name=None)`; a watchlist of None means every structure in any
+profile, in name order.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .diff import ChangeCounts, DiffReport, StructureDiff, diff_profiles, \
-    diff_structure, match_members, member_identities, summarize_diff
-from .extract import extract_profile_with_meta
-from .profile import Profile, version_key
+from .diff import ChangeCounts, StructureDiff, diff_profiles, diff_structure, \
+    match_members, summarize_diff
+from .profile import Profile, StructureRecord, version_key
 
-
-@dataclass(frozen=True)
-class ScoreWeights:
-    """Combiner weights for the three impact factors.
-
-    Offset movement dominates observed change traffic, so it carries the
-    largest default weight; churn and growth factors are capped at 1
-    before weighting so the score stays within [0, 1].
-    """
-
-    offset: float = 0.5
-    churn: float = 0.3
-    size: float = 0.2
-
-
-DEFAULT_WEIGHTS = ScoreWeights()
+# Weights of the three impact factors. Offset movement dominates observed
+# change traffic, so it carries the largest weight; churn and growth are
+# capped at 1 before weighting, so the score stays within [0, 1].
+OFFSET_WEIGHT = 0.5
+CHURN_WEIGHT = 0.3
+SIZE_WEIGHT = 0.2
 
 
 @dataclass
@@ -91,20 +85,16 @@ class TransitionTable:
     rows: List[Tuple[str, str, ChangeCounts]]
     totals: ChangeCounts
     watchlist_name: Optional[str] = None
-    reports: List[DiffReport] = field(default_factory=list)
 
 
 def combine_impact_factors(
-    offset_fraction: float,
-    churn_ratio: float,
-    size_delta_fraction: float,
-    weights: ScoreWeights = DEFAULT_WEIGHTS,
+    offset_fraction: float, churn_ratio: float, size_delta_fraction: float
 ) -> float:
     """Weighted combination of the three factors, clamped to [0, 1]."""
     raw = (
-        weights.offset * offset_fraction
-        + weights.churn * min(churn_ratio, 1.0)
-        + weights.size * min(size_delta_fraction, 1.0)
+        OFFSET_WEIGHT * offset_fraction
+        + CHURN_WEIGHT * min(churn_ratio, 1.0)
+        + SIZE_WEIGHT * min(size_delta_fraction, 1.0)
     )
     return max(0.0, min(1.0, raw))
 
@@ -122,9 +112,7 @@ def impact_factors(diff: StructureDiff) -> Dict[str, float]:
 
 
 def impact_score(
-    diff: StructureDiff,
-    transition: Tuple[str, str] = ("old", "new"),
-    weights: ScoreWeights = DEFAULT_WEIGHTS,
+    diff: StructureDiff, transition: Tuple[str, str] = ("old", "new")
 ) -> ImpactScore:
     factors = impact_factors(diff)
     return ImpactScore(
@@ -134,7 +122,6 @@ def impact_score(
             factors["offset_fraction"],
             factors["churn_ratio"],
             factors["size_delta_fraction"],
-            weights,
         ),
         factors=factors,
     )
@@ -153,13 +140,22 @@ def _check_sequence(profiles: Sequence[Profile], minimum: int) -> None:
         raise ValueError(f"profile sequence not in ascending version order: {labels}")
 
 
+def _structure_names(
+    profiles: Sequence[Profile], watchlist: Optional[Sequence[str]]
+) -> List[str]:
+    """The watchlist, or every structure in any profile, in name order."""
+    if watchlist is None:
+        return sorted({name for p in profiles for name in p.structures})
+    return list(watchlist)
+
+
 def impact_matrix(
     profiles: Sequence[Profile],
-    watchlist: Sequence[str],
-    weights: ScoreWeights = DEFAULT_WEIGHTS,
+    watchlist: Optional[Sequence[str]] = None,
     watchlist_name: Optional[str] = None,
 ) -> ImpactMatrix:
     _check_sequence(profiles, 2)
+    names = _structure_names(profiles, watchlist)
     archs = {p.meta.architecture for p in profiles}
     if len(archs) > 1:
         raise ValueError(f"profiles span multiple architectures: {sorted(archs)}")
@@ -168,7 +164,7 @@ def impact_matrix(
         for a, b in zip(profiles, profiles[1:])
     ]
     scores: Dict[str, List[Optional[ImpactScore]]] = {}
-    for name in watchlist:
+    for name in names:
         row: List[Optional[ImpactScore]] = []
         for old, new in zip(profiles, profiles[1:]):
             old_rec = old.structures.get(name)
@@ -177,43 +173,38 @@ def impact_matrix(
                 row.append(None)
                 continue
             transition = (old.meta.platform_version, new.meta.platform_version)
-            row.append(
-                impact_score(diff_structure(old_rec, new_rec), transition, weights)
-            )
+            row.append(impact_score(diff_structure(old_rec, new_rec), transition))
         scores[name] = row
-    return ImpactMatrix(list(watchlist), transitions, watchlist_name, scores)
+    return ImpactMatrix(names, transitions, watchlist_name, scores)
 
 
-def size_timeline(profiles: Sequence[Profile], structure: str) -> TimelineReport:
+def _timeline(
+    profiles: Sequence[Profile],
+    structure: str,
+    member: Optional[str],
+    value: Callable[[StructureRecord], Optional[int]],
+) -> TimelineReport:
     _check_sequence(profiles, 1)
     points: List[Tuple[str, Optional[int]]] = []
     for profile in profiles:
         record = profile.structures.get(structure)
         points.append(
-            (profile.meta.platform_version, None if record is None else record.byte_size)
+            (profile.meta.platform_version, None if record is None else value(record))
         )
-    return TimelineReport(structure, None, points)
+    return TimelineReport(structure, member, points)
 
 
-def _member_offset(profile: Profile, structure: str, member: str, ordinal: int):
-    record = profile.structures.get(structure)
-    if record is None:
-        return None
-    for identity, m in zip(member_identities(record.members), record.members):
-        if identity == (member, ordinal):
-            return m.offset
-    return None
+def size_timeline(profiles: Sequence[Profile], structure: str) -> TimelineReport:
+    return _timeline(profiles, structure, None, lambda record: record.byte_size)
 
 
 def member_offset_timeline(
-    profiles: Sequence[Profile], structure: str, member: str, ordinal: int = 0
+    profiles: Sequence[Profile], structure: str, member: str
 ) -> TimelineReport:
-    _check_sequence(profiles, 1)
-    points = [
-        (p.meta.platform_version, _member_offset(p, structure, member, ordinal))
-        for p in profiles
-    ]
-    return TimelineReport(structure, member, points)
+    """Offset of the first member called `member` at each version."""
+    return _timeline(
+        profiles, structure, member, lambda record: record.member_offset(member)
+    )
 
 
 def volatility_stats(
@@ -230,10 +221,7 @@ def volatility_stats(
     per-structure rates.
     """
     _check_sequence(profiles, 2)
-    if watchlist is None:
-        names = sorted({n for p in profiles for n in p.structures})
-    else:
-        names = list(watchlist)
+    names = _structure_names(profiles, watchlist)
     # Member identities (name, ordinal) per structure, so every count below
     # is one pass over the sequence.
     survived: Dict[str, Set[Tuple[str, int]]] = {name: set() for name in names}
@@ -271,20 +259,14 @@ def bytes_to_mb(size_bytes: int) -> float:
     return round(size_bytes / 1_000_000, 2)
 
 
-def binary_stats(source: Union[Profile, str]) -> BinaryStats:
-    if isinstance(source, Profile):
-        meta = source.meta
-        label = f"{meta.platform_version}/{meta.architecture}"
-        return BinaryStats(
-            source=label,
-            binary_size_mb=bytes_to_mb(meta.binary_size_bytes),
-            symbol_count=meta.raw_type_die_count,
-            dwarf_versions=tuple(meta.dwarf_versions_seen),
-        )
-    profile, _ = extract_profile_with_meta(source)
-    stats = binary_stats(profile)
-    stats.source = str(source)
-    return stats
+def binary_stats(profile: Profile) -> BinaryStats:
+    meta = profile.meta
+    return BinaryStats(
+        source=f"{meta.platform_version}/{meta.architecture}",
+        binary_size_mb=bytes_to_mb(meta.binary_size_bytes),
+        symbol_count=meta.raw_type_die_count,
+        dwarf_versions=tuple(meta.dwarf_versions_seen),
+    )
 
 
 def aggregate_transitions(
@@ -293,18 +275,16 @@ def aggregate_transitions(
     watchlist_name: Optional[str] = None,
 ) -> TransitionTable:
     _check_sequence(profiles, 2)
+    names = _structure_names(profiles, watchlist)
     rows: List[Tuple[str, str, ChangeCounts]] = []
-    reports: List[DiffReport] = []
     totals = ChangeCounts()
     for old, new in zip(profiles, profiles[1:]):
-        report = diff_profiles(old, new, scope=watchlist)
-        counts = summarize_diff(report)
+        counts = summarize_diff(diff_profiles(old, new, scope=names))
         rows.append((old.meta.platform_version, new.meta.platform_version, counts))
-        reports.append(report)
         totals.offset_changes += counts.offset_changes
         totals.member_additions += counts.member_additions
         totals.member_removals += counts.member_removals
         totals.structure_removals += counts.structure_removals
         totals.structure_additions += counts.structure_additions
         totals.total_impact += counts.total_impact
-    return TransitionTable(rows, totals, watchlist_name, reports)
+    return TransitionTable(rows, totals, watchlist_name)

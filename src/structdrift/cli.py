@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="watchlist file or 'default'")
     _add_repo_options(p)
     _add_output_options(p, formats=("json", "csv", "table"))
-    p.set_defaults(func=_cmd_score)
+    p.set_defaults(func=_cmd_analysis, analysis=impact_matrix)
 
     p = sub.add_parser("stats", help="binary size and symbol statistics")
     p.add_argument("sources", nargs="+", help="ELF binaries or profile files")
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="watchlist file or 'default'")
     _add_repo_options(p)
     _add_output_options(p, formats=("json", "csv", "table"))
-    p.set_defaults(func=_cmd_aggregate)
+    p.set_defaults(func=_cmd_analysis, analysis=aggregate_transitions)
 
     p = sub.add_parser("timeline", help="size or member-offset timeline")
     p.add_argument("structure")
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="watchlist file or 'default'")
     _add_repo_options(p)
     _add_output_options(p)
-    p.set_defaults(func=_cmd_volatility)
+    p.set_defaults(func=_cmd_analysis, analysis=volatility_stats)
 
     p = sub.add_parser("chains", help="resolve forensic chains against profiles")
     p.add_argument("profiles", nargs="+")
@@ -193,13 +193,12 @@ def _cmd_diff(args) -> int:
     return EXIT_OK
 
 
-def _cmd_score(args) -> int:
+def _cmd_analysis(args) -> int:
+    """score, aggregate and volatility: one analysis over a version sequence."""
     profiles = _load_sequence(args)
     scope, scope_name = _load_scope(args.scope)
-    if scope is None:
-        scope = sorted({name for p in profiles for name in p.structures})
-    matrix = impact_matrix(profiles, scope, watchlist_name=scope_name)
-    _emit(args, render_report(matrix, args.format))
+    report = args.analysis(profiles, scope, watchlist_name=scope_name)
+    _emit(args, render_report(report, args.format))
     return EXIT_OK
 
 
@@ -214,21 +213,11 @@ def _is_elf(path: str) -> bool:
 def _cmd_stats(args) -> int:
     results = []
     for source in args.sources:
-        if _is_elf(source):
-            results.append(binary_stats(source))
-        else:
-            stats = binary_stats(read_profile(source))
-            stats.source = str(source)
-            results.append(stats)
+        profile = extract_profile(source) if _is_elf(source) else read_profile(source)
+        stats = binary_stats(profile)
+        stats.source = str(source)
+        results.append(stats)
     _emit(args, render_report(StatsReport(results), args.format))
-    return EXIT_OK
-
-
-def _cmd_aggregate(args) -> int:
-    profiles = _load_sequence(args)
-    scope, scope_name = _load_scope(args.scope)
-    table = aggregate_transitions(profiles, scope, watchlist_name=scope_name)
-    _emit(args, render_report(table, args.format))
     return EXIT_OK
 
 
@@ -239,14 +228,6 @@ def _cmd_timeline(args) -> int:
     else:
         report = size_timeline(profiles, args.structure)
     _emit(args, render_report(report, args.format))
-    return EXIT_OK
-
-
-def _cmd_volatility(args) -> int:
-    profiles = _load_sequence(args)
-    scope, scope_name = _load_scope(args.scope)
-    stats = volatility_stats(profiles, scope, watchlist_name=scope_name)
-    _emit(args, render_report(stats, args.format))
     return EXIT_OK
 
 

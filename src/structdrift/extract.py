@@ -31,6 +31,7 @@ from .elf import load_elf
 from .errors import NoDwarfError, StructDriftError
 from .profile import (
     OFFSET_SANITY_BOUND,
+    MemberRecord,
     Profile,
     ProfileMeta,
     StructureRecord,
@@ -45,17 +46,11 @@ _WANTED_ATTRS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RawMemberEntry:
-    name: str
-    offset: int
-
-
 @dataclass
 class RawTypeEntry:
     name: str
     byte_size: Optional[int]
-    members: List[RawMemberEntry] = field(default_factory=list)
+    members: List[MemberRecord] = field(default_factory=list)
     origin_unit: int = 0
     is_declaration_only: bool = False
 
@@ -71,31 +66,6 @@ class ExtractionMeta:
     members_skipped: int
     merge_conflicts: List[str]
     architecture: Optional[str] = None  # from the ELF header; None if unsupported
-
-
-def _require_little_endian(elf, path) -> None:
-    # The DWARF decoder is little-endian only; every supported target
-    # (arm32/arm64/x86_32/x86_64) is little-endian.
-    if not elf.little_endian:
-        raise StructDriftError(f"{path} is big-endian; only little-endian "
-                               "targets are supported")
-
-
-def detect_dwarf_versions(binary) -> Set[int]:
-    """Version numbers declared by unit headers; empty set if no debug info."""
-    elf = load_elf(binary)
-    _require_little_endian(elf, binary)
-    info = elf.debug_section("info")
-    if info is None:
-        return set()
-    versions = {h.version for h in iter_unit_headers(info)}
-    types = elf.debug_section("types")
-    if types is not None:
-        versions.update(
-            h.version
-            for h in iter_unit_headers(types, ".debug_types", types_section=True)
-        )
-    return versions
 
 
 def _decl_only(attrs: dict, byte_size: Optional[int]) -> bool:
@@ -117,7 +87,11 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
     """Collect one RawTypeEntry per class/structure DIE in the binary."""
     path = Path(binary)
     elf = load_elf(path)
-    _require_little_endian(elf, path)
+    # The DWARF decoder is little-endian only; every supported target
+    # (arm32/arm64/x86_32/x86_64) is little-endian.
+    if not elf.little_endian:
+        raise StructDriftError(f"{path} is big-endian; only little-endian "
+                               "targets are supported")
     info = elf.debug_section("info")
     if info is None:
         raise NoDwarfError(f"{path} has no DWARF debug sections")
@@ -180,7 +154,7 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                         skipped_members += 1
                         continue
                     parent.members.append(
-                        RawMemberEntry(_clean_name(attrs.get(AT_NAME)), offset)
+                        MemberRecord(_clean_name(attrs.get(AT_NAME)), offset)
                     )
 
     meta = ExtractionMeta(
@@ -225,7 +199,7 @@ def merge_duplicate_definitions(
             )
         winner = complete[0]
         catalog[name] = StructureRecord.canonical(
-            name, winner.byte_size or 0, [(m.name, m.offset) for m in winner.members]
+            name, winner.byte_size or 0, winner.members
         )
     return catalog, conflicts
 

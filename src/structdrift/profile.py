@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import InvariantError, SchemaError
 
@@ -38,11 +38,15 @@ class StructureRecord:
     members: List[MemberRecord] = field(default_factory=list)
 
     @classmethod
-    def canonical(cls, name: str, byte_size: int, members) -> "StructureRecord":
+    def canonical(
+        cls, name: str, byte_size: int, members: Iterable[MemberRecord]
+    ) -> "StructureRecord":
         """Build a record with members in canonical (offset, name) order."""
-        recs = [m if isinstance(m, MemberRecord) else MemberRecord(*m) for m in members]
-        recs.sort(key=lambda m: (m.offset, m.name))
-        return cls(name, byte_size, recs)
+        return cls(name, byte_size, sorted(members, key=lambda m: (m.offset, m.name)))
+
+    def member_offset(self, name: str) -> Optional[int]:
+        """Offset of the first member called `name`; None if there is none."""
+        return next((m.offset for m in self.members if m.name == name), None)
 
 
 @dataclass
@@ -60,9 +64,6 @@ class ProfileMeta:
 class Profile:
     meta: ProfileMeta
     structures: Dict[str, StructureRecord] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.structures)
 
 
 def version_key(label: str):
@@ -142,9 +143,14 @@ def profile_to_doc(profile: Profile) -> dict:
     }
 
 
+def dumps_document(doc: dict) -> str:
+    """Canonical JSON text of a document: UTF-8, two-space indent, final newline."""
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
 def dumps_profile(profile: Profile) -> str:
     """Serialize to canonical text; rejects non-canonical profiles."""
-    return json.dumps(profile_to_doc(profile), ensure_ascii=False, indent=2) + "\n"
+    return dumps_document(profile_to_doc(profile))
 
 
 def write_text(destination, text: str) -> None:
@@ -298,16 +304,14 @@ class RepositoryIndex:
     skipped: List[Tuple[Path, str]]
     profiles: Dict[Tuple[str, str], Profile] = field(default_factory=dict, repr=False)
 
-    def versions(self, architecture: str) -> List[str]:
-        labels = sorted(
-            {v for (v, a) in self.entries if a == architecture}, key=version_key
-        )
-        return labels
-
     def sequence(self, architecture: str) -> List[Profile]:
-        """Profiles of `architecture` in version order; the index must have
-        been built with index_repository(root, architecture)."""
-        return [self.profiles[(v, architecture)] for v in self.versions(architecture)]
+        """Kept profiles of `architecture` in version order; empty unless the
+        index was built with index_repository(root, architecture)."""
+        keys = sorted(
+            (key for key in self.profiles if key[1] == architecture),
+            key=lambda key: version_key(key[0]),
+        )
+        return [self.profiles[key] for key in keys]
 
 
 def index_repository(root, architecture: Optional[str] = None) -> RepositoryIndex:

@@ -7,7 +7,6 @@ counts and offsets stay plain integers, and absent cells are left empty.
 Table output is fixed-width and carries the same values as the JSON form.
 """
 
-import json
 from typing import Callable, List, NamedTuple, Optional
 
 from .analytics import (
@@ -20,7 +19,7 @@ from .analytics import (
 )
 from .diff import ChangeCounts, DiffReport, diff_to_doc
 from .errors import SchemaError
-from .profile import Profile, RepositoryIndex, profile_to_doc
+from .profile import Profile, RepositoryIndex, dumps_document, profile_to_doc
 from .watch import CapabilityAssessment, ChainReports
 
 IMPACT_SCHEMA = "structdrift-impact/1"
@@ -40,10 +39,6 @@ AGGREGATE_CSV_HEADER = (
 
 class UnsupportedFormatError(SchemaError):
     """The requested output format does not exist for this report kind."""
-
-
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def transition_label(from_label: str, to_label: str) -> str:
@@ -413,7 +408,7 @@ def render_report(report, fmt: str) -> str:
     if fmt == "json":
         if renderers is None:
             raise UnsupportedFormatError(f"no json renderer for {kind}")
-        return _dumps(renderers.to_doc(report))
+        return dumps_document(renderers.to_doc(report))
     if fmt == "csv":
         if renderers is None or renderers.csv is None:
             raise UnsupportedFormatError(f"csv output is not available for {kind} reports")

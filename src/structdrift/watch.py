@@ -188,7 +188,7 @@ def resolve_chain(profile: Profile, chain: ChainSpec) -> ChainReport:
             report.status = STATUS_BROKEN
             report.first_failure = (index, REASON_STRUCTURE_MISSING)
             return report
-        offset = next((m.offset for m in record.members if m.name == step.member), None)
+        offset = record.member_offset(step.member)
         if offset is None:
             report.status = STATUS_BROKEN
             report.first_failure = (index, REASON_MEMBER_MISSING)

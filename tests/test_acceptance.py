@@ -23,7 +23,6 @@ from structdrift import (
     combine_impact_factors,
     default_chains,
     default_watchlist,
-    detect_dwarf_versions,
     diff_profiles,
     diff_structure,
     extract_profile,
@@ -88,8 +87,7 @@ def test_extractor_fidelity():
             for name, body in oracle["structures"].items()
         }
         assert got == expected, f"layout mismatch in {stem}"
-        assert sorted(detect_dwarf_versions(fixture_path(oracle["binary"]))) \
-            == oracle["dwarf_versions"]
+        assert list(profile.meta.dwarf_versions_seen) == oracle["dwarf_versions"]
     elapsed = time.perf_counter() - started
     assert len(ORACLE_FIXTURES) >= 3
     assert elapsed < 5.0, f"fidelity suite took {elapsed:.2f}s"

@@ -4,13 +4,13 @@ from hypothesis import strategies as st
 
 from structdrift import (
     MemberRecord,
-    ScoreWeights,
     StructureRecord,
     aggregate_transitions,
     binary_stats,
     combine_impact_factors,
     diff_profiles,
     diff_structure,
+    extract_profile,
     impact_matrix,
     impact_score,
     member_offset_timeline,
@@ -56,14 +56,6 @@ def test_factor_caps_keep_score_bounded():
     assert score.factors["size_delta_fraction"] > 1.0
     assert 0.0 <= score.score <= 1.0
     assert score.score == pytest.approx(0.5 * 0 + 0.3 + 0.2)
-
-
-def test_custom_weights_respected():
-    old = record("S", 10, [("a", 0)])
-    new = record("S", 20, [("a", 5)])
-    weights = ScoreWeights(offset=1.0, churn=0.0, size=0.0)
-    score = impact_score(diff_structure(old, new), weights=weights)
-    assert score.score == pytest.approx(1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -135,6 +127,20 @@ def test_sequences_must_be_ordered():
     q = make_profile("9", {})
     with pytest.raises(ValueError):
         impact_matrix([p, q], ["S"])
+
+
+@pytest.mark.parametrize(
+    "analysis", [impact_matrix, aggregate_transitions, volatility_stats]
+)
+def test_no_watchlist_means_every_structure_in_name_order(analysis):
+    seq = [
+        make_profile("9", {"B": (16, [("x", 0)]), "Dead": (8, [("d", 0)])}),
+        make_profile("10", {"B": (16, [("x", 8)]), "A": (8, [("y", 0)])}),
+        make_profile("11", {"A": (8, [("y", 4)]), "C": (4, [])}),
+    ]
+    union = ["A", "B", "C", "Dead"]
+    assert analysis(seq) == analysis(seq, union)
+    assert analysis(seq, watchlist_name="w") == analysis(seq, union, "w")
 
 
 # -------------------------------------------------------------- timelines
@@ -334,7 +340,7 @@ def test_stats_from_profile_meta():
 
 
 def test_stats_from_fixture_binary():
-    stats = binary_stats(str(fixture_path("triple-dwarf4-64.so")))
+    stats = binary_stats(extract_profile(fixture_path("triple-dwarf4-64.so")))
     assert stats.symbol_count == 3
     assert stats.dwarf_versions == (4,)
     assert stats.binary_size_mb == bytes_to_mb(

@@ -287,6 +287,25 @@ def write_chain_spec(tmp_path, chains):
     return str(path)
 
 
+def test_timeline_and_chains_agree_on_a_repeated_member_name(tmp_path, capsys):
+    # Both resolve a member name to the first member of that name.
+    profile = write_tmp_profile(tmp_path, art_profile("9", Runtime=(
+        2048, [("heap_", 448), ("thread_list_", 512), ("heap_", 1024)]
+    )), "p.profile.json")
+    assert run(["timeline", "Runtime", profile, "--member", "heap_"]) == 0
+    timeline = json.loads(capsys.readouterr().out)
+    spec = write_chain_spec(tmp_path, [{
+        "id": "heap", "capability": "heap_analysis",
+        "steps": [{"structure": "Runtime", "member": "heap_"}],
+    }])
+    assert run(["chains", profile, "--chains", spec]) == 0
+    chains = json.loads(capsys.readouterr().out)
+    assert timeline["points"] == [{"version": "9", "value": 448}]
+    assert chains["reports"][0]["resolved_steps"] == [
+        {"structure": "Runtime", "member": "heap_", "offset": 448}
+    ]
+
+
 def test_chains_empty_spec_renders_chain_report(tmp_path, capsys):
     profile = write_tmp_profile(tmp_path, art_profile("9"), "p9.profile.json")
     spec = write_chain_spec(tmp_path, [])

@@ -12,14 +12,12 @@ from structdrift import (
     MalformedDwarfError,
     NoDwarfError,
     NotElfError,
-    RawMemberEntry,
     RawTypeEntry,
-    detect_dwarf_versions,
     extract_profile,
     extract_profile_with_meta,
     merge_duplicate_definitions,
 )
-from structdrift import dwarf
+from structdrift import MemberRecord, dwarf
 from structdrift.dwarf import (
     AT_BYTE_SIZE,
     AT_NAME,
@@ -56,8 +54,8 @@ def test_layouts_match_compiler_dump(stem):
 @pytest.mark.parametrize("stem", ORACLE_FIXTURES)
 def test_detected_versions_match_header_dump(stem):
     oracle = load_oracle(stem)
-    versions = detect_dwarf_versions(fixture_path(oracle["binary"]))
-    assert sorted(versions) == oracle["dwarf_versions"]
+    _, meta = extract_profile_with_meta(fixture_path(oracle["binary"]))
+    assert sorted(meta.dwarf_versions_seen) == oracle["dwarf_versions"]
 
 
 def test_extraction_is_deterministic():
@@ -87,7 +85,6 @@ def test_compressed_debug_sections_extract_identically():
 def test_stripped_binary_reports_missing_dwarf():
     with pytest.raises(NoDwarfError):
         extract_profile(fixture_path("layouts-stripped.so"))
-    assert detect_dwarf_versions(fixture_path("layouts-stripped.so")) == set()
 
 
 def test_non_elf_input_rejected(tmp_path):
@@ -95,8 +92,6 @@ def test_non_elf_input_rejected(tmp_path):
     bogus.write_text("just some text, definitely not a shared library\n")
     with pytest.raises(NotElfError):
         extract_profile(bogus)
-    with pytest.raises(NotElfError):
-        detect_dwarf_versions(bogus)
 
 
 def test_big_endian_rejected_cleanly(tmp_path):
@@ -427,7 +422,7 @@ def _entry(name, size, members, unit=0, decl=False):
     return RawTypeEntry(
         name=name,
         byte_size=size,
-        members=[RawMemberEntry(m, o) for m, o in members],
+        members=[MemberRecord(m, o) for m, o in members],
         origin_unit=unit,
         is_declaration_only=decl,
     )

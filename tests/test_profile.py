@@ -294,8 +294,16 @@ def test_index_full_grid(tmp_repo):
     index = index_repository(tmp_repo.root)
     assert len(index.entries) == 24
     assert index.skipped == []
-    assert index.versions("x86_64") == ["9", "10", "11", "12", "13", "14"]
+    x86_64 = [v for v, a in index.entries if a == "x86_64"]
+    assert sorted(x86_64, key=version_key) == ["9", "10", "11", "12", "13", "14"]
     assert index.profiles == {}
+
+
+def test_sequence_of_profiles_not_kept_is_empty(tmp_repo):
+    for version in ["9", "10"]:
+        tmp_repo(make_profile(version, {"S": (8, [("a", 0)])}))
+    assert index_repository(tmp_repo.root).sequence("x86_64") == []
+    assert index_repository(tmp_repo.root, "arm64").sequence("x86_64") == []
 
 
 def test_index_keeps_profiles_of_one_architecture(tmp_repo):
