@@ -37,13 +37,6 @@ from .errors import (  # noqa: E402
     SchemaError,
     StructDriftError,
 )
-from .extract import (  # noqa: E402
-    ExtractionMeta,
-    RawTypeEntry,
-    extract_profile,
-    extract_profile_with_meta,
-    merge_duplicate_definitions,
-)
 from .profile import (  # noqa: E402
     MemberRecord,
     Profile,
@@ -125,3 +118,22 @@ __all__ = [
     "volatility_stats",
     "write_profile",
 ]
+
+# The extraction names come from .extract on first use (PEP 562), so that
+# importing the package, as every report command does, does not also load
+# the ELF and DWARF readers.
+_EXTRACT_NAMES = frozenset({
+    "ExtractionMeta",
+    "RawTypeEntry",
+    "extract_profile",
+    "extract_profile_with_meta",
+    "merge_duplicate_definitions",
+})
+
+
+def __getattr__(name):
+    if name in _EXTRACT_NAMES:
+        from . import extract
+
+        return getattr(extract, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

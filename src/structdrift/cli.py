@@ -2,9 +2,19 @@
 
 Exit codes: 0 success, 1 breaking changes found under --fail-on-break,
 2 usage error, 3 unreadable or malformed input, 4 internal error.
+
+main() turns the cyclic garbage collector off for the run and restores
+its earlier state afterwards. What a command builds (profiles, members,
+reports) holds no reference cycles, so reference counting frees it. With
+the collector on, the tens of thousands of objects allocated per profile
+set off collections, some of which walk the whole growing heap, and
+none of which finds anything to free. The extraction modules are
+imported only by the commands that read an ELF file (extract, and stats
+on a binary), so the report commands do not pay for loading them.
 """
 
 import argparse
+import gc
 import os
 import sys
 from typing import List, Optional
@@ -20,7 +30,6 @@ from .analytics import (
 )
 from .diff import DiffReport, diff_profiles
 from .errors import StructDriftError
-from .extract import extract_profile
 from .profile import (
     ARCHITECTURES,
     Profile,
@@ -168,6 +177,8 @@ class UsageError(Exception):
 
 
 def _cmd_extract(args) -> int:
+    from .extract import extract_profile
+
     profile = extract_profile(
         args.binary,
         platform_version=args.platform_version,
@@ -213,7 +224,12 @@ def _is_elf(path: str) -> bool:
 def _cmd_stats(args) -> int:
     results = []
     for source in args.sources:
-        profile = extract_profile(source) if _is_elf(source) else read_profile(source)
+        if _is_elf(source):
+            from .extract import extract_profile
+
+            profile = extract_profile(source)
+        else:
+            profile = read_profile(source)
         stats = binary_stats(profile)
         stats.source = str(source)
         results.append(stats)
@@ -295,7 +311,14 @@ def run(argv: List[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        code = run(sys.argv[1:])
+    finally:
+        if collecting:
+            gc.enable()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ profile reproduces the input byte for byte.
 import json
 import os
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -25,10 +26,27 @@ ARCHITECTURES = ("arm32", "arm64", "x86_32", "x86_64")
 OFFSET_SANITY_BOUND = 2 ** 32
 
 
-@dataclass(frozen=True)
-class MemberRecord:
-    name: str
-    offset: int
+class MemberRecord(namedtuple("MemberRecord", "name offset")):
+    """A member's name and byte offset: immutable, hashable and picklable.
+
+    A tuple underneath, because a profile holds tens of thousands of them,
+    but equal only to another MemberRecord and not ordered, so it never
+    stands in for a plain (name, offset) pair.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError("MemberRecord values are not ordered")
+
+    __hash__ = tuple.__hash__
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 @dataclass
@@ -99,23 +117,23 @@ def validate_profile(profile: Profile) -> None:
             raise InvariantError(f"catalog key {name!r} != record name {record.name!r}")
         if not name:
             raise InvariantError("empty structure name")
-        if record.byte_size < 0:
+        size = record.byte_size
+        if size < 0:
             raise InvariantError(f"{name}: negative byte size")
-        prev = None
-        for member in record.members:
-            if not member.name:
+        # (offset, name) order, compared field by field: no key tuple per member.
+        prev_offset, prev_name = -1, ""
+        for member_name, offset in record.members:
+            if not member_name:
                 raise InvariantError(f"{name}: empty member name")
-            if member.offset < 0:
-                raise InvariantError(f"{name}.{member.name}: negative offset")
-            if record.byte_size != 0 and member.offset >= record.byte_size:
+            if offset < 0:
+                raise InvariantError(f"{name}.{member_name}: negative offset")
+            if size != 0 and offset >= size:
                 raise InvariantError(
-                    f"{name}.{member.name}: offset {member.offset} outside size "
-                    f"{record.byte_size}"
+                    f"{name}.{member_name}: offset {offset} outside size {size}"
                 )
-            key = (member.offset, member.name)
-            if prev is not None and key < prev:
-                raise InvariantError(f"{name}: members not sorted at {member.name!r}")
-            prev = key
+            if offset <= prev_offset and (offset < prev_offset or member_name < prev_name):
+                raise InvariantError(f"{name}: members not sorted at {member_name!r}")
+            prev_offset, prev_name = offset, member_name
 
 
 def profile_to_doc(profile: Profile) -> dict:
@@ -224,6 +242,18 @@ def read_text(source) -> str:
         raise SchemaError(f"{source} is not valid UTF-8: {exc}") from exc
 
 
+# ProfileMeta's fields in order, with the JSON type of each.
+_META_FIELDS = {
+    "platform_version": str,
+    "architecture": str,
+    "build_variant": str,
+    "binary_size_bytes": int,
+    "dwarf_versions_seen": list,
+    "raw_type_die_count": int,
+    "extraction_tool_version": str,
+}
+
+
 def _member_record(doc, where: str) -> MemberRecord:
     _check_type(doc, dict, where)
     return MemberRecord(
@@ -235,19 +265,10 @@ def _member_record(doc, where: str) -> MemberRecord:
 def doc_to_profile(doc: dict) -> Profile:
     meta_doc = _check_type(doc.get("meta"), dict, "meta")
     structures_doc = _check_type(doc.get("structures"), dict, "structures")
-    expected_meta = {
-        "platform_version": str,
-        "architecture": str,
-        "build_variant": str,
-        "binary_size_bytes": int,
-        "dwarf_versions_seen": list,
-        "raw_type_die_count": int,
-        "extraction_tool_version": str,
-    }
-    missing = set(expected_meta) - set(meta_doc)
+    missing = set(_META_FIELDS) - set(meta_doc)
     if missing:
         raise SchemaError(f"meta is missing fields: {sorted(missing)}")
-    for key, expected in expected_meta.items():
+    for key, expected in _META_FIELDS.items():
         _check_type(meta_doc[key], expected, f"meta.{key}")
     versions = []
     for v in meta_doc["dwarf_versions_seen"]:
@@ -266,26 +287,88 @@ def doc_to_profile(doc: dict) -> Profile:
         _check_type(body, dict, f"structures.{name}")
         size = _check_type(body.get("size"), int, f"{name}.size")
         members_doc = _check_type(body.get("members"), list, f"{name}.members")
-        members = []
-        # Exact-type tests pass what json.loads produces with one comparison
-        # per value; anything else takes _member_record, whose _check_type
-        # calls name the offending field.
-        for i, m in enumerate(members_doc):
-            if type(m) is dict:
-                member_name = m.get("name")
-                offset = m.get("offset")
-                if type(member_name) is str and type(offset) is int:
-                    members.append(MemberRecord(member_name, offset))
-                    continue
-            members.append(_member_record(m, f"{name}.members[{i}]"))
+        members = [
+            _member_record(m, f"{name}.members[{i}]") for i, m in enumerate(members_doc)
+        ]
         structures[name] = StructureRecord(name, size, members)
     profile = Profile(meta, structures)
     validate_profile(profile)
     return profile
 
 
+_SPACE_BEFORE_COLON = re.compile(r'"[ \t\n\r]+:')
+
+
+def _canonical_profile(text: str) -> Optional[Profile]:
+    """Profile of a document in exactly the canonical shape, else None.
+
+    One pass over a plain json.loads result, without the per-object
+    duplicate-key hook. The shape is exact: the schema, meta and
+    structures keys, the seven meta keys, and size and members in each
+    structure and name and offset in each member, every value of exactly
+    the JSON type expected (so no boolean passes as an integer).
+
+    Those keys total `expected`, and every parsed object holds at least
+    its expected keys. A key in the text is a string, optional whitespace
+    and ':', so when no '"' is followed by whitespace and ':', each key in
+    the text adds one '":'; one inside a string (an escaped quote, a
+    leading colon) only adds more. Hence '":' count >= keys in the text
+    >= parsed keys >= expected, and a count equal to `expected` proves
+    the text has no extra key and no duplicate key.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or doc.get("schema") != PROFILE_SCHEMA:
+        return None
+    meta_doc, structures_doc = doc.get("meta"), doc.get("structures")
+    if type(meta_doc) is not dict or type(structures_doc) is not dict:
+        return None
+    meta_values = [meta_doc.get(key) for key in _META_FIELDS]
+    if any(type(v) is not t for v, t in zip(meta_values, _META_FIELDS.values())):
+        return None
+    meta = ProfileMeta(*meta_values)
+    meta.dwarf_versions_seen = tuple(meta.dwarf_versions_seen)
+    if any(type(v) is not int for v in meta.dwarf_versions_seen):
+        return None
+    expected = 3 + len(_META_FIELDS) + 3 * len(structures_doc)
+    new_member = tuple.__new__  # skips the namedtuple's Python-level __new__
+    structures: Dict[str, StructureRecord] = {}
+    for name, body in structures_doc.items():
+        if type(body) is not dict:
+            return None
+        size, members_doc = body.get("size"), body.get("members")
+        if type(size) is not int or type(members_doc) is not list:
+            return None
+        members = []
+        for m in members_doc:
+            if type(m) is not dict:
+                return None
+            member_name, offset = m.get("name"), m.get("offset")
+            if type(member_name) is not str or type(offset) is not int:
+                return None
+            members.append(new_member(MemberRecord, (member_name, offset)))
+        expected += 2 * len(members)
+        structures[name] = StructureRecord(name, size, members)
+    if text.count('":') != expected or _SPACE_BEFORE_COLON.search(text):
+        return None
+    return Profile(meta, structures)
+
+
 def loads_profile(text: str) -> Profile:
-    return doc_to_profile(parse_json_document(text, PROFILE_SCHEMA))
+    """Profile from canonical JSON text, validated.
+
+    Text in the exact canonical shape takes the one-pass reader; anything
+    else, and anything it cannot prove free of duplicate keys, is read by
+    parse_json_document and doc_to_profile, the reference whose errors
+    every rejected document gets.
+    """
+    profile = _canonical_profile(text)
+    if profile is None:
+        return doc_to_profile(parse_json_document(text, PROFILE_SCHEMA))
+    validate_profile(profile)
+    return profile
 
 
 def read_profile(source) -> Profile:
@@ -322,6 +405,8 @@ def index_repository(root, architecture: Optional[str] = None) -> RepositoryInde
     """
     root = Path(root)
     if not root.is_dir():
+        if root.exists():
+            raise NotADirectoryError(f"repository root {root} is not a directory")
         raise FileNotFoundError(f"repository root {root} does not exist")
     entries: Dict[Tuple[str, str], Path] = {}
     profiles: Dict[Tuple[str, str], Profile] = {}

@@ -1,15 +1,20 @@
+import gc
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import structdrift.cli as cli
 from structdrift import read_diff, read_profile, write_profile
 from structdrift.cli import run
 from structdrift.render import AGGREGATE_CSV_HEADER
 
-from conftest import art_profile, art_sequence, fixture_path
+from conftest import FIXTURES, art_profile, art_sequence, fixture_path
 
 
 @pytest.fixture
@@ -355,6 +360,16 @@ def test_repo_env_variable(art_repo, capsys, monkeypatch):
     assert len(doc["entries"]) == 6
 
 
+@pytest.mark.parametrize("argv", [["index"], ["score", "--arch", "x86_64"]])
+def test_repo_that_is_a_file_is_an_input_error(tmp_path, capsys, argv):
+    not_a_directory = tmp_path / "libart.profile.json"
+    write_profile(art_profile("9"), not_a_directory)
+    assert run(argv + ["--repo", str(not_a_directory)]) == 3
+    assert capsys.readouterr().err == (
+        f"structdrift: repository root {not_a_directory} is not a directory\n"
+    )
+
+
 def test_custom_watchlist_file(tmp_path, capsys):
     watchlist = tmp_path / "mine.json"
     watchlist.write_text(json.dumps({
@@ -421,6 +436,55 @@ def test_unexpected_exception_is_internal_error(art_repo, capsys, monkeypatch):
     assert run(["index", "--repo", str(art_repo)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "RuntimeError" in err
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("outcome", ["returns", "raises"])
+def test_main_turns_the_collector_off_and_restores_it(monkeypatch, collecting, outcome):
+    seen = []
+
+    def fake_run(argv):
+        seen.append(gc.isenabled())
+        if outcome == "raises":
+            raise KeyboardInterrupt
+        return 0
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["structdrift", "index"])
+    expected = KeyboardInterrupt if outcome == "raises" else SystemExit
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(expected):
+            cli.main()
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    assert seen == [False]
+
+
+def test_report_commands_do_not_load_the_extractor():
+    # Run in a fresh interpreter: this one has loaded the extractor already.
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import structdrift.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = structdrift.cli.run(['score', '--repo', {str(FIXTURES / 'profiles')!r},"
+        " '--arch', 'x86_64'])",
+        "assert code == 0, code",
+        "loaded = sorted(name for name in sys.modules if name in",
+        "    ('structdrift.extract', 'structdrift.dwarf', 'structdrift.elf'))",
+        "assert not loaded, loaded",
+        "from structdrift import extract_profile",
+        "assert extract_profile.__module__ == 'structdrift.extract'",
+        "from structdrift import *",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_unsupported_render_format_rejected():

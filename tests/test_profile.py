@@ -1,10 +1,13 @@
+import copy
 import json
 import os
+import pickle
 import stat
 import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structdrift import (
     InvariantError,
@@ -17,8 +20,12 @@ from structdrift import (
     write_profile,
 )
 from structdrift.profile import (
+    PROFILE_SCHEMA,
+    _canonical_profile,
+    doc_to_profile,
     dumps_profile,
     loads_profile,
+    parse_json_document,
     validate_profile,
     version_key,
     write_text,
@@ -93,6 +100,20 @@ def test_offset_outside_size_rejected():
 def test_zero_size_structure_allows_members():
     record = StructureRecord("Opaque", 0, [MemberRecord("x", 64)])
     validate_profile(Profile(make_meta(), {"Opaque": record}))
+
+
+@pytest.mark.parametrize("members, message", [
+    ([("b", 0), ("a", 0)], "S: members not sorted at 'a'"),
+    ([("a", 8), ("b", 0)], "S: members not sorted at 'b'"),
+    ([("", 0)], "S: empty member name"),
+    ([("a", -1)], "S.a: negative offset"),
+    ([("a", 0), ("b", 16)], "S.b: offset 16 outside size 16"),
+])
+def test_invariant_error_messages(members, message):
+    record = StructureRecord("S", 16, [MemberRecord(n, o) for n, o in members])
+    with pytest.raises(InvariantError) as exc_info:
+        validate_profile(Profile(make_meta(), {"S": record}))
+    assert str(exc_info.value) == message
 
 
 def test_unknown_architecture_rejected():
@@ -262,6 +283,240 @@ def test_write_into_a_pipe_writes_in_place(tmp_path):
     assert got == [b"report\n"]
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+# ------------------------------------------------------ one-pass reader
+
+def _outcome(read, text):
+    """What reading `text` gives: the profile in catalog order, or the error."""
+    try:
+        profile = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return profile, list(profile.structures)
+
+
+def _reference(text):
+    return doc_to_profile(parse_json_document(text, PROFILE_SCHEMA))
+
+
+def assert_reads_like_reference(text):
+    assert _outcome(loads_profile, text) == _outcome(_reference, text)
+
+
+# C++ scopes put bare colons into names; the one-pass reader takes them.
+_BASE = make_profile("9", {
+    "ns::S": (16, [("a", 0), ("b", 8)]),
+    "T": (8, [("x::y", 0)]),
+})
+_BASE_TEXT = dumps_profile(_BASE)
+# An escaped quote before a colon, or a leading colon, adds a '":' to the
+# text that is no key, so these names send the text to the reference path.
+_QUOTED = make_profile("9", {"T": (8, [('q":r', 0), (":lead", 4)])})
+_QUOTED_TEXT = dumps_profile(_QUOTED)
+
+
+def _rewritten(edit):
+    doc = json.loads(_BASE_TEXT)
+    edit(doc)
+    return json.dumps(doc, indent=2)
+
+
+def _reordered_member(doc):
+    doc["structures"]["T"]["members"][0] = {"offset": 0, "name": "x::y"}
+
+
+def _reordered_meta(doc):
+    doc["meta"] = dict(reversed(list(doc["meta"].items())))
+
+
+def _set_meta(key, value):
+    return lambda doc: doc["meta"].__setitem__(key, value)
+
+
+def _set_member(key, value):
+    return lambda doc: doc["structures"]["ns::S"]["members"][1].__setitem__(key, value)
+
+
+def _replace(text, *pairs):
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new, 1)
+    return text
+
+
+_DUP_MEMBER = ('"name": "a"', '"name": "a", "name": "a"')
+
+READER_CASES = {
+    "canonical": _BASE_TEXT,
+    "canonical-quoted-names": _QUOTED_TEXT,
+    "duplicate-top-level-key": _replace(_BASE_TEXT, ('"meta": {', '"meta": 1, "meta": {')),
+    "duplicate-meta-key": _replace(
+        _BASE_TEXT, ('"build_variant": "eng"', '"build_variant": "eng", "build_variant": "user"')),
+    "duplicate-structure": _replace(
+        _BASE_TEXT, ('"T": {', '"T": {"size": 8, "members": []}, "T": {')),
+    "duplicate-body-key": _replace(_BASE_TEXT, ('"size": 16', '"size": 16, "size": 16')),
+    "duplicate-member-key": _replace(_BASE_TEXT, _DUP_MEMBER),
+    "duplicate-member-key-quoted-names": _replace(
+        _QUOTED_TEXT, ('"offset": 4', '"offset": 4, "offset": 4')),
+    "space-before-colon": _replace(_BASE_TEXT, ('"size": 16', '"size" : 16')),
+    "tab-before-colon": _replace(_BASE_TEXT, ('"members": [', '"members"\t: [')),
+    "newline-before-colon": _replace(_BASE_TEXT, ('"schema":', '"schema"\n:')),
+    "carriage-return-before-colon": _replace(_BASE_TEXT, ('"offset": 8', '"offset"\r\n  : 8')),
+    # The duplicate adds a '":' and the spaced key takes one away, so the
+    # count balances; only the whitespace check rejects this text.
+    "duplicate-hidden-by-whitespace": _replace(
+        _BASE_TEXT, _DUP_MEMBER, ('"size": 8', '"size" : 8')),
+    # The quoted name adds a '":' and the spaced key takes one away.
+    "quoted-name-and-whitespace": _replace(_QUOTED_TEXT, ('"size": 8', '"size" : 8')),
+    "extra-top-level-key": _rewritten(lambda doc: doc.update(extra=1)),
+    "extra-meta-key": _rewritten(_set_meta("extra", "x")),
+    "extra-body-key": _rewritten(lambda doc: doc["structures"]["T"].update(extra=[])),
+    "extra-member-key": _rewritten(_set_member("extra", 0)),
+    "reordered-member-keys": _rewritten(_reordered_member),
+    "reordered-meta-keys": _rewritten(_reordered_meta),
+    "reordered-top-level-keys": _rewritten(lambda doc: doc.update(schema=doc.pop("schema"))),
+    "boolean-offset": _rewritten(_set_member("offset", True)),
+    "float-offset": _rewritten(_set_member("offset", 8.0)),
+    "boolean-name": _rewritten(_set_member("name", False)),
+    "float-size": _rewritten(lambda doc: doc["structures"]["T"].update(size=8.0)),
+    "boolean-binary-size": _rewritten(_set_meta("binary_size_bytes", True)),
+    "float-die-count": _rewritten(_set_meta("raw_type_die_count", 50.0)),
+    "boolean-dwarf-version": _rewritten(_set_meta("dwarf_versions_seen", [True])),
+    "object-in-meta": _rewritten(_set_meta("build_variant", {"eng": 1})),
+    "extra-object-in-meta": _rewritten(_set_meta("extra", {"a": {"b": 1}})),
+    "null-member": _rewritten(lambda doc: doc["structures"]["T"]["members"].append(None)),
+    "missing-meta-key": _rewritten(lambda doc: doc["meta"].pop("architecture")),
+    "unsorted-members": _rewritten(lambda doc: doc["structures"]["ns::S"]["members"].reverse()),
+    "wrong-schema": _rewritten(lambda doc: doc.update(schema="structdrift-profile/2")),
+    "truncated-half": _BASE_TEXT[: len(_BASE_TEXT) // 2],
+    "truncated-end": _BASE_TEXT[:-3],
+    "truncated-to-nothing": "",
+    "duplicate-then-syntax-error": _replace(_BASE_TEXT, _DUP_MEMBER)[:-3],
+    "array": "[]",
+    "string": '"structdrift-profile/1"',
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_reader_matches_reference(text):
+    assert_reads_like_reference(text)
+
+
+def test_one_pass_reader_takes_canonical_text_only():
+    assert _canonical_profile(_BASE_TEXT) == _BASE
+    assert _canonical_profile(_QUOTED_TEXT) is None
+    assert loads_profile(_QUOTED_TEXT) == _QUOTED
+
+
+class _Object(list):
+    """A JSON object as a list of [key, value, separator] pairs, so a test
+    can repeat keys and choose the text between a key and its value."""
+
+
+def _pairs_tree(value):
+    if isinstance(value, dict):
+        return _Object([k, _pairs_tree(v), ": "] for k, v in value.items())
+    if isinstance(value, list):
+        return [_pairs_tree(v) for v in value]
+    return value
+
+
+def _render(node) -> str:
+    if isinstance(node, _Object):
+        return "{" + ", ".join(
+            json.dumps(k, ensure_ascii=False) + sep + _render(v) for k, v, sep in node
+        ) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_render(v) for v in node) + "]"
+    return json.dumps(node, ensure_ascii=False)
+
+
+def _objects(node):
+    if isinstance(node, _Object):
+        yield node
+        for _, value, _ in node:
+            yield from _objects(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _objects(value)
+
+
+_ODD_NAMES = st.text(alphabet='ab:"\\ _', min_size=1, max_size=5)
+_ODD_VALUES = st.sampled_from([0, 8, -1, True, False, None, 1.0, "7", "", [], {"x": 1}])
+
+
+@st.composite
+def _mutated_profile_texts(draw):
+    names = draw(st.lists(_ODD_NAMES, unique=True, max_size=4))
+    structures = {
+        name: (64, [(m, draw(st.integers(0, 63)))
+                    for m in draw(st.lists(_ODD_NAMES, max_size=3))])
+        for name in names
+    }
+    tree = _pairs_tree(json.loads(dumps_profile(make_profile("9", structures))))
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(list(_objects(tree))))
+        kind = draw(st.sampled_from(
+            ["duplicate", "space", "extra", "reorder", "retype", "drop"]))
+        if not target and kind != "extra":
+            continue
+        index = draw(st.integers(0, max(len(target) - 1, 0)))
+        if kind == "duplicate":
+            key, value, sep = target[index]
+            if draw(st.booleans()):
+                value = _pairs_tree(draw(_ODD_VALUES))
+            target.insert(draw(st.integers(0, len(target))), [key, value, sep])
+        elif kind == "space":
+            target[index][2] = draw(st.sampled_from([" : ", "\t:", "\n: ", "\r\n  :"]))
+        elif kind == "extra":
+            target.insert(index, [draw(_ODD_NAMES), _pairs_tree(draw(_ODD_VALUES)), ": "])
+        elif kind == "reorder":
+            target[:] = draw(st.permutations(target))
+        elif kind == "retype":
+            target[index][1] = _pairs_tree(draw(_ODD_VALUES))
+        else:
+            del target[index]
+    text = _render(tree)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_profile_texts())
+def test_reader_matches_reference_on_mutated_texts(text):
+    assert_reads_like_reference(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profiles())
+def test_canonical_text_takes_the_one_pass_reader(profile):
+    assert _canonical_profile(dumps_profile(profile)) == profile
+
+
+# ------------------------------------------------------------- MemberRecord
+
+def test_member_record_contract():
+    member = MemberRecord("a", 0)
+    with pytest.raises(AttributeError):
+        member.name = "b"
+    assert member == MemberRecord("a", 0)
+    assert hash(member) == hash(MemberRecord("a", 0))
+    assert member != MemberRecord("a", 1) and member != MemberRecord("b", 0)
+    assert member != ("a", 0) and ("a", 0) != member
+    assert not member == ("a", 0) and not ("a", 0) == member
+    assert repr(member) == "MemberRecord(name='a', offset=0)"
+    for clone in (pickle.loads(pickle.dumps(member)), copy.copy(member),
+                  copy.deepcopy(member)):
+        assert type(clone) is MemberRecord and clone == member
+    for other in (MemberRecord("b", 0), ("b", 0)):
+        with pytest.raises(TypeError):
+            member < other
+        with pytest.raises(TypeError):
+            other > member
+    with pytest.raises(TypeError):
+        sorted([MemberRecord("b", 0), member])
 
 
 @settings(max_examples=120, deadline=None)
