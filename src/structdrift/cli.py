@@ -292,13 +292,8 @@ def run(argv: List[str]) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except UnsupportedFormatError as exc:
-        print(f"structdrift: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
-        print(f"structdrift: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    # Before StructDriftError: UnsupportedFormatError is a SchemaError.
+    except (UnsupportedFormatError, UsageError, ValueError) as exc:
         print(f"structdrift: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (StructDriftError, OSError) as exc:

@@ -13,10 +13,11 @@ size, version) and set of wanted attributes: a tuple of steps run for
 every DIE of the unit that uses its code. A run of adjacent fixed-size
 attributes that are not wanted is one bounds-checked skip; wanted
 fixed-size integers and .debug_str offsets are unpacked in place with a
-precompiled struct; every other form (LEB128, inline
-strings, blocks, strx, DW_FORM_indirect) goes through the general
-per-form decoder. Any read past the section end raises
-MalformedDwarfError.
+precompiled struct; every other form (LEB128, inline strings, blocks,
+strx, DW_FORM_indirect) goes through the general decoder. That decoder
+reads a fixed-size form by its size from the unit's size table and
+gives the bytes their meaning from _MEANINGS, the same table the plan
+compiler reads. Any read past the section end raises MalformedDwarfError.
 """
 
 import struct
@@ -109,7 +110,22 @@ _OFFSET_SIZED_FORMS = (FORM_STRP, FORM_LINE_STRP, FORM_SEC_OFFSET, FORM_STRP_SUP
 _LEB_FORMS = frozenset([FORM_UDATA, FORM_SDATA, FORM_REF_UDATA, FORM_STRX, FORM_ADDRX,
                         FORM_LOCLISTX, FORM_RNGLISTX, FORM_GNU_ADDR_INDEX,
                         FORM_GNU_STR_INDEX])
-_BLOCK_FORMS = frozenset([FORM_BLOCK1, FORM_BLOCK2, FORM_BLOCK4, FORM_BLOCK, FORM_EXPRLOC])
+# Byte size of each block form's length prefix; 0 means a ULEB128 length.
+_BLOCK_PREFIX = {FORM_BLOCK1: 1, FORM_BLOCK2: 2, FORM_BLOCK4: 4, FORM_BLOCK: 0,
+                 FORM_EXPRLOC: 0}
+# What the number read for a fixed-size or unsigned LEB128 form means:
+# itself ("int"), a flag, a .debug_str or .debug_line_str offset, or an
+# index into .debug_str_offsets. "present" is DW_FORM_flag_present, true
+# with no bytes. A form missing here carries a value never interpreted
+# and decodes to None.
+_MEANINGS = {
+    FORM_DATA1: "int", FORM_DATA2: "int", FORM_DATA4: "int", FORM_DATA8: "int",
+    FORM_SEC_OFFSET: "int", FORM_UDATA: "int",
+    FORM_FLAG: "flag", FORM_FLAG_PRESENT: "present",
+    FORM_STRP: "strp", FORM_LINE_STRP: "line_strp",
+    FORM_STRX: "strx", FORM_GNU_STR_INDEX: "strx", FORM_STRX1: "strx",
+    FORM_STRX2: "strx", FORM_STRX3: "strx", FORM_STRX4: "strx",
+}
 _UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
 
 # Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
@@ -119,7 +135,7 @@ _SKIP = 0     # advance over `size` bytes of attributes that are not wanted
 _UNPACK = 1   # unsigned integer of `size` bytes; argument: its unpack_from
 _STRP = 2     # .debug_str offset of `size` bytes; argument: its unpack_from
 _CONST = 3    # value held by the abbreviation; argument: the value
-_GENERAL = 4  # any other form, through UnitWalker._value/_skip; argument: implicit const
+_GENERAL = 4  # any other form, through UnitWalker._value/_skip; argument: None
 
 
 class Cursor:
@@ -152,18 +168,9 @@ class Cursor:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u24(self) -> int:
-        b = self.take(3)
-        return b[0] | (b[1] << 8) | (b[2] << 16)
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def uint(self, n: int) -> int:
+        """Unsigned little-endian integer of `n` bytes."""
+        return int.from_bytes(self.take(n), "little")
 
     def uleb(self) -> int:
         result = 0
@@ -223,18 +230,18 @@ def iter_unit_headers(
     cur = Cursor(data, section)
     while cur.pos < len(data):
         start = cur.pos
-        length = cur.u32()
+        length = cur.uint(4)
         dwarf64 = False
         if length == 0xFFFFFFFF:
             dwarf64 = True
-            length = cur.u64()
+            length = cur.uint(8)
         elif length >= 0xFFFFFFF0:
             raise cur.fail(f"reserved initial length {length:#x}")
         body_start = cur.pos
         end = body_start + length
         if end > len(data):
             raise cur.fail("unit length extends past end of section")
-        version = cur.u16()
+        version = cur.uint(2)
         if not 2 <= version <= 5:
             raise cur.fail(f"unsupported DWARF version {version}")
         offset_size = 8 if dwarf64 else 4
@@ -242,13 +249,13 @@ def iter_unit_headers(
         if version >= 5:
             unit_type = cur.u8()
             address_size = cur.u8()
-            abbrev_offset = cur.u64() if dwarf64 else cur.u32()
+            abbrev_offset = cur.uint(offset_size)
             if unit_type in _UNIT_TYPES_WITH_SIGNATURE:
                 cur.take(8 + offset_size)  # type signature + type offset
             elif unit_type in (4, 5):  # skeleton / split_compile
                 cur.take(8)  # dwo_id
         else:
-            abbrev_offset = cur.u64() if dwarf64 else cur.u32()
+            abbrev_offset = cur.uint(offset_size)
             address_size = cur.u8()
             if types_section:
                 cur.take(8 + offset_size)
@@ -334,18 +341,19 @@ def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int], wanted: frozenset) ->
         if run:
             steps.append((_SKIP, run, None, None))
             run = 0
+        meaning = _MEANINGS.get(form) if size is not None else None
         if not keep:
-            steps.append((_GENERAL, form, None, const))
-        elif form in (FORM_DATA1, FORM_DATA2, FORM_DATA4, FORM_DATA8, FORM_SEC_OFFSET):
+            steps.append((_GENERAL, form, None, None))
+        elif meaning == "int":
             steps.append((_UNPACK, size, attr, _UNSIGNED[size].unpack_from))
-        elif form == FORM_STRP:
+        elif meaning == "strp":
             steps.append((_STRP, size, attr, _UNSIGNED[size].unpack_from))
-        elif form == FORM_FLAG_PRESENT:
+        elif meaning == "present":
             steps.append((_CONST, 0, attr, True))
         elif form == FORM_IMPLICIT_CONST:
             steps.append((_CONST, 0, attr, const))
         else:
-            steps.append((_GENERAL, form, attr, const))
+            steps.append((_GENERAL, form, attr, None))
     if run:
         steps.append((_SKIP, run, None, None))
     return decl.tag, decl.has_children, tuple(steps)
@@ -425,7 +433,7 @@ class UnitWalker:
                     if attr is None:
                         self._skip(form)
                     else:
-                        attrs[attr] = self._value(form, arg)
+                        attrs[attr] = self._value(form)
                     pos = cur.pos
             cur.pos = pos
             if tag == TAG_COMPILE_UNIT and AT_STR_OFFSETS_BASE in attrs:
@@ -471,63 +479,38 @@ class UnitWalker:
         return _read_cstr_at(self.strings.debug_str, offset, cur, "strx string")
 
     def _block_length(self, form: int) -> int:
-        cur = self.cur
-        if form == FORM_BLOCK1:
-            return cur.u8()
-        if form == FORM_BLOCK2:
-            return cur.u16()
-        if form == FORM_BLOCK4:
-            return cur.u32()
-        return cur.uleb()
+        prefix = _BLOCK_PREFIX[form]
+        return self.cur.uint(prefix) if prefix else self.cur.uleb()
 
-    def _value(self, form: int, const: Optional[int]):
+    def _value(self, form: int):
+        """Decoded value of one attribute; None for a form never interpreted."""
         cur = self.cur
-        osize = self.header.offset_size
-        if form == FORM_DATA1:
-            return cur.u8()
-        if form == FORM_DATA2:
-            return cur.u16()
-        if form == FORM_DATA4:
-            return cur.u32()
-        if form == FORM_DATA8:
-            return cur.u64()
-        if form == FORM_UDATA:
-            return cur.uleb()
-        if form == FORM_SDATA:
+        size = self.sizes.get(form)
+        if size is not None:
+            number = cur.uint(size)
+        elif form == FORM_SDATA:
             return cur.sleb()
-        if form == FORM_IMPLICIT_CONST:
-            return const
-        if form == FORM_FLAG:
-            return cur.u8() != 0
-        if form == FORM_FLAG_PRESENT:
-            return True
-        if form == FORM_STRING:
+        elif form in _LEB_FORMS:
+            number = cur.uleb()
+        elif form == FORM_STRING:
             return cur.cstr().decode("utf-8", "replace")
-        if form == FORM_STRP:
-            offset = cur.u64() if osize == 8 else cur.u32()
-            return _read_cstr_at(self.strings.debug_str, offset, cur, "strp string")
-        if form == FORM_LINE_STRP:
-            offset = cur.u64() if osize == 8 else cur.u32()
-            return _read_cstr_at(self.strings.line_str, offset, cur, "line_strp string")
-        if form == FORM_STRX:
-            return self._strx(cur.uleb())
-        if form == FORM_STRX1:
-            return self._strx(cur.u8())
-        if form == FORM_STRX2:
-            return self._strx(cur.u16())
-        if form == FORM_STRX3:
-            return self._strx(cur.u24())
-        if form == FORM_STRX4:
-            return self._strx(cur.u32())
-        if form == FORM_GNU_STR_INDEX:
-            return self._strx(cur.uleb())
-        if form in _BLOCK_FORMS:
+        elif form in _BLOCK_PREFIX:
             return cur.take(self._block_length(form))
-        if form == FORM_SEC_OFFSET:
-            return cur.u64() if osize == 8 else cur.u32()
-        # Remaining forms carry values we never interpret.
-        self._skip(form)
-        return None
+        else:
+            raise cur.fail(f"unknown attribute form {form:#x}")
+        meaning = _MEANINGS.get(form)
+        if meaning is None:
+            return None
+        if meaning == "int":
+            return number
+        if meaning == "flag":
+            return number != 0
+        if meaning == "present":
+            return True
+        if meaning == "strx":
+            return self._strx(number)
+        table = self.strings.debug_str if meaning == "strp" else self.strings.line_str
+        return _read_cstr_at(table, number, cur, f"{meaning} string")
 
     def _skip(self, form: int) -> None:
         cur = self.cur
@@ -538,10 +521,8 @@ class UnitWalker:
             cur.uleb()
         elif form == FORM_STRING:
             cur.cstr()
-        elif form in _BLOCK_FORMS:
+        elif form in _BLOCK_PREFIX:
             cur.skip(self._block_length(form))
-        elif form == FORM_INDIRECT:
-            self._skip(self._indirect_form())
         else:
             raise cur.fail(f"unknown attribute form {form:#x}")
 

@@ -126,22 +126,19 @@ class ElfFile:
         return raw
 
     def _decompress_chdr(self, name: str, raw: bytes) -> bytes:
-        e = self._end
-        if self.bits == 64:
-            ch_type, _reserved, _size, _align = struct.unpack_from(e + "IIQQ", raw, 0)
-            payload = raw[24:]
-        else:
-            ch_type, _size, _align = struct.unpack_from(e + "III", raw, 0)
-            payload = raw[12:]
+        header = struct.Struct(self._end + ("IIQQ" if self.bits == 64 else "III"))
+        if len(raw) < header.size:
+            raise NotElfError(f"section {name} is too short for its compression header")
+        ch_type = header.unpack_from(raw, 0)[0]
         if ch_type != ELFCOMPRESS_ZLIB:
             raise NotElfError(f"section {name} uses unsupported compression {ch_type}")
-        return zlib.decompress(payload)
+        return _inflate(name, raw[header.size:])
 
     @staticmethod
     def _decompress_legacy(name: str, raw: bytes) -> bytes:
         if raw[:4] != b"ZLIB":
             raise NotElfError(f"section {name} lacks ZLIB header")
-        return zlib.decompress(raw[12:])
+        return _inflate(name, raw[12:])
 
     def debug_section(self, suffix: str) -> Optional[bytes]:
         """Return decompressed contents of .debug_<suffix> (or .zdebug_<suffix>)."""
@@ -153,6 +150,13 @@ class ElfFile:
 
     def architecture_label(self) -> Optional[str]:
         return MACHINE_LABELS.get((self.machine, self.bits))
+
+
+def _inflate(name: str, payload: bytes) -> bytes:
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise NotElfError(f"section {name} does not decompress: {exc}") from exc
 
 
 def load_elf(path) -> ElfFile:

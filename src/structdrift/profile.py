@@ -78,6 +78,18 @@ class ProfileMeta:
     extraction_tool_version: str
 
 
+# ProfileMeta's fields in order, with the JSON type of each.
+_META_FIELDS = {
+    "platform_version": str,
+    "architecture": str,
+    "build_variant": str,
+    "binary_size_bytes": int,
+    "dwarf_versions_seen": list,
+    "raw_type_die_count": int,
+    "extraction_tool_version": str,
+}
+
+
 @dataclass
 class Profile:
     meta: ProfileMeta
@@ -139,18 +151,11 @@ def validate_profile(profile: Profile) -> None:
 def profile_to_doc(profile: Profile) -> dict:
     """Canonical document; rejects non-canonical profiles."""
     validate_profile(profile)
-    meta = profile.meta
+    meta = {key: getattr(profile.meta, key) for key in _META_FIELDS}
+    meta["dwarf_versions_seen"] = list(meta["dwarf_versions_seen"])
     return {
         "schema": PROFILE_SCHEMA,
-        "meta": {
-            "platform_version": meta.platform_version,
-            "architecture": meta.architecture,
-            "build_variant": meta.build_variant,
-            "binary_size_bytes": meta.binary_size_bytes,
-            "dwarf_versions_seen": list(meta.dwarf_versions_seen),
-            "raw_type_die_count": meta.raw_type_die_count,
-            "extraction_tool_version": meta.extraction_tool_version,
-        },
+        "meta": meta,
         "structures": {
             name: {
                 "size": record.byte_size,
@@ -222,6 +227,8 @@ def parse_json_document(text: str, expected_schema: str) -> dict:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("JSON nesting is too deep") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document is not a JSON object")
     schema = doc.get("schema")
@@ -240,18 +247,6 @@ def read_text(source) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{source} is not valid UTF-8: {exc}") from exc
-
-
-# ProfileMeta's fields in order, with the JSON type of each.
-_META_FIELDS = {
-    "platform_version": str,
-    "architecture": str,
-    "build_variant": str,
-    "binary_size_bytes": int,
-    "dwarf_versions_seen": list,
-    "raw_type_die_count": int,
-    "extraction_tool_version": str,
-}
 
 
 def _member_record(doc, where: str) -> MemberRecord:

@@ -5,6 +5,8 @@ optional CSV renderers. CSV is available for matrix-, aggregate- and
 timeline-shaped reports; real-valued cells carry three fraction digits,
 counts and offsets stay plain integers, and absent cells are left empty.
 Table output is fixed-width and carries the same values as the JSON form.
+A report with both forms has one (headers, rows) builder, told only the
+absent-cell marker or the total-row label each form uses.
 """
 
 from typing import Callable, List, NamedTuple, Optional
@@ -31,10 +33,10 @@ CAPABILITIES_SCHEMA = "structdrift-capabilities/1"
 CHAIN_REPORTS_SCHEMA = "structdrift-chain-reports/1"
 INDEX_SCHEMA = "structdrift-index/1"
 
-AGGREGATE_CSV_HEADER = (
-    "transition,offset_changes,member_additions,member_removals,"
-    "structure_removals,total_impact"
-)
+# The ChangeCounts fields the aggregate CSV and table show, in column order.
+_AGGREGATE_COUNTS = ["offset_changes", "member_additions", "member_removals",
+                     "structure_removals", "total_impact"]
+AGGREGATE_CSV_HEADER = ",".join(["transition"] + _AGGREGATE_COUNTS)
 
 
 class UnsupportedFormatError(SchemaError):
@@ -66,15 +68,13 @@ def matrix_to_doc(matrix: ImpactMatrix) -> dict:
     }
 
 
-def matrix_to_csv(matrix: ImpactMatrix) -> str:
-    header = ["structure"] + [transition_label(a, b) for a, b in matrix.transitions]
-    lines = [",".join(header)]
-    for name in matrix.structures:
-        cells = [
-            "" if s is None else f"{s.score:.3f}" for s in matrix.scores[name]
-        ]
-        lines.append(",".join([name] + cells))
-    return "\n".join(lines) + "\n"
+def _matrix_rows(matrix: ImpactMatrix, absent: str):
+    headers = ["structure"] + [transition_label(a, b) for a, b in matrix.transitions]
+    rows = [
+        [name] + [absent if s is None else f"{s.score:.3f}" for s in matrix.scores[name]]
+        for name in matrix.structures
+    ]
+    return headers, rows
 
 
 # -------------------------------------------------------------- timeline
@@ -90,11 +90,12 @@ def timeline_to_doc(report: TimelineReport) -> dict:
     }
 
 
-def timeline_to_csv(report: TimelineReport) -> str:
-    lines = ["version,value"]
-    for version, value in report.points:
-        lines.append(f"{version},{'' if value is None else value}")
-    return "\n".join(lines) + "\n"
+def _timeline_rows(report: TimelineReport, absent: str):
+    rows = [
+        [version, absent if value is None else str(value)]
+        for version, value in report.points
+    ]
+    return ["version", "value"], rows
 
 
 # ------------------------------------------------------------ volatility
@@ -159,19 +160,13 @@ def aggregate_to_doc(table: TransitionTable) -> dict:
     }
 
 
-def aggregate_to_csv(table: TransitionTable) -> str:
-    lines = [AGGREGATE_CSV_HEADER]
-    for frm, to, c in table.rows:
-        lines.append(
-            f"{transition_label(frm, to)},{c.offset_changes},{c.member_additions},"
-            f"{c.member_removals},{c.structure_removals},{c.total_impact}"
-        )
-    t = table.totals
-    lines.append(
-        f"total,{t.offset_changes},{t.member_additions},{t.member_removals},"
-        f"{t.structure_removals},{t.total_impact}"
-    )
-    return "\n".join(lines) + "\n"
+def _aggregate_rows(table: TransitionTable, total: str):
+    def row(label: str, counts: ChangeCounts) -> List[str]:
+        return [label] + [str(getattr(counts, name)) for name in _AGGREGATE_COUNTS]
+
+    rows = [row(transition_label(frm, to), c) for frm, to, c in table.rows]
+    rows.append(row(total, table.totals))
+    return ["transition"] + _AGGREGATE_COUNTS, rows
 
 
 # ---------------------------------------------------------- chain reports
@@ -232,7 +227,11 @@ def index_to_doc(index: RepositoryIndex) -> dict:
     }
 
 
-# ----------------------------------------------------------------- table
+# ------------------------------------------------------------ csv, table
+
+def _csv(headers: List[str], rows: List[List[str]]) -> str:
+    return "\n".join(",".join(row) for row in [headers, *rows]) + "\n"
+
 
 def _fixed_table(headers: List[str], rows: List[List[str]]) -> str:
     widths = [len(h) for h in headers]
@@ -282,39 +281,9 @@ def _diff_table(report: DiffReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_table(matrix: ImpactMatrix) -> str:
-    headers = ["structure"] + [transition_label(a, b) for a, b in matrix.transitions]
-    rows = []
-    for name in matrix.structures:
-        rows.append(
-            [name]
-            + ["-" if s is None else f"{s.score:.3f}" for s in matrix.scores[name]]
-        )
-    return _fixed_table(headers, rows)
-
-
-def _aggregate_table(table: TransitionTable) -> str:
-    headers = ["transition", "offset_changes", "member_additions",
-               "member_removals", "structure_removals", "total_impact"]
-    rows = [
-        [transition_label(frm, to), str(c.offset_changes), str(c.member_additions),
-         str(c.member_removals), str(c.structure_removals), str(c.total_impact)]
-        for frm, to, c in table.rows
-    ]
-    t = table.totals
-    rows.append(["Total", str(t.offset_changes), str(t.member_additions),
-                 str(t.member_removals), str(t.structure_removals),
-                 str(t.total_impact)])
-    return _fixed_table(headers, rows)
-
-
 def _timeline_table(report: TimelineReport) -> str:
     subject = report.structure + (f".{report.member}" if report.member else "")
-    rows = [
-        [version, "absent" if value is None else str(value)]
-        for version, value in report.points
-    ]
-    return f"timeline for {subject}\n" + _fixed_table(["version", "value"], rows)
+    return f"timeline for {subject}\n" + _fixed_table(*_timeline_rows(report, "absent"))
 
 
 def _volatility_table(stats: VolatilityStats) -> str:
@@ -390,10 +359,14 @@ class _Renderers(NamedTuple):
 _RENDERERS = {
     Profile: _Renderers(profile_to_doc, _profile_table),
     DiffReport: _Renderers(diff_to_doc, _diff_table),
-    ImpactMatrix: _Renderers(matrix_to_doc, _matrix_table, matrix_to_csv),
-    TimelineReport: _Renderers(timeline_to_doc, _timeline_table, timeline_to_csv),
+    ImpactMatrix: _Renderers(matrix_to_doc, lambda m: _fixed_table(*_matrix_rows(m, "-")),
+                             lambda m: _csv(*_matrix_rows(m, ""))),
+    TimelineReport: _Renderers(timeline_to_doc, _timeline_table,
+                               lambda r: _csv(*_timeline_rows(r, ""))),
     VolatilityStats: _Renderers(volatility_to_doc, _volatility_table),
-    TransitionTable: _Renderers(aggregate_to_doc, _aggregate_table, aggregate_to_csv),
+    TransitionTable: _Renderers(aggregate_to_doc,
+                                lambda t: _fixed_table(*_aggregate_rows(t, "Total")),
+                                lambda t: _csv(*_aggregate_rows(t, "total"))),
     CapabilityAssessment: _Renderers(capabilities_to_doc, _capabilities_table),
     RepositoryIndex: _Renderers(index_to_doc, _index_table),
     StatsReport: _Renderers(stats_to_doc, _stats_table),

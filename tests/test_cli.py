@@ -545,12 +545,18 @@ def test_binary_to_analysis_pipeline(tmp_path, capsys):
 def test_malformed_inputs_never_crash(tmp_path, capsys):
     rng = random.Random(999)
     elf_prefix = fixture_path("layouts-dwarf4-64.so").read_bytes()[:64]
+    good = write_tmp_profile(tmp_path, art_profile("9"), "good.profile.json")
+    payloads = []
     for i in range(60):
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 400)))
         if i % 3 == 0:
             payload = elf_prefix[: rng.randrange(0, 64)] + payload
         if i % 5 == 0:
             payload = b'{"schema": "structdrift-profile/1"' + payload
+        payloads.append(payload)
+    # Nested deeper than the JSON parser's recursion limit.
+    payloads.append(b"[" * 200000)
+    for i, payload in enumerate(payloads):
         bad = tmp_path / f"bad{i}"
         bad.write_bytes(payload)
         for argv in (
@@ -558,6 +564,8 @@ def test_malformed_inputs_never_crash(tmp_path, capsys):
             ["diff", str(bad), str(bad)],
             ["stats", str(bad)],
             ["chains", str(bad)],
+            ["diff", good, good, "--scope", str(bad)],
+            ["chains", good, "--chains", str(bad)],
         ):
             code = run(argv)
             capsys.readouterr()

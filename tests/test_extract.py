@@ -491,13 +491,20 @@ def test_merge_never_invents_names():
 FUZZ_CASES = 300
 
 
-@pytest.mark.parametrize("region", ["header", ".debug_info", ".debug_abbrev", ".debug_str"])
-def test_mutated_fixture_never_escapes(tmp_path, capsys, region):
+@pytest.mark.parametrize("fixture, region", [
+    ("layouts-dwarf5-64.so", "header"),
+    ("layouts-dwarf5-64.so", ".debug_info"),
+    ("layouts-dwarf5-64.so", ".debug_abbrev"),
+    ("layouts-dwarf5-64.so", ".debug_str"),
+    # Compressed: the mutations hit the compression header and zlib stream.
+    ("layouts-zlib-64.so", ".debug_info"),
+], ids=["header", ".debug_info", ".debug_abbrev", ".debug_str", "zlib-.debug_info"])
+def test_mutated_fixture_never_escapes(tmp_path, capsys, fixture, region):
     # Seeded, bounded byte mutation: every case must end in success or a
     # clean input error, never a traceback or exit code 1.
     from structdrift.cli import run
 
-    source = fixture_path("layouts-dwarf5-64.so")
+    source = fixture_path(fixture)
     original = source.read_bytes()
     if region == "header":
         start, size = 0, 64
@@ -513,7 +520,7 @@ def test_mutated_fixture_never_escapes(tmp_path, capsys, region):
         target.write_bytes(bytes(data))
         code = run(["extract", str(target)])
         capsys.readouterr()
-        assert code in (0, 3), (region, case, code)
+        assert code in (0, 3), (fixture, region, case, code)
 
 
 # ------------------------------------------------------ decoder round trip
