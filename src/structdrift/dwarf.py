@@ -7,22 +7,35 @@ versions 2 through 5 are accepted; both .debug_str indirection (strp) and
 the DWARF 5 indexed-string scheme (strx via .debug_str_offsets) are
 supported, as are the GCC and Clang encodings of member positions.
 
-Each unit's walker compiles an abbreviation declaration, on its first
-use, into a decode plan for that unit's shape (address size, offset
-size, version) and set of wanted attributes: a tuple of steps run for
-every DIE of the unit that uses its code. A run of adjacent fixed-size
-attributes that are not wanted is one bounds-checked skip; wanted
-fixed-size integers and .debug_str offsets are unpacked in place with a
-precompiled struct; every other form (LEB128, inline strings, blocks,
-strx, DW_FORM_indirect) goes through the general decoder. That decoder
-reads a fixed-size form by its size from the unit's size table and
-gives the bytes their meaning from _MEANINGS, the same table the plan
-compiler reads. Any read past the section end raises MalformedDwarfError.
+A walker is told which attributes it wants of which tag. Each unit's
+walker compiles an abbreviation declaration, on its first use, into a
+decode plan for that unit's shape (address size, offset size, version)
+and for the attributes wanted of the declaration's tag: a tuple of steps
+run for every DIE of the unit that uses its code. A tag with no wanted
+attributes compiles to skips only. A run of adjacent fixed-size
+attributes that are not wanted is one bounds-checked skip; an unwanted
+LEB128 of one byte, ULEB128-length block or exprloc with a one-byte
+length, or inline string is skipped in place, and any longer or cut-off
+one falls back to the general decoder's skip, so every error keeps its
+message and offset. Wanted fixed-size integers and .debug_str offsets
+are unpacked in place with a precompiled struct; every other wanted form
+(LEB128, inline strings, blocks, strx, DW_FORM_indirect) goes through
+the general decoder. That decoder reads a fixed-size form by its size
+from the unit's size table and gives the bytes their meaning from
+_MEANINGS, the same table the plan compiler reads. A strp name is
+decoded once per StringTables and then looked up by its .debug_str
+offset.
+
+Every skip is bounds-checked, so a read past the section end raises
+MalformedDwarfError wherever it happens. An attribute that is not wanted
+is never decoded, so a bad string reference on, say, a subprogram goes
+unnoticed; the same reference on a wanted attribute raises
+MalformedDwarfError.
 """
 
 import struct
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Collection, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import MalformedDwarfError
 
@@ -130,12 +143,19 @@ _UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"
 
 # Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
 # the attribute is None for a step that only skips. The kinds up to _STRP
-# read `size` bytes at the current position and share one bounds check.
-_SKIP = 0     # advance over `size` bytes of attributes that are not wanted
-_UNPACK = 1   # unsigned integer of `size` bytes; argument: its unpack_from
-_STRP = 2     # .debug_str offset of `size` bytes; argument: its unpack_from
-_CONST = 3    # value held by the abbreviation; argument: the value
-_GENERAL = 4  # any other form, through UnitWalker._value/_skip; argument: None
+# read `size` bytes at the current position and share one bounds check;
+# the three variable-size skips fall back to UnitWalker._skip(form).
+_SKIP = 0         # advance over `size` bytes of attributes that are not wanted
+_UNPACK = 1       # unsigned integer of `size` bytes; argument: its unpack_from
+_STRP = 2         # .debug_str offset of `size` bytes; argument: its unpack_from
+_SKIP_LEB = 3     # LEB128 not wanted: in place when it is one byte
+_SKIP_BLOCK = 4   # ULEB128-length block or exprloc not wanted: in place when
+                  # its length is one byte and its data is in the section
+_SKIP_STRING = 5  # inline string not wanted: in place when it is terminated
+_CONST = 6        # value held by the abbreviation; argument: the value
+_GENERAL = 7      # any other form, through UnitWalker._value/_skip; argument: None
+_INLINE_SKIPS = {**dict.fromkeys(_LEB_FORMS, _SKIP_LEB), FORM_BLOCK: _SKIP_BLOCK,
+                 FORM_EXPRLOC: _SKIP_BLOCK, FORM_STRING: _SKIP_STRING}
 
 
 class Cursor:
@@ -306,6 +326,9 @@ class StringTables:
     debug_str: Optional[bytes] = None
     line_str: Optional[bytes] = None
     str_offsets: Optional[bytes] = None
+    # strp names decoded so far, by .debug_str offset, shared by every unit
+    # walked with these tables.
+    names: Dict[int, str] = field(default_factory=dict)
 
 
 def _read_cstr_at(table: Optional[bytes], offset: int, cur: Cursor, what: str) -> str:
@@ -328,7 +351,8 @@ def _form_sizes(header: UnitHeader) -> Dict[int, int]:
     return sizes
 
 
-def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int], wanted: frozenset) -> tuple:
+def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int],
+                  wanted: Collection[int]) -> tuple:
     """Turn one abbreviation into (tag, has_children, steps); see the module doc."""
     steps = []
     run = 0
@@ -343,7 +367,7 @@ def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int], wanted: frozenset) ->
             run = 0
         meaning = _MEANINGS.get(form) if size is not None else None
         if not keep:
-            steps.append((_GENERAL, form, None, None))
+            steps.append((_INLINE_SKIPS.get(form, _GENERAL), form, None, None))
         elif meaning == "int":
             steps.append((_UNPACK, size, attr, _UNSIGNED[size].unpack_from))
         elif meaning == "strp":
@@ -360,7 +384,8 @@ def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int], wanted: frozenset) ->
 
 
 class UnitWalker:
-    """Iterates one unit's DIEs, decoding only the attributes in `wanted`."""
+    """Iterates one unit's DIEs, decoding only the attributes that `wanted`,
+    a mapping from tag to attribute numbers, lists for each DIE's tag."""
 
     def __init__(
         self,
@@ -368,7 +393,7 @@ class UnitWalker:
         header: UnitHeader,
         abbrevs: Dict[int, AbbrevDecl],
         strings: StringTables,
-        wanted: frozenset,
+        wanted: Mapping[int, Collection[int]],
         section: str = ".debug_info",
     ):
         self.cur = Cursor(data, section, header.die_start)
@@ -388,6 +413,7 @@ class UnitWalker:
         end = self.header.end
         plans = self.plans
         debug_str = self.strings.debug_str
+        names = self.strings.names
         pos = cur.pos
         depth = 0
         while pos < end:
@@ -417,24 +443,43 @@ class UnitWalker:
                         attrs[attr] = arg(data, pos)[0]
                     elif kind == _STRP:
                         offset = arg(data, pos)[0]
-                        stop = -1 if debug_str is None else debug_str.find(b"\x00", offset)
-                        if stop < 0:  # no table or no terminator: raises
-                            cur.pos = pos + n
-                            _read_cstr_at(debug_str, offset, cur, "strp string")
-                        attrs[attr] = debug_str[offset:stop].decode("utf-8", "replace")
+                        name = names.get(offset)
+                        if name is None:
+                            stop = -1 if debug_str is None else debug_str.find(b"\x00", offset)
+                            if stop < 0:  # no table or no terminator: raises
+                                cur.pos = pos + n
+                                _read_cstr_at(debug_str, offset, cur, "strp string")
+                            name = debug_str[offset:stop].decode("utf-8", "replace")
+                            names[offset] = name
+                        attrs[attr] = name
                     pos += n
+                    continue
+                if kind == _SKIP_LEB:
+                    if pos < limit and data[pos] < 0x80:
+                        pos += 1
+                        continue
+                elif kind == _SKIP_BLOCK:
+                    if pos < limit and data[pos] < 0x80 and pos + 1 + data[pos] <= limit:
+                        pos += 1 + data[pos]
+                        continue
+                elif kind == _SKIP_STRING:
+                    stop = data.find(b"\x00", pos)
+                    if stop >= 0:
+                        pos = stop + 1
+                        continue
                 elif kind == _CONST:
                     attrs[attr] = arg
+                    continue
+                # _GENERAL, or an in-place skip that does not apply here.
+                cur.pos = pos
+                form = n
+                if form == FORM_INDIRECT:
+                    form = self._indirect_form()
+                if attr is None:
+                    self._skip(form)
                 else:
-                    cur.pos = pos
-                    form = n
-                    if form == FORM_INDIRECT:
-                        form = self._indirect_form()
-                    if attr is None:
-                        self._skip(form)
-                    else:
-                        attrs[attr] = self._value(form)
-                    pos = cur.pos
+                    attrs[attr] = self._value(form)
+                pos = cur.pos
             cur.pos = pos
             if tag == TAG_COMPILE_UNIT and AT_STR_OFFSETS_BASE in attrs:
                 self.str_offsets_base = attrs[AT_STR_OFFSETS_BASE]
@@ -448,7 +493,8 @@ class UnitWalker:
         decl = self.abbrevs.get(code)
         if decl is None:
             raise self.cur.fail(f"reference to unknown abbreviation code {code}")
-        plan = self.plans[code] = _compile_plan(decl, self.sizes, self.wanted)
+        plan = self.plans[code] = _compile_plan(decl, self.sizes,
+                                                self.wanted.get(decl.tag, ()))
         return plan
 
     def _indirect_form(self) -> int:

@@ -2,9 +2,12 @@
 
 Handles 32- and 64-bit files of either endianness and decompresses
 zlib-compressed debug sections (both SHF_COMPRESSED and legacy .zdebug_*).
+A compressed section must inflate to exactly the size its header states;
+inflation stops one byte past that size.
 """
 
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -126,19 +129,20 @@ class ElfFile:
         return raw
 
     def _decompress_chdr(self, name: str, raw: bytes) -> bytes:
+        # Elf64_Chdr: type, reserved, size, align; Elf32_Chdr: type, size, align.
         header = struct.Struct(self._end + ("IIQQ" if self.bits == 64 else "III"))
         if len(raw) < header.size:
             raise NotElfError(f"section {name} is too short for its compression header")
-        ch_type = header.unpack_from(raw, 0)[0]
+        ch_type, *_, ch_size, _ = header.unpack_from(raw, 0)
         if ch_type != ELFCOMPRESS_ZLIB:
             raise NotElfError(f"section {name} uses unsupported compression {ch_type}")
-        return _inflate(name, raw[header.size:])
+        return _inflate(name, raw[header.size:], ch_size)
 
     @staticmethod
     def _decompress_legacy(name: str, raw: bytes) -> bytes:
         if raw[:4] != b"ZLIB":
             raise NotElfError(f"section {name} lacks ZLIB header")
-        return _inflate(name, raw[12:])
+        return _inflate(name, raw[12:], int.from_bytes(raw[4:12], "big"))
 
     def debug_section(self, suffix: str) -> Optional[bytes]:
         """Return decompressed contents of .debug_<suffix> (or .zdebug_<suffix>)."""
@@ -152,11 +156,17 @@ class ElfFile:
         return MACHINE_LABELS.get((self.machine, self.bits))
 
 
-def _inflate(name: str, payload: bytes) -> bytes:
+def _inflate(name: str, payload: bytes, size: int) -> bytes:
+    """The zlib stream `payload`, which must inflate to exactly `size` bytes."""
+    inflater = zlib.decompressobj()
     try:
-        return zlib.decompress(payload)
+        data = inflater.decompress(payload, min(size + 1, sys.maxsize))
     except zlib.error as exc:
         raise NotElfError(f"section {name} does not decompress: {exc}") from exc
+    if len(data) != size or not inflater.eof:
+        raise NotElfError(f"section {name} does not decompress to its stated "
+                          f"size of {size} bytes")
+    return data
 
 
 def load_elf(path) -> ElfFile:

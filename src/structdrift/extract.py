@@ -19,6 +19,7 @@ from .dwarf import (
     AT_NAME,
     AT_STR_OFFSETS_BASE,
     TAG_CLASS_TYPE,
+    TAG_COMPILE_UNIT,
     TAG_MEMBER,
     TAG_STRUCTURE_TYPE,
     StringTables,
@@ -40,10 +41,14 @@ from .profile import (
 UNNAMED = "UnNamed"
 
 _TYPE_TAGS = (TAG_CLASS_TYPE, TAG_STRUCTURE_TYPE)
-_WANTED_ATTRS = frozenset(
-    [AT_NAME, AT_BYTE_SIZE, AT_DATA_MEMBER_LOCATION, AT_DATA_BIT_OFFSET,
-     AT_DECLARATION, AT_STR_OFFSETS_BASE]
-)
+_TYPE_ATTRS = frozenset([AT_NAME, AT_BYTE_SIZE, AT_DECLARATION])
+# The attributes a layout reads, by tag; the walker only skips the others.
+_WANTED = {
+    TAG_CLASS_TYPE: _TYPE_ATTRS,
+    TAG_STRUCTURE_TYPE: _TYPE_ATTRS,
+    TAG_MEMBER: frozenset([AT_NAME, AT_DATA_MEMBER_LOCATION, AT_DATA_BIT_OFFSET]),
+    TAG_COMPILE_UNIT: frozenset([AT_STR_OFFSETS_BASE]),
+}
 
 
 @dataclass
@@ -115,6 +120,9 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
         raise NoDwarfError(f"{path} has no .debug_abbrev section")
 
     abbrev_cache: Dict[int, dict] = {}
+    # One record per distinct (name, offset), so that repeated definitions
+    # share their records and merging compares them by identity.
+    records: Dict[Tuple[str, int], MemberRecord] = {}
     for data, section_name, is_types in sections:
         for header in iter_unit_headers(data, section_name, types_section=is_types):
             unit_index = unit_count
@@ -124,15 +132,34 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
             if table is None:
                 table = parse_abbrev_table(abbrev, header.abbrev_offset)
                 abbrev_cache[header.abbrev_offset] = table
-            walker = UnitWalker(data, header, table, strings, _WANTED_ATTRS,
-                                section_name)
+            walker = UnitWalker(data, header, table, strings, _WANTED, section_name)
             # Stack of (depth, entry) for open class/structure DIEs so that
             # only direct member children attach to each type.
             open_types: List[Tuple[int, RawTypeEntry]] = []
             for depth, tag, attrs in walker:
                 while open_types and depth <= open_types[-1][0]:
                     open_types.pop()
-                if tag in _TYPE_TAGS:
+                if tag == TAG_MEMBER:
+                    if not open_types or depth != open_types[-1][0] + 1:
+                        continue
+                    parent = open_types[-1][1]
+                    # A plain non-negative constant location is the offset.
+                    offset = attrs.get(AT_DATA_MEMBER_LOCATION)
+                    if type(offset) is not int or offset < 0:
+                        offset = member_byte_offset(attrs)
+                    if offset is None or offset >= OFFSET_SANITY_BOUND:
+                        if AT_DATA_MEMBER_LOCATION in attrs or AT_DATA_BIT_OFFSET in attrs:
+                            skipped_members += 1
+                        continue
+                    if parent.byte_size and offset >= parent.byte_size:
+                        skipped_members += 1
+                        continue
+                    key = (_clean_name(attrs.get(AT_NAME)), offset)
+                    record = records.get(key)
+                    if record is None:
+                        record = records[key] = MemberRecord(*key)
+                    parent.members.append(record)
+                elif tag in _TYPE_TAGS:
                     name = _clean_name(attrs.get(AT_NAME))
                     byte_size = _clean_int(attrs.get(AT_BYTE_SIZE))
                     entry = RawTypeEntry(
@@ -143,19 +170,6 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                     )
                     entries.append(entry)
                     open_types.append((depth, entry))
-                elif tag == TAG_MEMBER and open_types and depth == open_types[-1][0] + 1:
-                    parent = open_types[-1][1]
-                    offset = member_byte_offset(attrs)
-                    if offset is None or offset >= OFFSET_SANITY_BOUND:
-                        if AT_DATA_MEMBER_LOCATION in attrs or AT_DATA_BIT_OFFSET in attrs:
-                            skipped_members += 1
-                        continue
-                    if parent.byte_size and offset >= parent.byte_size:
-                        skipped_members += 1
-                        continue
-                    parent.members.append(
-                        MemberRecord(_clean_name(attrs.get(AT_NAME)), offset)
-                    )
 
     meta = ExtractionMeta(
         binary_path=str(path),

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import random
 import struct
+import types
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,56 @@ def test_compressed_debug_sections_extract_identically():
     assert layout_map(plain) == layout_map(compressed)
 
 
+def test_compressed_size_must_match_its_header(tmp_path, capsys):
+    from structdrift.cli import EXIT_INPUT, run
+
+    # ch_size of the 64-bit compression header: 717 bytes, patched to 1.
+    def shrink(data, offset, _size):
+        assert int.from_bytes(data[offset + 8 : offset + 16], "little") == 717
+        data[offset + 8 : offset + 16] = (1).to_bytes(8, "little")
+
+    patched = _patch_section(tmp_path, "layouts-zlib-64.so", ".debug_info", shrink)
+    assert run(["extract", str(patched)]) == EXIT_INPUT
+    assert "stated size of 1 bytes" in capsys.readouterr().err
+
+
+def test_legacy_zdebug_size_must_match():
+    payload = zlib.compress(b"abcdefgh")
+    for size, ok in ((8, True), (7, False), (9, False)):
+        raw = b"ZLIB" + size.to_bytes(8, "big") + payload
+        if ok:
+            assert ElfFile._decompress_legacy(".zdebug_info", raw) == b"abcdefgh"
+        else:
+            with pytest.raises(NotElfError):
+                ElfFile._decompress_legacy(".zdebug_info", raw)
+
+
+def test_inflation_stops_past_the_stated_size(monkeypatch):
+    import structdrift.elf as elf_module
+
+    outputs = []
+
+    class Inflater:
+        def __init__(self):
+            self.real = zlib.decompressobj()
+
+        def decompress(self, data, max_length=0):
+            out = self.real.decompress(data, max_length)
+            outputs.append(len(out))
+            return out
+
+        @property
+        def eof(self):
+            return self.real.eof
+
+    monkeypatch.setattr(elf_module, "zlib",
+                        types.SimpleNamespace(decompressobj=Inflater, error=zlib.error))
+    bomb = b"ZLIB" + (100).to_bytes(8, "big") + zlib.compress(bytes(1 << 24))
+    with pytest.raises(NotElfError):
+        ElfFile._decompress_legacy(".zdebug_info", bomb)
+    assert outputs == [101]
+
+
 def test_stripped_binary_reports_missing_dwarf():
     with pytest.raises(NoDwarfError):
         extract_profile(fixture_path("layouts-stripped.so"))
@@ -151,7 +203,7 @@ def _indirect_unit(die: bytes) -> bytes:
 def _walk(info: bytes):
     header = next(iter_unit_headers(info))
     walker = UnitWalker(info, header, parse_abbrev_table(INDIRECT_ABBREV, 0),
-                        StringTables(), frozenset({AT_NAME}))
+                        StringTables(), {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME})})
     return list(walker)
 
 
@@ -218,6 +270,14 @@ HOSTILE_UNITS = {
                           b"\x01" + bytes(6)),
     # An attribute form no DWARF version defines.
     "unknown-form": (bytes(STRUCT_ABBREV + [0x3B, 0x7F, 0, 0, 0]), b"\x01\x00"),
+    # Skipped variable-size attributes cut off by the section end: decl_line
+    # as udata with no byte left, a location exprloc of 5 bytes with 2 left,
+    # and a producer string with no terminator.
+    "skipped-uleb-past-end": (bytes(STRUCT_ABBREV + [0x3B, 0x0F, 0, 0, 0]), b"\x01"),
+    "skipped-exprloc-past-end": (bytes(STRUCT_ABBREV + [0x02, 0x18, 0, 0, 0]),
+                                 b"\x01\x05\x00\x00"),
+    "skipped-string-unterminated": (bytes(STRUCT_ABBREV + [0x25, 0x08, 0, 0, 0]),
+                                    b"\x01abc"),
 }
 
 
@@ -227,7 +287,7 @@ def test_hostile_unit_is_malformed_dwarf(case):
     info = _indirect_unit(die)
     header = next(iter_unit_headers(info))
     walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(),
-                        frozenset({AT_NAME, AT_BYTE_SIZE}))
+                        {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME, AT_BYTE_SIZE})})
     with pytest.raises(MalformedDwarfError) as exc_info:
         list(walker)
     assert exc_info.value.section == ".debug_info"
@@ -244,6 +304,40 @@ def test_hostile_unit_exits_with_input_error(tmp_path, capsys, case):
     assert ".debug_info offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, message, offset", [
+    ("skipped-uleb-past-end", "unexpected end of data reading 1 bytes", 12),
+    ("skipped-exprloc-past-end", "unexpected end of data reading 5 bytes", 13),
+    ("skipped-string-unterminated", "unterminated string", 12),
+])
+def test_cut_off_skip_fails_where_the_attribute_is_cut(case, message, offset):
+    # The unit header is 11 bytes and the DIE's abbreviation code 1 byte.
+    abbrev, die = HOSTILE_UNITS[case]
+    info = _indirect_unit(die)
+    header = next(iter_unit_headers(info))
+    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(),
+                        {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME})})
+    with pytest.raises(MalformedDwarfError, match=message) as exc_info:
+        list(walker)
+    assert exc_info.value.offset == offset
+
+
+def test_strp_names_are_decoded_once_per_offset():
+    # Three structures named by strp offsets 0, 1 and 0 of "xfoo\0" (a
+    # linker shares the tail of one string with another), in two units
+    # that share one StringTables.
+    abbrev = bytes([1, 0x13, 0, 0x03, 0x0E, 0, 0, 0])
+    info = _indirect_unit(b"\x01" + bytes(4) + b"\x01\x01\x00\x00\x00"
+                          + b"\x01" + bytes(4))
+    strings = StringTables(debug_str=b"xfoo\x00")
+    table = parse_abbrev_table(abbrev, 0)
+    wanted = {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME})}
+    header = next(iter_unit_headers(info))
+    for _ in range(2):
+        walker = UnitWalker(info, header, table, strings, wanted)
+        assert [attrs[AT_NAME] for _, _, attrs in walker] == ["xfoo", "foo", "xfoo"]
+    assert strings.names == {0: "xfoo", 1: "foo"}
+
+
 # A compile unit DIE whose DW_AT_str_offsets_base has a form that is no
 # section offset, then a structure named through strx1.
 @pytest.mark.parametrize("base_form, base_bytes", [
@@ -258,9 +352,82 @@ def test_str_offsets_base_must_be_an_offset(base_form, base_bytes):
     header = next(iter_unit_headers(info))
     strings = StringTables(debug_str=b"S\x00", str_offsets=bytes(16))
     walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), strings,
-                        frozenset({AT_NAME, AT_STR_OFFSETS_BASE}))
+                        dict.fromkeys((dwarf.TAG_COMPILE_UNIT, dwarf.TAG_STRUCTURE_TYPE),
+                                      frozenset({AT_NAME, AT_STR_OFFSETS_BASE})))
     with pytest.raises(MalformedDwarfError, match="str_offsets_base"):
         list(walker)
+
+
+def _extract_crafted(tmp_path, capsys, abbrev: bytes, dies: bytes):
+    """(exit code, {name: (size, [(name, offset), ...])}) of one crafted unit."""
+    from structdrift.cli import run
+
+    code = run(["extract", str(_with_debug_sections(tmp_path, _indirect_unit(dies),
+                                                    abbrev))])
+    out = capsys.readouterr().out
+    if code != 0:
+        return code, None
+    return code, {name: (body["size"], [(m["name"], m["offset"]) for m in body["members"]])
+                  for name, body in json.loads(out)["structures"].items()}
+
+
+# A name that cannot be read: a strp offset past .debug_str, or a strx1
+# index with no .debug_str_offsets in the binary.
+BAD_NAMES = {"strp-out-of-range": (0x0E, (0xFFFFFF).to_bytes(4, "little")),
+             "strx-without-offsets": (0x25, b"\x00")}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NAMES))
+@pytest.mark.parametrize("tag, exit_code", [(0x2E, 0), (0x13, 3)],
+                         ids=["subprogram", "structure"])
+def test_bad_name_fails_only_where_a_layout_reads_it(tmp_path, capsys, case, tag,
+                                                     exit_code):
+    # The DIE with the bad name, then structure "A" of 4 bytes. A layout
+    # never reads a subprogram's name, so it is skipped and never decoded.
+    form, name = BAD_NAMES[case]
+    abbrev = bytes([1, tag, 0, 0x03, form, 0, 0,
+                    2, 0x13, 0, 0x03, 0x08, 0x0B, 0x0B, 0, 0, 0])
+    code, structures = _extract_crafted(tmp_path, capsys, abbrev,
+                                        b"\x01" + name + b"\x02A\x00\x04")
+    assert code == exit_code
+    if exit_code == 0:
+        assert structures == {"A": (4, [])}
+
+
+# Layout abbreviations: 1 structure (name string, byte_size data1) with
+# children; 2 member (name string, data_member_location data1); 3 union
+# with children and no attributes; 4 member whose location is an exprloc;
+# 5 member with data_bit_offset data2.
+LAYOUT_ABBREV = bytes([1, 0x13, 1, 0x03, 0x08, 0x0B, 0x0B, 0, 0,
+                       2, 0x0D, 0, 0x03, 0x08, 0x38, 0x0B, 0, 0,
+                       3, 0x17, 1, 0, 0,
+                       4, 0x0D, 0, 0x03, 0x08, 0x38, 0x18, 0, 0,
+                       5, 0x0D, 0, 0x03, 0x08, 0x6B, 0x05, 0, 0, 0])
+
+
+def test_union_after_structure_keeps_its_members(tmp_path, capsys):
+    # struct S { a at 0 }; then, at the same depth, union U { b at 0 }.
+    dies = b"\x01S\x00\x08" + b"\x02a\x00\x00" + b"\x00" \
+        + b"\x03" + b"\x02b\x00\x00" + b"\x00"
+    assert _extract_crafted(tmp_path, capsys, LAYOUT_ABBREV, dies) == \
+        (0, {"S": (8, [("a", 0)])})
+
+
+def test_anonymous_union_members_stay_out_of_the_structure(tmp_path, capsys):
+    # struct S { a at 0; union { b at 4; c at 4 }; d at 4 }.
+    dies = b"\x01S\x00\x08" + b"\x02a\x00\x00" \
+        + b"\x03" + b"\x02b\x00\x04" + b"\x02c\x00\x04" + b"\x00" \
+        + b"\x02d\x00\x04" + b"\x00"
+    assert _extract_crafted(tmp_path, capsys, LAYOUT_ABBREV, dies) == \
+        (0, {"S": (8, [("a", 0), ("d", 4)])})
+
+
+def test_expression_and_bit_offset_locations_resolve(tmp_path, capsys):
+    # struct S { e at DW_OP_plus_uconst 6; f at bit 17, so byte 2 }.
+    dies = b"\x01S\x00\x08" + b"\x04e\x00\x02\x23\x06" \
+        + b"\x05f\x00" + (17).to_bytes(2, "little") + b"\x00"
+    assert _extract_crafted(tmp_path, capsys, LAYOUT_ABBREV, dies) == \
+        (0, {"S": (8, [("f", 2), ("e", 6)])})
 
 
 def test_non_string_name_counts_as_unnamed(tmp_path, capsys):
@@ -285,7 +452,7 @@ def test_die_tree_deeper_than_recursion_limit(tmp_path, capsys):
     info = _indirect_unit(b"\x01A\x00\x08" * CHAIN + b"\x00" * CHAIN)
     header = next(iter_unit_headers(info))
     walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(),
-                        frozenset({AT_NAME}))
+                        {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME})})
     assert [depth for depth, _, _ in walker] == list(range(CHAIN))
     patched = _with_debug_sections(tmp_path, info, abbrev)
     assert run(["extract", str(patched)]) == 0
@@ -749,13 +916,14 @@ def test_walker_round_trips_every_form(unit):
     info, abbrev, strings, wanted, expected = unit
     header = next(iter_unit_headers(info))
     table = parse_abbrev_table(abbrev, 0)
-    walker = UnitWalker(info, header, table, strings, wanted)
+    by_tag = dict.fromkeys((decl.tag for decl in table.values()), wanted)
+    walker = UnitWalker(info, header, table, strings, by_tag)
     assert _typed(walker) == _typed(expected)
     assert walker.cur.pos == header.end == len(info)
     # Cut short at every byte: a clean error, or a prefix of the DIEs.
     for cut in range(header.die_start, len(info)):
         short = dataclasses.replace(header, end=cut)
-        walker = UnitWalker(info[:cut], short, table, strings, wanted)
+        walker = UnitWalker(info[:cut], short, table, strings, by_tag)
         got = []
         try:
             for die in walker:
