@@ -45,6 +45,7 @@ from .profile import (  # noqa: E402
     StructureRecord,
     index_repository,
     read_profile,
+    read_sequence,
     write_profile,
 )
 from .watch import (  # noqa: E402
@@ -112,6 +113,7 @@ __all__ = [
     "merge_duplicate_definitions",
     "read_diff",
     "read_profile",
+    "read_sequence",
     "resolve_chain",
     "size_timeline",
     "summarize_diff",

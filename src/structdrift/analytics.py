@@ -11,7 +11,7 @@ watchlist_name=None)`; a watchlist of None means every structure in any
 profile, in name order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .diff import ChangeCounts, StructureDiff, diff_profiles, diff_structure, \
@@ -277,14 +277,9 @@ def aggregate_transitions(
     _check_sequence(profiles, 2)
     names = _structure_names(profiles, watchlist)
     rows: List[Tuple[str, str, ChangeCounts]] = []
-    totals = ChangeCounts()
     for old, new in zip(profiles, profiles[1:]):
         counts = summarize_diff(diff_profiles(old, new, scope=names))
         rows.append((old.meta.platform_version, new.meta.platform_version, counts))
-        totals.offset_changes += counts.offset_changes
-        totals.member_additions += counts.member_additions
-        totals.member_removals += counts.member_removals
-        totals.structure_removals += counts.structure_removals
-        totals.structure_additions += counts.structure_additions
-        totals.total_impact += counts.total_impact
+    totals = ChangeCounts(*(sum(getattr(counts, f.name) for _, _, counts in rows)
+                            for f in fields(ChangeCounts)))
     return TransitionTable(rows, totals, watchlist_name)

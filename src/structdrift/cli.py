@@ -35,6 +35,7 @@ from .profile import (
     Profile,
     index_repository,
     read_profile,
+    read_sequence,
     version_key,
     write_text,
 )
@@ -164,7 +165,7 @@ def _load_sequence(args) -> List[Profile]:
         raise UsageError("give profile files, or --repo (or $STRUCTDRIFT_REPO)")
     if not args.arch:
         raise UsageError("--arch is required when reading a sequence from --repo")
-    profiles = index_repository(args.repo, args.arch).sequence(args.arch)
+    profiles = read_sequence(args.repo, args.arch)
     if not profiles:
         raise StructDriftError(
             f"no {args.arch} profiles found under {args.repo}"

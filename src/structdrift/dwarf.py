@@ -243,9 +243,7 @@ class UnitHeader:
         return 8 if self.dwarf64 else 4
 
 
-def iter_unit_headers(
-    data: bytes, section: str = ".debug_info", types_section: bool = False
-) -> Iterator[UnitHeader]:
+def iter_unit_headers(data: bytes, section: str = ".debug_info") -> Iterator[UnitHeader]:
     """Yield unit headers in order; raises MalformedDwarfError on damage."""
     cur = Cursor(data, section)
     while cur.pos < len(data):
@@ -271,14 +269,14 @@ def iter_unit_headers(
             address_size = cur.u8()
             abbrev_offset = cur.uint(offset_size)
             if unit_type in _UNIT_TYPES_WITH_SIGNATURE:
-                cur.take(8 + offset_size)  # type signature + type offset
+                cur.skip(8 + offset_size)  # type signature + type offset
             elif unit_type in (4, 5):  # skeleton / split_compile
-                cur.take(8)  # dwo_id
+                cur.skip(8)  # dwo_id
         else:
             abbrev_offset = cur.uint(offset_size)
             address_size = cur.u8()
-            if types_section:
-                cur.take(8 + offset_size)
+            if section == ".debug_types":
+                cur.skip(8 + offset_size)  # type signature + type offset
         if address_size not in (2, 4, 8):
             raise cur.fail(f"implausible address size {address_size}")
         yield UnitHeader(

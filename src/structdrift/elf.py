@@ -10,7 +10,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .errors import NotElfError
 
@@ -30,6 +30,24 @@ MACHINE_LABELS = {
     (EM_AARCH64, 64): "arm64",
     (EM_386, 32): "x86_32",
     (EM_X86_64, 64): "x86_64",
+}
+
+
+class _ClassLayout(NamedTuple):
+    """Where an ELF class keeps the fields this reader uses (struct formats)."""
+
+    word: str         # Elf32_Off/Word or Elf64_Off/Xword: e_shoff and sh_size
+    shoff_at: int     # e_shoff in the ELF header
+    shcounts_at: int  # e_shentsize, e_shnum, e_shstrndx in the ELF header
+    shdr: str         # sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size
+    size_at: int      # sh_size in a section header
+    link_at: int      # sh_link (4 bytes) in a section header
+    chdr: str         # Elf_Chdr: ch_type, (64-bit: ch_reserved), ch_size, ch_addralign
+
+
+_CLASS_LAYOUTS = {
+    32: _ClassLayout("I", 0x20, 0x2E, "IIIIII", 0x14, 0x18, "III"),
+    64: _ClassLayout("Q", 0x28, 0x3A, "IIQQQQ", 0x20, 0x28, "IIQQ"),
 }
 
 
@@ -64,37 +82,29 @@ class ElfFile:
             raise NotElfError(f"truncated ELF header: {exc}") from exc
 
     def _parse_headers(self) -> None:
-        e = self._end
-        if self.bits == 64:
-            (self.machine,) = struct.unpack_from(e + "H", self.data, 18)
-            (shoff,) = struct.unpack_from(e + "Q", self.data, 0x28)
-            shentsize, shnum, shstrndx = struct.unpack_from(e + "HHH", self.data, 0x3A)
-        else:
-            (self.machine,) = struct.unpack_from(e + "H", self.data, 18)
-            (shoff,) = struct.unpack_from(e + "I", self.data, 0x20)
-            shentsize, shnum, shstrndx = struct.unpack_from(e + "HHH", self.data, 0x2E)
+        e, layout = self._end, _CLASS_LAYOUTS[self.bits]
+        (self.machine,) = struct.unpack_from(e + "H", self.data, 18)
+        (shoff,) = struct.unpack_from(e + layout.word, self.data, layout.shoff_at)
+        shentsize, shnum, shstrndx = struct.unpack_from(e + "HHH", self.data,
+                                                        layout.shcounts_at)
         if shoff == 0 or shentsize == 0:
             raise NotElfError("ELF file has no section header table")
 
         headers = []
         # shnum == 0 means the real count lives in section 0's sh_size.
-        count = shnum if shnum else self._section_field(shoff, shentsize, 0, "size")
+        count = shnum or struct.unpack_from(e + layout.word, self.data,
+                                            shoff + layout.size_at)[0]
         if shoff + count * shentsize > len(self.data):
             raise NotElfError("section header table extends past end of file")
+        shdr = struct.Struct(e + layout.shdr)
         for i in range(count):
-            base = shoff + i * shentsize
-            if self.bits == 64:
-                name_off, sh_type, flags, _addr, offset, size = struct.unpack_from(
-                    e + "IIQQQQ", self.data, base
-                )
-            else:
-                name_off, sh_type, flags, _addr, offset, size = struct.unpack_from(
-                    e + "IIIIII", self.data, base
-                )
+            name_off, sh_type, flags, _addr, offset, size = shdr.unpack_from(
+                self.data, shoff + i * shentsize
+            )
             headers.append((name_off, sh_type, flags, offset, size))
 
         if shstrndx == 0xFFFF:
-            shstrndx = self._section_field(shoff, shentsize, 0, "link")
+            (shstrndx,) = struct.unpack_from(e + "I", self.data, shoff + layout.link_at)
         if shstrndx >= len(headers):
             raise NotElfError("section name string table index out of range")
         _, _, _, str_off, str_size = headers[shstrndx]
@@ -108,16 +118,6 @@ class ElfFile:
             name = strtab[name_off:end].decode("utf-8", "replace")
             self.sections[name] = Section(name, sh_type, flags, offset, size)
 
-    def _section_field(self, shoff: int, shentsize: int, index: int, field: str) -> int:
-        e = self._end
-        base = shoff + index * shentsize
-        if self.bits == 64:
-            layout = {"size": (e + "Q", base + 0x20), "link": (e + "I", base + 0x28)}
-        else:
-            layout = {"size": (e + "I", base + 0x14), "link": (e + "I", base + 0x18)}
-        fmt, pos = layout[field]
-        return struct.unpack_from(fmt, self.data, pos)[0]
-
     def section_bytes(self, section: Section) -> bytes:
         raw = self.data[section.offset : section.offset + section.size]
         if len(raw) != section.size:
@@ -129,8 +129,7 @@ class ElfFile:
         return raw
 
     def _decompress_chdr(self, name: str, raw: bytes) -> bytes:
-        # Elf64_Chdr: type, reserved, size, align; Elf32_Chdr: type, size, align.
-        header = struct.Struct(self._end + ("IIQQ" if self.bits == 64 else "III"))
+        header = struct.Struct(self._end + _CLASS_LAYOUTS[self.bits].chdr)
         if len(raw) < header.size:
             raise NotElfError(f"section {name} is too short for its compression header")
         ch_type, *_, ch_size, _ = header.unpack_from(raw, 0)

@@ -111,10 +111,10 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
     unit_count = 0
     skipped_members = 0
 
-    sections = [(info, ".debug_info", False)]
+    sections = [(info, ".debug_info")]
     types = elf.debug_section("types")
     if types is not None:
-        sections.append((types, ".debug_types", True))
+        sections.append((types, ".debug_types"))
     abbrev = elf.debug_section("abbrev")
     if abbrev is None:
         raise NoDwarfError(f"{path} has no .debug_abbrev section")
@@ -123,8 +123,8 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
     # One record per distinct (name, offset), so that repeated definitions
     # share their records and merging compares them by identity.
     records: Dict[Tuple[str, int], MemberRecord] = {}
-    for data, section_name, is_types in sections:
-        for header in iter_unit_headers(data, section_name, types_section=is_types):
+    for data, section_name in sections:
+        for header in iter_unit_headers(data, section_name):
             unit_index = unit_count
             unit_count += 1
             versions.add(header.version)

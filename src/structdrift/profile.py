@@ -372,56 +372,64 @@ def read_profile(source) -> Profile:
 
 @dataclass
 class RepositoryIndex:
-    """Profiles found under <root>/<version>/<architecture>/<stem>.profile.json.
+    """Profiles found under <root>/<version>/<architecture>/<stem>.profile.json,
+    keyed by the (version, architecture, stem) of their path."""
 
-    `profiles` holds the validated profiles of the architecture the index
-    was built for, so a sequence is analyzed without reading a file twice.
-    """
-
-    entries: Dict[Tuple[str, str], Path]
+    entries: Dict[Tuple[str, str, str], Path]
     skipped: List[Tuple[Path, str]]
-    profiles: Dict[Tuple[str, str], Profile] = field(default_factory=dict, repr=False)
-
-    def sequence(self, architecture: str) -> List[Profile]:
-        """Kept profiles of `architecture` in version order; empty unless the
-        index was built with index_repository(root, architecture)."""
-        keys = sorted(
-            (key for key in self.profiles if key[1] == architecture),
-            key=lambda key: version_key(key[0]),
-        )
-        return [self.profiles[key] for key in keys]
 
 
-def index_repository(root, architecture: Optional[str] = None) -> RepositoryIndex:
-    """Read and validate every profile under `root`.
+def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]]):
+    """Yield (key, path, profile) for each valid <root>/*/<architecture>/*.profile.json.
 
-    The profiles of `architecture` are kept in the index; the others are
-    dropped once validated, so memory stays that of one architecture.
+    The path places a profile: its key is (version, architecture, stem)
+    from the path, and a profile whose meta names another version or
+    architecture is misplaced. Unreadable, invalid and misplaced files are
+    appended to `skipped` with the reason instead of being yielded.
     """
     root = Path(root)
     if not root.is_dir():
         if root.exists():
             raise NotADirectoryError(f"repository root {root} is not a directory")
         raise FileNotFoundError(f"repository root {root} does not exist")
-    entries: Dict[Tuple[str, str], Path] = {}
-    profiles: Dict[Tuple[str, str], Profile] = {}
+    for path in sorted(root.glob(f"*/{architecture}/*{PROFILE_SUFFIX}")):
+        placed = (path.parent.parent.name, path.parent.name)
+        try:
+            profile = read_profile(path)
+        except (SchemaError, InvariantError) as exc:
+            skipped.append((path, str(exc)))
+            continue
+        named = (profile.meta.platform_version, profile.meta.architecture)
+        if named != placed:
+            skipped.append((path, f"meta names {'/'.join(named)}, "
+                                  f"the path places it at {'/'.join(placed)}"))
+            continue
+        yield placed + (path.name[: -len(PROFILE_SUFFIX)],), path, profile
+
+
+def index_repository(root) -> RepositoryIndex:
+    """Read and validate every profile of the repository at `root`."""
     skipped: List[Tuple[Path, str]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for filename in sorted(filenames):
-            if not filename.endswith(PROFILE_SUFFIX):
-                continue
-            path = Path(dirpath) / filename
-            try:
-                profile = read_profile(path)
-            except (SchemaError, InvariantError) as exc:
-                skipped.append((path, str(exc)))
-                continue
-            key = (profile.meta.platform_version, profile.meta.architecture)
-            if key in entries:
-                skipped.append((path, f"duplicate profile for {key[0]}/{key[1]}"))
-                continue
-            entries[key] = path
-            if key[1] == architecture:
-                profiles[key] = profile
-    return RepositoryIndex(entries, skipped, profiles)
+    entries = {key: path for key, path, _ in _placed_profiles(root, "*", skipped)}
+    return RepositoryIndex(entries, skipped)
+
+
+def read_sequence(root, architecture: str) -> List[Profile]:
+    """The valid, correctly placed profiles of `architecture` in version order.
+
+    Only <root>/*/<architecture>/*.profile.json is read; files that
+    index_repository would skip are dropped. Raises SchemaError when the
+    profiles kept have more than one stem, since one sequence follows one
+    library.
+    """
+    if architecture not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    placed = sorted(_placed_profiles(root, architecture, []),
+                    key=lambda item: version_key(item[0][0]))
+    stems = sorted({key[2] for key, _, _ in placed})
+    if len(stems) > 1:
+        raise SchemaError(
+            f"{architecture} profiles under {root} have more than one stem "
+            f"({', '.join(stems)}); pass the profile files instead"
+        )
+    return [profile for _, _, profile in placed]

@@ -9,6 +9,7 @@ A report with both forms has one (headers, rows) builder, told only the
 absent-cell marker or the total-row label each form uses.
 """
 
+from dataclasses import asdict
 from typing import Callable, List, NamedTuple, Optional
 
 from .analytics import (
@@ -137,26 +138,15 @@ def stats_to_doc(stats: StatsReport) -> dict:
 
 # ------------------------------------------------------------- aggregate
 
-def _counts_to_doc(counts: ChangeCounts) -> dict:
-    return {
-        "offset_changes": counts.offset_changes,
-        "member_additions": counts.member_additions,
-        "member_removals": counts.member_removals,
-        "structure_removals": counts.structure_removals,
-        "structure_additions": counts.structure_additions,
-        "total_impact": counts.total_impact,
-    }
-
-
 def aggregate_to_doc(table: TransitionTable) -> dict:
     return {
         "schema": AGGREGATE_SCHEMA,
         "watchlist": table.watchlist_name,
         "rows": [
-            dict({"from": frm, "to": to}, **_counts_to_doc(counts))
+            dict({"from": frm, "to": to}, **asdict(counts))
             for frm, to, counts in table.rows
         ],
-        "totals": _counts_to_doc(table.totals),
+        "totals": asdict(table.totals),
     }
 
 
@@ -219,7 +209,7 @@ def index_to_doc(index: RepositoryIndex) -> dict:
         "schema": INDEX_SCHEMA,
         "entries": [
             {"platform_version": v, "architecture": a, "path": str(p)}
-            for (v, a), p in sorted(index.entries.items())
+            for (v, a, _), p in sorted(index.entries.items())
         ],
         "skipped": [
             {"path": str(p), "reason": reason} for p, reason in index.skipped
@@ -340,7 +330,7 @@ def _capabilities_table(assessment: CapabilityAssessment) -> str:
 
 def _index_table(index: RepositoryIndex) -> str:
     rows = [
-        [v, a, str(p)] for (v, a), p in sorted(index.entries.items())
+        [v, a, str(p)] for (v, a, _), p in sorted(index.entries.items())
     ]
     body = _fixed_table(["version", "architecture", "path"], rows)
     if index.skipped:

@@ -27,10 +27,10 @@ from structdrift import (
     diff_structure,
     extract_profile,
     impact_score,
-    index_repository,
     load_watchlist,
     member_offset_timeline,
     read_profile,
+    read_sequence,
     resolve_chain,
     size_timeline,
     volatility_stats,
@@ -205,11 +205,11 @@ def test_round_trip_stability(tmp_path):
 def run_dataset_checks(root):
     """Assertions shared by the gated criterion and its machinery test."""
     started = time.perf_counter()
-    index = index_repository(root, "x86_64")
     labels = ["9", "10", "11", "12", "13", "14"]
-    missing = [v for v in labels if (v, "x86_64") not in index.entries]
+    by_version = {p.meta.platform_version: p for p in read_sequence(root, "x86_64")}
+    missing = [v for v in labels if v not in by_version]
     assert not missing, f"dataset lacks x86_64 profiles for: {missing}"
-    sequence = [index.profiles[(v, "x86_64")] for v in labels]
+    sequence = [by_version[v] for v in labels]
 
     watchlist_path = os.path.join(root, "watchlist.json")
     if os.path.exists(watchlist_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 import structdrift.cli as cli
 from structdrift import read_diff, read_profile, write_profile
 from structdrift.cli import run
+from structdrift.profile import ARCHITECTURES
 from structdrift.render import AGGREGATE_CSV_HEADER
 
 from conftest import FIXTURES, art_profile, art_sequence, fixture_path
@@ -176,6 +178,42 @@ def test_repository_commands_read_each_profile_once(art_repo, monkeypatch, comma
     assert run(command + ["--repo", str(art_repo), "--arch", "x86_64"]) == 0
     assert sorted(reads) == sorted(art_repo.rglob("*.profile.json"))
     assert set(reads.values()) == {1}
+
+
+@pytest.mark.parametrize("command", [
+    ["score"],
+    ["aggregate"],
+    ["volatility"],
+    ["timeline", "Runtime"],
+])
+def test_repository_commands_read_only_their_architecture(tmp_path, monkeypatch, command):
+    import structdrift.profile as profile_module
+
+    root = tmp_path / "repo"
+    for profile in art_sequence():
+        for arch in ARCHITECTURES:
+            path = root / profile.meta.platform_version / arch / "libart.profile.json"
+            path.parent.mkdir(parents=True)
+            write_profile(dataclasses.replace(
+                profile, meta=dataclasses.replace(profile.meta, architecture=arch)), path)
+    reads = []
+    read_text = profile_module.read_text
+
+    def counting_read_text(source):
+        reads.append(Path(source))
+        return read_text(source)
+
+    monkeypatch.setattr(profile_module, "read_text", counting_read_text)
+    assert run(command + ["--repo", str(root), "--arch", "arm64"]) == 0
+    assert sorted(reads) == sorted(root.glob("*/arm64/*.profile.json"))
+    assert len(reads) == 6
+
+
+def test_repository_sequence_of_two_stems_is_an_input_error(art_repo, capsys):
+    write_profile(art_profile("9"), art_repo / "9" / "x86_64" / "libcxx.profile.json")
+    assert run(["score", "--repo", str(art_repo), "--arch", "x86_64"]) == 3
+    err = capsys.readouterr().err
+    assert "libart, libcxx" in err and "pass the profile files" in err
 
 
 # ------------------------------------------------------------------- stats

@@ -219,13 +219,22 @@ def test_endless_indirect_chain_is_malformed_dwarf():
     assert exc_info.value.section == ".debug_info"
 
 
-def _with_debug_sections(tmp_path, info: bytes, abbrev: bytes):
-    """Copy a 64-bit fixture, pointing its info/abbrev headers at new bytes."""
+def _with_debug_sections(tmp_path, info: bytes, abbrev: bytes, types: bytes = b""):
+    """Copy a 64-bit fixture, pointing its info/abbrev headers at new bytes.
+
+    Given `types`, its .debug_aranges section is renamed .debug_types and
+    holds them.
+    """
     data = bytearray(fixture_path("layouts-dwarf4-64.so").read_bytes())
     elf = ElfFile(bytes(data))
     (shoff,) = struct.unpack_from("<Q", data, 0x28)
     shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
-    for name, blob in ((".debug_info", info), (".debug_abbrev", abbrev)):
+    patches = [(".debug_info", info), (".debug_abbrev", abbrev)]
+    if types:
+        at = data.index(b".debug_aranges\x00", elf.sections[".shstrtab"].offset)
+        data[at : at + 15] = b".debug_types\x00\x00\x00"
+        patches.append((".debug_aranges", types))
+    for name, blob in patches:
         sec = elf.sections[name]
         for i in range(shnum):
             base = shoff + i * shentsize
@@ -236,6 +245,36 @@ def _with_debug_sections(tmp_path, info: bytes, abbrev: bytes):
     patched = tmp_path / "indirect.so"
     patched.write_bytes(bytes(data))
     return patched
+
+
+@pytest.mark.parametrize("dwarf64", [False, True])
+@pytest.mark.parametrize("cut", [0, 1])
+def test_debug_types_unit_is_read_past_its_signature(tmp_path, capsys, dwarf64, cut):
+    # A DWARF 4 .debug_types unit header: version, abbrev offset, address
+    # size, 8-byte type signature, then the offset of the type's DIE; the
+    # cut unit ends one byte into that offset.
+    from structdrift.cli import run
+
+    offset_size = 8 if dwarf64 else 4
+    initial = b"\xff\xff\xff\xff" if dwarf64 else b""
+    head = ((4).to_bytes(2, "little") + (0).to_bytes(offset_size, "little") + bytes([8])
+            + (0x1122334455667788).to_bytes(8, "little"))
+    die_start = len(initial) + offset_size + len(head) + offset_size
+    body = head + die_start.to_bytes(offset_size, "little") + b"\x01Deep\x00\x18\x00"
+    if cut:
+        body = head + b"\x00"
+    types = initial + len(body).to_bytes(offset_size, "little") + body
+    abbrev = bytes([1, 0x13, 0, 0x03, 0x08, 0x0B, 0x0B, 0, 0, 0])
+    patched = _with_debug_sections(tmp_path, _indirect_unit(b"\x00"), abbrev, types)
+    code = run(["extract", str(patched)])
+    out, err = capsys.readouterr()
+    if cut:
+        where = len(initial) + 2 * offset_size + 3  # just past the address size
+        assert code == 3 and err.endswith(f"reading {8 + offset_size} bytes "
+                                          f"(.debug_types offset {where:#x})\n"), err
+    else:
+        assert code == 0
+        assert json.loads(out)["structures"] == {"Deep": {"size": 24, "members": []}}
 
 
 def test_endless_indirect_chain_exits_with_input_error(tmp_path, capsys):

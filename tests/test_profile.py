@@ -17,6 +17,7 @@ from structdrift import (
     StructureRecord,
     index_repository,
     read_profile,
+    read_sequence,
     write_profile,
 )
 from structdrift.profile import (
@@ -549,28 +550,44 @@ def test_index_full_grid(tmp_repo):
     index = index_repository(tmp_repo.root)
     assert len(index.entries) == 24
     assert index.skipped == []
-    x86_64 = [v for v, a in index.entries if a == "x86_64"]
+    x86_64 = [v for v, a, stem in index.entries if a == "x86_64" and stem == "libart"]
     assert sorted(x86_64, key=version_key) == ["9", "10", "11", "12", "13", "14"]
-    assert index.profiles == {}
 
 
-def test_sequence_of_profiles_not_kept_is_empty(tmp_repo):
+def test_sequence_of_absent_architecture_is_empty(tmp_repo):
     for version in ["9", "10"]:
         tmp_repo(make_profile(version, {"S": (8, [("a", 0)])}))
-    assert index_repository(tmp_repo.root).sequence("x86_64") == []
-    assert index_repository(tmp_repo.root, "arm64").sequence("x86_64") == []
+    assert read_sequence(tmp_repo.root, "arm64") == []
+    with pytest.raises(ValueError):
+        read_sequence(tmp_repo.root, "*")
 
 
-def test_index_keeps_profiles_of_one_architecture(tmp_repo):
+def test_sequence_reads_one_architecture_in_version_order(tmp_repo):
     for version in ["10", "9"]:
         for arch in ["arm64", "x86_64"]:
             tmp_repo(make_profile(version, {"S": (8, [("a", 0)])}, arch=arch))
-    index = index_repository(tmp_repo.root, "arm64")
+    index = index_repository(tmp_repo.root)
     assert len(index.entries) == 4
-    assert sorted(index.profiles) == [("10", "arm64"), ("9", "arm64")]
-    assert index.sequence("arm64") == [
-        read_profile(index.entries[(v, "arm64")]) for v in ["9", "10"]
+    assert read_sequence(tmp_repo.root, "arm64") == [
+        read_profile(index.entries[(v, "arm64", "libart")]) for v in ["9", "10"]
     ]
+
+
+def test_sequence_drops_files_the_index_skips(tmp_repo):
+    placed = tmp_repo(make_profile("9", {"S": (8, [])}))
+    for version, text in [("10", "{nonsense"), ("11", placed.read_text())]:
+        path = tmp_repo.root / version / "x86_64" / "libart.profile.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+    assert len(index_repository(tmp_repo.root).skipped) == 2
+    assert read_sequence(tmp_repo.root, "x86_64") == [read_profile(placed)]
+
+
+def test_sequence_of_two_stems_is_a_schema_error(tmp_repo):
+    tmp_repo(make_profile("9", {"S": (8, [])}), stem="libart")
+    tmp_repo(make_profile("9", {"S": (8, [])}), stem="libcxx")
+    with pytest.raises(SchemaError, match="libart, libcxx"):
+        read_sequence(tmp_repo.root, "x86_64")
 
 
 def test_index_isolates_corrupt_files(tmp_repo):
@@ -590,13 +607,33 @@ def test_index_missing_root(tmp_path):
         index_repository(tmp_path / "nope")
 
 
-def test_index_flags_duplicates(tmp_repo):
-    tmp_repo(make_profile("9", {"S": (8, [])}), stem="one")
-    tmp_repo(make_profile("9", {"S": (8, [])}), stem="two")
+def test_index_keeps_every_stem_of_a_directory(tmp_repo):
+    libart = tmp_repo(make_profile("9", {"S": (8, [])}), stem="libart")
+    libcxx = tmp_repo(make_profile("9", {"S": (8, [])}), stem="libcxx")
     index = index_repository(tmp_repo.root)
-    assert len(index.entries) == 1
-    assert len(index.skipped) == 1
-    assert "duplicate" in index.skipped[0][1]
+    assert index.entries == {("9", "x86_64", "libart"): libart,
+                             ("9", "x86_64", "libcxx"): libcxx}
+    assert index.skipped == []
+
+
+def test_index_skips_a_profile_its_path_misplaces(tmp_repo):
+    placed = tmp_repo(make_profile("9", {"S": (8, [])}))
+    copy = tmp_repo.root / "10" / "arm64" / "libart.profile.json"
+    copy.parent.mkdir(parents=True)
+    copy.write_bytes(placed.read_bytes())
+    index = index_repository(tmp_repo.root)
+    assert index.entries == {("9", "x86_64", "libart"): placed}
+    assert index.skipped == [(copy, "meta names 9/x86_64, the path places it at 10/arm64")]
+
+
+def test_index_ignores_files_at_other_depths(tmp_repo):
+    placed = tmp_repo(make_profile("9", {"S": (8, [])}))
+    for extra in ["top.profile.json", "9/shallow.profile.json", "9/x86_64/d/deep.profile.json"]:
+        (tmp_repo.root / extra).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_repo.root / extra).write_bytes(placed.read_bytes())
+    index = index_repository(tmp_repo.root)
+    assert index.entries == {("9", "x86_64", "libart"): placed}
+    assert index.skipped == []
 
 
 def test_checked_in_fixture_names_core_structures():
