@@ -11,8 +11,7 @@ watchlist_name=None)`; a watchlist of None means every structure in any
 profile, in name order.
 """
 
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diff import ChangeCounts, StructureDiff, diff_profiles, diff_structure, \
     match_members, summarize_diff
@@ -26,16 +25,14 @@ CHURN_WEIGHT = 0.3
 SIZE_WEIGHT = 0.2
 
 
-@dataclass
-class ImpactScore:
+class ImpactScore(NamedTuple):
     structure: str
     transition: Tuple[str, str]
     score: float
     factors: Dict[str, float]
 
 
-@dataclass
-class ImpactMatrix:
+class ImpactMatrix(NamedTuple):
     structures: List[str]
     transitions: List[Tuple[str, str]]
     watchlist_name: Optional[str]
@@ -44,22 +41,19 @@ class ImpactMatrix:
     scores: Dict[str, List[Optional[ImpactScore]]]
 
 
-@dataclass
-class TimelineReport:
+class TimelineReport(NamedTuple):
     structure: str
     member: Optional[str]
     points: List[Tuple[str, Optional[int]]]  # (version, value); None = absent
 
 
-@dataclass
-class StructureVolatility:
+class StructureVolatility(NamedTuple):
     surviving_members: int
     members_with_offset_change: int
     rate: float
 
 
-@dataclass
-class VolatilityStats:
+class VolatilityStats(NamedTuple):
     per_structure: Dict[str, StructureVolatility]
     overall_rate: float
     total_surviving: int
@@ -67,21 +61,18 @@ class VolatilityStats:
     watchlist_name: Optional[str] = None
 
 
-@dataclass
-class BinaryStats:
+class BinaryStats(NamedTuple):
     source: str
     binary_size_mb: float
     symbol_count: int
     dwarf_versions: Tuple[int, ...]
 
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     sources: List[BinaryStats]
 
 
-@dataclass
-class TransitionTable:
+class TransitionTable(NamedTuple):
     rows: List[Tuple[str, str, ChangeCounts]]
     totals: ChangeCounts
     watchlist_name: Optional[str] = None
@@ -280,6 +271,5 @@ def aggregate_transitions(
     for old, new in zip(profiles, profiles[1:]):
         counts = summarize_diff(diff_profiles(old, new, scope=names))
         rows.append((old.meta.platform_version, new.meta.platform_version, counts))
-    totals = ChangeCounts(*(sum(getattr(counts, f.name) for _, _, counts in rows)
-                            for f in fields(ChangeCounts)))
+    totals = ChangeCounts(*map(sum, zip(*(counts for _, _, counts in rows))))
     return TransitionTable(rows, totals, watchlist_name)

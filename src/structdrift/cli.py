@@ -231,9 +231,7 @@ def _cmd_stats(args) -> int:
             profile = extract_profile(source)
         else:
             profile = read_profile(source)
-        stats = binary_stats(profile)
-        stats.source = str(source)
-        results.append(stats)
+        results.append(binary_stats(profile)._replace(source=str(source)))
     _emit(args, render_report(StatsReport(results), args.format))
     return EXIT_OK
 

@@ -6,8 +6,7 @@ Every structure name in either catalog lands in exactly one of: added,
 removed, modified, unchanged.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SchemaError
 from .profile import (
@@ -21,24 +20,22 @@ from .profile import (
 DIFF_SCHEMA = "structdrift-diff/1"
 
 
-@dataclass(frozen=True)
-class MemberChange:
+class MemberChange(NamedTuple):
     member_name: str
     old_offset: int
     new_offset: int
 
 
-@dataclass
-class StructureDiff:
+class StructureDiff(NamedTuple):
     name: str
     old_size: int
     new_size: int
-    member_additions: List[MemberRecord] = field(default_factory=list)
-    member_removals: List[MemberRecord] = field(default_factory=list)
-    offset_changes: List[MemberChange] = field(default_factory=list)
+    member_additions: List[MemberRecord]
+    member_removals: List[MemberRecord]
+    offset_changes: List[MemberChange]
     # Denominators for impact scoring; not part of the change taxonomy.
-    old_member_count: int = 0
-    shared_member_count: int = 0
+    old_member_count: int
+    shared_member_count: int
 
     def is_change(self) -> bool:
         return bool(
@@ -49,18 +46,16 @@ class StructureDiff:
         )
 
 
-@dataclass
-class DiffReport:
+class DiffReport(NamedTuple):
     from_label: str
     to_label: str
-    added_structures: List[str] = field(default_factory=list)
-    removed_structures: List[str] = field(default_factory=list)
-    modified: List[StructureDiff] = field(default_factory=list)
-    unchanged_count: int = 0
+    added_structures: List[str]
+    removed_structures: List[str]
+    modified: List[StructureDiff]
+    unchanged_count: int
 
 
-@dataclass
-class ChangeCounts:
+class ChangeCounts(NamedTuple):
     offset_changes: int = 0
     member_additions: int = 0
     member_removals: int = 0
@@ -126,46 +121,37 @@ def diff_structure(old: StructureRecord, new: StructureRecord) -> StructureDiff:
 def diff_profiles(
     old: Profile, new: Profile, scope: Optional[Sequence[str]] = None
 ) -> DiffReport:
-    report = DiffReport(
-        from_label=old.meta.platform_version,
-        to_label=new.meta.platform_version,
-    )
     names = set(old.structures) | set(new.structures)
     if scope is not None:
         names &= set(scope)
+    added, removed, modified = [], [], []
+    unchanged = 0
     for name in sorted(names):
         in_old = name in old.structures
         in_new = name in new.structures
         if in_old and not in_new:
-            report.removed_structures.append(name)
+            removed.append(name)
         elif in_new and not in_old:
-            report.added_structures.append(name)
+            added.append(name)
         else:
             diff = diff_structure(old.structures[name], new.structures[name])
             if diff.is_change():
-                report.modified.append(diff)
+                modified.append(diff)
             else:
-                report.unchanged_count += 1
-    return report
+                unchanged += 1
+    return DiffReport(old.meta.platform_version, new.meta.platform_version,
+                      added, removed, modified, unchanged)
 
 
 def summarize_diff(report: DiffReport) -> ChangeCounts:
     """Aggregate counts; total_impact excludes structure additions."""
-    counts = ChangeCounts(
-        structure_removals=len(report.removed_structures),
-        structure_additions=len(report.added_structures),
-    )
-    for diff in report.modified:
-        counts.offset_changes += len(diff.offset_changes)
-        counts.member_additions += len(diff.member_additions)
-        counts.member_removals += len(diff.member_removals)
-    counts.total_impact = (
-        counts.offset_changes
-        + counts.member_additions
-        + counts.member_removals
-        + counts.structure_removals
-    )
-    return counts
+    moves = sum(len(d.offset_changes) for d in report.modified)
+    additions = sum(len(d.member_additions) for d in report.modified)
+    removals = sum(len(d.member_removals) for d in report.modified)
+    structure_removals = len(report.removed_structures)
+    return ChangeCounts(moves, additions, removals, structure_removals,
+                        len(report.added_structures),
+                        moves + additions + removals + structure_removals)
 
 
 def diff_to_doc(report: DiffReport) -> dict:
@@ -228,13 +214,9 @@ def doc_to_diff(doc: dict) -> DiffReport:
         value = doc.get(key)
         if not isinstance(value, ty) or (ty is int and isinstance(value, bool)):
             raise SchemaError(f"diff field {key!r} missing or wrong type")
-    report = DiffReport(
-        from_label=doc["from"],
-        to_label=doc["to"],
-        added_structures=_name_list(doc["added_structures"], "added_structures"),
-        removed_structures=_name_list(doc["removed_structures"], "removed_structures"),
-        unchanged_count=doc["unchanged_count"],
-    )
+    added = _name_list(doc["added_structures"], "added_structures")
+    removed = _name_list(doc["removed_structures"], "removed_structures")
+    modified = []
     for entry in doc["modified"]:
         if not isinstance(entry, dict):
             raise SchemaError("modified entry is not an object")
@@ -253,7 +235,7 @@ def doc_to_diff(doc: dict) -> DiffReport:
                     or not _is_int(c.get("old")) or not _is_int(c.get("new")):
                 raise SchemaError("malformed offset_changes entry")
             changes.append(MemberChange(c["member"], c["old"], c["new"]))
-        report.modified.append(
+        modified.append(
             StructureDiff(
                 name=name,
                 old_size=entry["old_size"],
@@ -269,7 +251,8 @@ def doc_to_diff(doc: dict) -> DiffReport:
                 shared_member_count=entry["shared_member_count"],
             )
         )
-    return report
+    return DiffReport(doc["from"], doc["to"], added, removed, modified,
+                      doc["unchanged_count"])
 
 
 def read_diff(source) -> DiffReport:

@@ -34,8 +34,7 @@ MalformedDwarfError.
 """
 
 import struct
-from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import MalformedDwarfError
 
@@ -227,8 +226,7 @@ class Cursor:
         return s
 
 
-@dataclass
-class UnitHeader:
+class UnitHeader(NamedTuple):
     offset: int          # start of the unit within the section
     version: int
     unit_type: int       # 1 (compile) for pre-v5 units
@@ -292,8 +290,7 @@ def iter_unit_headers(data: bytes, section: str = ".debug_info") -> Iterator[Uni
         cur.pos = end
 
 
-@dataclass
-class AbbrevDecl:
+class AbbrevDecl(NamedTuple):
     tag: int
     has_children: bool
     specs: List[Tuple[int, int, Optional[int]]]  # (attr, form, implicit const)
@@ -319,14 +316,17 @@ def parse_abbrev_table(data: bytes, offset: int) -> Dict[int, AbbrevDecl]:
         table[code] = AbbrevDecl(tag, has_children, specs)
 
 
-@dataclass
 class StringTables:
-    debug_str: Optional[bytes] = None
-    line_str: Optional[bytes] = None
-    str_offsets: Optional[bytes] = None
-    # strp names decoded so far, by .debug_str offset, shared by every unit
-    # walked with these tables.
-    names: Dict[int, str] = field(default_factory=dict)
+    """The string sections of one binary, and the names read from them."""
+
+    __slots__ = ("debug_str", "line_str", "str_offsets", "names")
+
+    def __init__(self, debug_str: Optional[bytes] = None, line_str: Optional[bytes] = None,
+                 str_offsets: Optional[bytes] = None):
+        self.debug_str, self.line_str, self.str_offsets = debug_str, line_str, str_offsets
+        # strp names decoded so far, by .debug_str offset, shared by every unit
+        # walked with these tables.
+        self.names: Dict[int, str] = {}
 
 
 def _read_cstr_at(table: Optional[bytes], offset: int, cur: Cursor, what: str) -> str:

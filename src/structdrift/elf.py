@@ -9,7 +9,6 @@ inflation stops one byte past that size.
 import struct
 import sys
 import zlib
-from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional
 
 from .errors import NotElfError
@@ -51,8 +50,7 @@ _CLASS_LAYOUTS = {
 }
 
 
-@dataclass
-class Section:
+class Section(NamedTuple):
     name: str
     sh_type: int
     flags: int

@@ -6,9 +6,8 @@ repeated definitions of the same name across units into one canonical
 record per structure.
 """
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import __version__
 from .dwarf import (
@@ -51,17 +50,15 @@ _WANTED = {
 }
 
 
-@dataclass
-class RawTypeEntry:
+class RawTypeEntry(NamedTuple):
     name: str
     byte_size: Optional[int]
-    members: List[MemberRecord] = field(default_factory=list)
+    members: List[MemberRecord]
     origin_unit: int = 0
     is_declaration_only: bool = False
 
 
-@dataclass
-class ExtractionMeta:
+class ExtractionMeta(NamedTuple):
     binary_path: str
     binary_size_bytes: int
     dwarf_versions_seen: Set[int]
@@ -162,12 +159,8 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                 elif tag in _TYPE_TAGS:
                     name = _clean_name(attrs.get(AT_NAME))
                     byte_size = _clean_int(attrs.get(AT_BYTE_SIZE))
-                    entry = RawTypeEntry(
-                        name=name,
-                        byte_size=byte_size,
-                        origin_unit=unit_index,
-                        is_declaration_only=_decl_only(attrs, byte_size),
-                    )
+                    entry = RawTypeEntry(name, byte_size, [], unit_index,
+                                         _decl_only(attrs, byte_size))
                     entries.append(entry)
                     open_types.append((depth, entry))
 
@@ -227,7 +220,7 @@ def extract_profile_with_meta(
     """Full extraction: returns the profile plus extraction statistics."""
     entries, meta = parse_raw_types(binary)
     catalog, conflicts = merge_duplicate_definitions(entries)
-    meta.merge_conflicts = conflicts
+    meta = meta._replace(merge_conflicts=conflicts)
 
     if architecture is None:
         architecture = meta.architecture

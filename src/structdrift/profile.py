@@ -11,10 +11,8 @@ profile reproduces the input byte for byte.
 import json
 import os
 import re
-from collections import namedtuple
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import InvariantError, SchemaError
 
@@ -26,15 +24,15 @@ ARCHITECTURES = ("arm32", "arm64", "x86_32", "x86_64")
 OFFSET_SANITY_BOUND = 2 ** 32
 
 
-class MemberRecord(namedtuple("MemberRecord", "name offset")):
+class MemberRecord(NamedTuple):
     """A member's name and byte offset: immutable, hashable and picklable.
 
-    A tuple underneath, because a profile holds tens of thousands of them,
-    but equal only to another MemberRecord and not ordered, so it never
-    stands in for a plain (name, offset) pair.
+    Unlike the other records, equal only to another MemberRecord and not
+    ordered, so it never stands in for a plain (name, offset) pair.
     """
 
-    __slots__ = ()
+    name: str
+    offset: int
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -49,11 +47,10 @@ class MemberRecord(namedtuple("MemberRecord", "name offset")):
     __le__ = __gt__ = __ge__ = __lt__
 
 
-@dataclass
-class StructureRecord:
+class StructureRecord(NamedTuple):
     name: str
     byte_size: int
-    members: List[MemberRecord] = field(default_factory=list)
+    members: List[MemberRecord]
 
     @classmethod
     def canonical(
@@ -67,8 +64,7 @@ class StructureRecord:
         return next((m.offset for m in self.members if m.name == name), None)
 
 
-@dataclass
-class ProfileMeta:
+class ProfileMeta(NamedTuple):
     platform_version: str
     architecture: str
     build_variant: str
@@ -90,10 +86,9 @@ _META_FIELDS = {
 }
 
 
-@dataclass
-class Profile:
+class Profile(NamedTuple):
     meta: ProfileMeta
-    structures: Dict[str, StructureRecord] = field(default_factory=dict)
+    structures: Dict[str, StructureRecord]
 
 
 def version_key(label: str):
@@ -323,12 +318,12 @@ def _canonical_profile(text: str) -> Optional[Profile]:
     meta_values = [meta_doc.get(key) for key in _META_FIELDS]
     if any(type(v) is not t for v, t in zip(meta_values, _META_FIELDS.values())):
         return None
-    meta = ProfileMeta(*meta_values)
-    meta.dwarf_versions_seen = tuple(meta.dwarf_versions_seen)
+    # The one list-typed meta value, dwarf_versions_seen, is kept as a tuple.
+    meta = ProfileMeta._make(tuple(v) if type(v) is list else v for v in meta_values)
     if any(type(v) is not int for v in meta.dwarf_versions_seen):
         return None
     expected = 3 + len(_META_FIELDS) + 3 * len(structures_doc)
-    new_member = tuple.__new__  # skips the namedtuple's Python-level __new__
+    new_member = tuple.__new__  # skips MemberRecord's Python-level __new__
     structures: Dict[str, StructureRecord] = {}
     for name, body in structures_doc.items():
         if type(body) is not dict:
@@ -370,8 +365,7 @@ def read_profile(source) -> Profile:
     return loads_profile(read_text(source))
 
 
-@dataclass
-class RepositoryIndex:
+class RepositoryIndex(NamedTuple):
     """Profiles found under <root>/<version>/<architecture>/<stem>.profile.json,
     keyed by the (version, architecture, stem) of their path."""
 

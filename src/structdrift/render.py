@@ -9,7 +9,6 @@ A report with both forms has one (headers, rows) builder, told only the
 absent-cell marker or the total-row label each form uses.
 """
 
-from dataclasses import asdict
 from typing import Callable, List, NamedTuple, Optional
 
 from .analytics import (
@@ -143,10 +142,10 @@ def aggregate_to_doc(table: TransitionTable) -> dict:
         "schema": AGGREGATE_SCHEMA,
         "watchlist": table.watchlist_name,
         "rows": [
-            dict({"from": frm, "to": to}, **asdict(counts))
+            dict({"from": frm, "to": to}, **counts._asdict())
             for frm, to, counts in table.rows
         ],
-        "totals": asdict(table.totals),
+        "totals": table.totals._asdict(),
     }
 
 

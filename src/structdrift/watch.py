@@ -7,9 +7,8 @@ profile and contain the named member. The shipped chain and watchlist
 definitions live in data files so deployments can amend them.
 """
 
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SchemaError
 from .profile import Profile, parse_json_document, read_text, version_key
@@ -32,8 +31,7 @@ STATUS_RESOLVED = "resolved"
 STATUS_BROKEN = "broken"
 
 
-@dataclass
-class WatchlistSpec:
+class WatchlistSpec(NamedTuple):
     name: str
     structures: List[str]
 
@@ -44,14 +42,12 @@ class WatchlistSpec:
             raise SchemaError(f"watchlist {self.name!r} contains duplicates")
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     structure: str
     member: str
 
 
-@dataclass
-class ChainSpec:
+class ChainSpec(NamedTuple):
     id: str
     capability: str
     steps: List[ChainStep]
@@ -67,24 +63,21 @@ class ChainSpec:
         return True
 
 
-@dataclass
-class ChainReport:
+class ChainReport(NamedTuple):
     chain_id: str
     status: str
-    resolved_steps: List[Tuple[str, str, int]] = field(default_factory=list)
+    resolved_steps: List[Tuple[str, str, int]]
     first_failure: Optional[Tuple[int, str]] = None  # (step index, reason)
 
 
-@dataclass
-class ChainReports:
+class ChainReports(NamedTuple):
     """Every chain resolved against one profile."""
 
     profile_version: str
     reports: List[ChainReport]
 
 
-@dataclass
-class TransitionNote:
+class TransitionNote(NamedTuple):
     from_version: str
     to_version: str
     capability: str
@@ -92,12 +85,11 @@ class TransitionNote:
     detail: str
 
 
-@dataclass
-class CapabilityAssessment:
+class CapabilityAssessment(NamedTuple):
     versions: List[str]
     # statuses[capability][i] corresponds to versions[i].
     statuses: Dict[str, List[str]]
-    annotations: List[TransitionNote] = field(default_factory=list)
+    annotations: List[TransitionNote]
 
 
 def _load_data_file(name: str) -> str:
@@ -179,22 +171,16 @@ def default_chains() -> List[ChainSpec]:
 def resolve_chain(profile: Profile, chain: ChainSpec) -> ChainReport:
     """Walk the chain's steps against one profile's structure catalog."""
     if not chain.applies_to(profile.meta.platform_version):
-        return ChainReport(chain.id, STATUS_BROKEN,
-                           first_failure=(0, REASON_NOT_APPLICABLE))
-    report = ChainReport(chain.id, STATUS_RESOLVED)
+        return ChainReport(chain.id, STATUS_BROKEN, [], (0, REASON_NOT_APPLICABLE))
+    resolved: List[Tuple[str, str, int]] = []
     for index, step in enumerate(chain.steps):
         record = profile.structures.get(step.structure)
-        if record is None:
-            report.status = STATUS_BROKEN
-            report.first_failure = (index, REASON_STRUCTURE_MISSING)
-            return report
-        offset = record.member_offset(step.member)
+        offset = None if record is None else record.member_offset(step.member)
         if offset is None:
-            report.status = STATUS_BROKEN
-            report.first_failure = (index, REASON_MEMBER_MISSING)
-            return report
-        report.resolved_steps.append((step.structure, step.member, offset))
-    return report
+            reason = REASON_STRUCTURE_MISSING if record is None else REASON_MEMBER_MISSING
+            return ChainReport(chain.id, STATUS_BROKEN, resolved, (index, reason))
+        resolved.append((step.structure, step.member, offset))
+    return ChainReport(chain.id, STATUS_RESOLVED, resolved)
 
 
 def assess_capabilities(

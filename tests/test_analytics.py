@@ -330,9 +330,8 @@ def test_mb_conversion_is_decimal():
 
 def test_stats_from_profile_meta():
     profile = make_profile("13", {"S": (8, [])})
-    profile.meta.binary_size_bytes = 89_760_000
-    profile.meta.raw_type_die_count = 17_275
-    profile.meta.dwarf_versions_seen = (5,)
+    profile = profile._replace(meta=profile.meta._replace(
+        binary_size_bytes=89_760_000, raw_type_die_count=17_275, dwarf_versions_seen=(5,)))
     stats = binary_stats(profile)
     assert stats.binary_size_mb == 89.76
     assert stats.symbol_count == 17_275

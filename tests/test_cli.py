@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -194,8 +193,8 @@ def test_repository_commands_read_only_their_architecture(tmp_path, monkeypatch,
         for arch in ARCHITECTURES:
             path = root / profile.meta.platform_version / arch / "libart.profile.json"
             path.parent.mkdir(parents=True)
-            write_profile(dataclasses.replace(
-                profile, meta=dataclasses.replace(profile.meta, architecture=arch)), path)
+            write_profile(profile._replace(
+                meta=profile.meta._replace(architecture=arch)), path)
     reads = []
     read_text = profile_module.read_text
 

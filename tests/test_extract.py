@@ -961,7 +961,7 @@ def test_walker_round_trips_every_form(unit):
     assert walker.cur.pos == header.end == len(info)
     # Cut short at every byte: a clean error, or a prefix of the DIEs.
     for cut in range(header.die_start, len(info)):
-        short = dataclasses.replace(header, end=cut)
+        short = header._replace(end=cut)
         walker = UnitWalker(info[:cut], short, table, strings, by_tag)
         got = []
         try:
