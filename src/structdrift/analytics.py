@@ -129,6 +129,9 @@ def _check_sequence(profiles: Sequence[Profile], minimum: int) -> None:
     keys = [version_key(label) for label in labels]
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise ValueError(f"profile sequence not in ascending version order: {labels}")
+    archs = {p.meta.architecture for p in profiles}
+    if len(archs) > 1:
+        raise ValueError(f"profiles span multiple architectures: {sorted(archs)}")
 
 
 def _structure_names(
@@ -147,9 +150,6 @@ def impact_matrix(
 ) -> ImpactMatrix:
     _check_sequence(profiles, 2)
     names = _structure_names(profiles, watchlist)
-    archs = {p.meta.architecture for p in profiles}
-    if len(archs) > 1:
-        raise ValueError(f"profiles span multiple architectures: {sorted(archs)}")
     transitions = [
         (a.meta.platform_version, b.meta.platform_version)
         for a, b in zip(profiles, profiles[1:])

@@ -317,7 +317,8 @@ def parse_abbrev_table(data: bytes, offset: int) -> Dict[int, AbbrevDecl]:
 
 
 class StringTables:
-    """The string sections of one binary, and the names read from them."""
+    """The string sections of one binary. Not a record: each instance owns
+    its own name cache, which a record default would share between binaries."""
 
     __slots__ = ("debug_str", "line_str", "str_offsets", "names")
 

@@ -409,17 +409,22 @@ def index_repository(root) -> RepositoryIndex:
 
 
 def read_sequence(root, architecture: str) -> List[Profile]:
-    """The valid, correctly placed profiles of `architecture` in version order.
+    """The profiles of `architecture` in version order.
 
-    Only <root>/*/<architecture>/*.profile.json is read; files that
-    index_repository would skip are dropped. Raises SchemaError when the
-    profiles kept have more than one stem, since one sequence follows one
+    Only <root>/*/<architecture>/*.profile.json is read. Raises SchemaError,
+    naming each file and why, when index_repository would skip any of them,
+    since a dropped version would pass for a gap in the sequence; and when
+    the profiles have more than one stem, since one sequence follows one
     library.
     """
     if architecture not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {architecture!r}")
-    placed = sorted(_placed_profiles(root, architecture, []),
+    skipped: List[Tuple[Path, str]] = []
+    placed = sorted(_placed_profiles(root, architecture, skipped),
                     key=lambda item: version_key(item[0][0]))
+    if skipped:
+        raise SchemaError(f"{architecture} sequence under {root} has unusable profiles: "
+                          + "; ".join(f"{path}: {reason}" for path, reason in skipped))
     stems = sorted({key[2] for key, _, _ in placed})
     if len(stems) > 1:
         raise SchemaError(

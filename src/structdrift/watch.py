@@ -144,7 +144,9 @@ def parse_chains(text: str) -> List[ChainSpec]:
                     or not isinstance(s.get("member"), str):
                 raise SchemaError(f"chain {chain_id}: malformed step")
             steps.append(ChainStep(s["structure"], s["member"]))
-        versions = entry.get("applicable_versions") or {}
+        # Absent or null means no bounds; any other value must be an object.
+        versions = entry.get("applicable_versions")
+        versions = {} if versions is None else versions
         if not isinstance(versions, dict):
             raise SchemaError(f"chain {chain_id}: applicable_versions must be an object")
         min_v = versions.get("min")

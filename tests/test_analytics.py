@@ -115,11 +115,17 @@ def test_matrix_requires_two_profiles():
         impact_matrix([make_profile("9", {})], ["S"])
 
 
-def test_matrix_rejects_mixed_architectures():
-    p = make_profile("9", {}, arch="arm64")
-    q = make_profile("10", {}, arch="x86_64")
-    with pytest.raises(ValueError):
-        impact_matrix([p, q], ["S"])
+@pytest.mark.parametrize("analysis", [
+    impact_matrix, aggregate_transitions, volatility_stats,
+    lambda profiles, names: size_timeline(profiles, names[0]),
+    lambda profiles, names: member_offset_timeline(profiles, names[0], "a"),
+], ids=["impact_matrix", "aggregate_transitions", "volatility_stats",
+        "size_timeline", "member_offset_timeline"])
+def test_matrix_rejects_mixed_architectures(analysis):
+    p = make_profile("9", {"S": (8, [("a", 0)])}, arch="arm64")
+    q = make_profile("10", {"S": (8, [("a", 0)])}, arch="x86_64")
+    with pytest.raises(ValueError, match="multiple architectures"):
+        analysis([p, q], ["S"])
 
 
 def test_sequences_must_be_ordered():

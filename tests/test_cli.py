@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +16,7 @@ from structdrift.cli import run
 from structdrift.profile import ARCHITECTURES
 from structdrift.render import AGGREGATE_CSV_HEADER
 
-from conftest import FIXTURES, art_profile, art_sequence, fixture_path
+from conftest import FIXTURES, art_profile, art_sequence, fixture_path, make_profile
 
 
 @pytest.fixture
@@ -213,6 +214,35 @@ def test_repository_sequence_of_two_stems_is_an_input_error(art_repo, capsys):
     assert run(["score", "--repo", str(art_repo), "--arch", "x86_64"]) == 3
     err = capsys.readouterr().err
     assert "libart, libcxx" in err and "pass the profile files" in err
+
+
+@pytest.mark.parametrize("command", [["score"], ["aggregate"], ["volatility"],
+                                     ["timeline", "S"]])
+def test_sequence_of_mixed_architectures_is_a_usage_error(tmp_path, capsys, command):
+    paths = [write_tmp_profile(tmp_path, make_profile(version, {"S": (8, [])}, arch),
+                               f"{version}.profile.json")
+             for version, arch in [("9", "x86_64"), ("10", "x86_32")]]
+    assert run(command + paths) == 2
+    assert "multiple architectures" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replacement, reason", [
+    (lambda repo: "{broken", "not valid JSON"),
+    (lambda repo: (repo / "10" / "x86_64" / "libart.profile.json").read_text(),
+     "meta names 10/x86_64, the path places it at 11/x86_64"),
+], ids=["unreadable", "misplaced"])
+def test_repository_version_gap_is_an_input_error(tmp_path, capsys, replacement, reason):
+    repo = tmp_path / "repo"
+    shutil.copytree(FIXTURES / "profiles", repo)
+    gap = repo / "11" / "x86_64" / "libart.profile.json"
+    gap.write_text(replacement(repo))
+    assert run(["aggregate", "--repo", str(repo), "--arch", "x86_64", "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{gap}: {reason}" in captured.err
+    assert run(["index", "--repo", str(repo)]) == 0
+    skipped = json.loads(capsys.readouterr().out)["skipped"]
+    assert [entry["path"] for entry in skipped] == [str(gap)]
 
 
 # ------------------------------------------------------------------- stats
@@ -522,6 +552,17 @@ def test_report_commands_do_not_load_the_extractor():
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_and_extractor_do_not_import_dataclasses():
+    script = ("import sys, structdrift.cli, structdrift.extract; "
+              "print('dataclasses' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_unsupported_render_format_rejected():

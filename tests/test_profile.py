@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structdrift
+
 from structdrift import (
     InvariantError,
     MemberRecord,
@@ -520,6 +522,19 @@ def test_member_record_contract():
         sorted([MemberRecord("b", 0), member])
 
 
+_EXPORTS = [getattr(structdrift, name) for name in structdrift.__all__]
+_RECORD_TYPES = [obj for obj in _EXPORTS
+                 if isinstance(obj, type) and not issubclass(obj, Exception)]
+
+
+@pytest.mark.parametrize("record_type", _RECORD_TYPES, ids=lambda t: t.__name__)
+def test_exported_records_refuse_attribute_assignment(record_type):
+    record = record_type._make(range(len(record_type._fields)))
+    for name in record_type._fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 @settings(max_examples=120, deadline=None)
 @given(profiles())
 def test_round_trip_over_generated_profiles(profile):
@@ -573,14 +588,18 @@ def test_sequence_reads_one_architecture_in_version_order(tmp_repo):
     ]
 
 
-def test_sequence_drops_files_the_index_skips(tmp_repo):
+def test_sequence_refuses_files_the_index_skips(tmp_repo):
     placed = tmp_repo(make_profile("9", {"S": (8, [])}))
     for version, text in [("10", "{nonsense"), ("11", placed.read_text())]:
         path = tmp_repo.root / version / "x86_64" / "libart.profile.json"
         path.parent.mkdir(parents=True)
         path.write_text(text)
-    assert len(index_repository(tmp_repo.root).skipped) == 2
-    assert read_sequence(tmp_repo.root, "x86_64") == [read_profile(placed)]
+    skipped = index_repository(tmp_repo.root).skipped
+    assert len(skipped) == 2
+    with pytest.raises(SchemaError) as caught:
+        read_sequence(tmp_repo.root, "x86_64")
+    for path, reason in skipped:
+        assert f"{path}: {reason}" in str(caught.value)
 
 
 def test_sequence_of_two_stems_is_a_schema_error(tmp_repo):

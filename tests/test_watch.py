@@ -248,3 +248,21 @@ def test_chain_version_bounds_must_be_strings(versions):
     }]}
     with pytest.raises(SchemaError, match="bounds must be strings"):
         parse_chains(json.dumps(doc))
+
+
+def _chain_doc(**extra) -> str:
+    return json.dumps({"schema": "structdrift-chains/1", "chains": [dict(
+        {"id": "a", "capability": "heap_analysis",
+         "steps": [{"structure": "S", "member": "m"}]}, **extra)]})
+
+
+@pytest.mark.parametrize("versions", [[], 0, False, "", [1]])
+def test_chain_version_bounds_must_be_an_object(versions):
+    with pytest.raises(SchemaError, match="applicable_versions must be an object"):
+        parse_chains(_chain_doc(applicable_versions=versions))
+
+
+@pytest.mark.parametrize("extra", [{}, {"applicable_versions": None}])
+def test_absent_or_null_chain_version_bounds_mean_none(extra):
+    (chain,) = parse_chains(_chain_doc(**extra))
+    assert (chain.min_version, chain.max_version) == (None, None)
