@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from .diff import ChangeCounts, StructureDiff, diff_profiles, diff_structure, \
     match_members, summarize_diff
-from .profile import Profile, StructureRecord, version_key
+from .profile import Profile, StructureRecord, check_sequence
 
 # Weights of the three impact factors. Offset movement dominates observed
 # change traffic, so it carries the largest weight; churn and growth are
@@ -118,22 +118,6 @@ def impact_score(
     )
 
 
-def _labels(profiles: Sequence[Profile]) -> List[str]:
-    return [p.meta.platform_version for p in profiles]
-
-
-def _check_sequence(profiles: Sequence[Profile], minimum: int) -> None:
-    if len(profiles) < minimum:
-        raise ValueError(f"sequence too short: need at least {minimum} profiles")
-    labels = _labels(profiles)
-    keys = [version_key(label) for label in labels]
-    if any(b <= a for a, b in zip(keys, keys[1:])):
-        raise ValueError(f"profile sequence not in ascending version order: {labels}")
-    archs = {p.meta.architecture for p in profiles}
-    if len(archs) > 1:
-        raise ValueError(f"profiles span multiple architectures: {sorted(archs)}")
-
-
 def _structure_names(
     profiles: Sequence[Profile], watchlist: Optional[Sequence[str]]
 ) -> List[str]:
@@ -148,7 +132,7 @@ def impact_matrix(
     watchlist: Optional[Sequence[str]] = None,
     watchlist_name: Optional[str] = None,
 ) -> ImpactMatrix:
-    _check_sequence(profiles, 2)
+    check_sequence(profiles, 2)
     names = _structure_names(profiles, watchlist)
     transitions = [
         (a.meta.platform_version, b.meta.platform_version)
@@ -175,7 +159,7 @@ def _timeline(
     member: Optional[str],
     value: Callable[[StructureRecord], Optional[int]],
 ) -> TimelineReport:
-    _check_sequence(profiles, 1)
+    check_sequence(profiles, 1)
     points: List[Tuple[str, Optional[int]]] = []
     for profile in profiles:
         record = profile.structures.get(structure)
@@ -211,7 +195,7 @@ def volatility_stats(
     sequence, and the overall rate pools the counts rather than averaging
     per-structure rates.
     """
-    _check_sequence(profiles, 2)
+    check_sequence(profiles, 2)
     names = _structure_names(profiles, watchlist)
     # Member identities (name, ordinal) per structure, so every count below
     # is one pass over the sequence.
@@ -265,7 +249,7 @@ def aggregate_transitions(
     watchlist: Optional[Sequence[str]] = None,
     watchlist_name: Optional[str] = None,
 ) -> TransitionTable:
-    _check_sequence(profiles, 2)
+    check_sequence(profiles, 2)
     names = _structure_names(profiles, watchlist)
     rows: List[Tuple[str, str, ChangeCounts]] = []
     for old, new in zip(profiles, profiles[1:]):

@@ -3,7 +3,8 @@
 Handles 32- and 64-bit files of either endianness and decompresses
 zlib-compressed debug sections (both SHF_COMPRESSED and legacy .zdebug_*).
 A compressed section must inflate to exactly the size its header states;
-inflation stops one byte past that size.
+inflation stops one byte past that size. Relocations are not applied, so a
+relocatable object with RELA relocations of its debug sections is refused.
 """
 
 import struct
@@ -15,6 +16,8 @@ from .errors import NotElfError
 
 ELF_MAGIC = b"\x7fELF"
 
+ET_REL = 1
+SHT_RELA = 4
 SHF_COMPRESSED = 0x800
 ELFCOMPRESS_ZLIB = 1
 
@@ -38,15 +41,15 @@ class _ClassLayout(NamedTuple):
     word: str         # Elf32_Off/Word or Elf64_Off/Xword: e_shoff and sh_size
     shoff_at: int     # e_shoff in the ELF header
     shcounts_at: int  # e_shentsize, e_shnum, e_shstrndx in the ELF header
-    shdr: str         # sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size
+    shdr: str         # Elf_Shdr from sh_name to sh_info
     size_at: int      # sh_size in a section header
     link_at: int      # sh_link (4 bytes) in a section header
     chdr: str         # Elf_Chdr: ch_type, (64-bit: ch_reserved), ch_size, ch_addralign
 
 
 _CLASS_LAYOUTS = {
-    32: _ClassLayout("I", 0x20, 0x2E, "IIIIII", 0x14, 0x18, "III"),
-    64: _ClassLayout("Q", 0x28, 0x3A, "IIQQQQ", 0x20, 0x28, "IIQQ"),
+    32: _ClassLayout("I", 0x20, 0x2E, "IIIIIIII", 0x14, 0x18, "III"),
+    64: _ClassLayout("Q", 0x28, 0x3A, "IIQQQQII", 0x20, 0x28, "IIQQ"),
 }
 
 
@@ -81,39 +84,38 @@ class ElfFile:
 
     def _parse_headers(self) -> None:
         e, layout = self._end, _CLASS_LAYOUTS[self.bits]
-        (self.machine,) = struct.unpack_from(e + "H", self.data, 18)
+        e_type, self.machine = struct.unpack_from(e + "HH", self.data, 16)
         (shoff,) = struct.unpack_from(e + layout.word, self.data, layout.shoff_at)
         shentsize, shnum, shstrndx = struct.unpack_from(e + "HHH", self.data,
                                                         layout.shcounts_at)
         if shoff == 0 or shentsize == 0:
             raise NotElfError("ELF file has no section header table")
 
-        headers = []
         # shnum == 0 means the real count lives in section 0's sh_size.
         count = shnum or struct.unpack_from(e + layout.word, self.data,
                                             shoff + layout.size_at)[0]
         if shoff + count * shentsize > len(self.data):
             raise NotElfError("section header table extends past end of file")
         shdr = struct.Struct(e + layout.shdr)
-        for i in range(count):
-            name_off, sh_type, flags, _addr, offset, size = shdr.unpack_from(
-                self.data, shoff + i * shentsize
-            )
-            headers.append((name_off, sh_type, flags, offset, size))
+        headers = [shdr.unpack_from(self.data, shoff + i * shentsize) for i in range(count)]
 
         if shstrndx == 0xFFFF:
             (shstrndx,) = struct.unpack_from(e + "I", self.data, shoff + layout.link_at)
         if shstrndx >= len(headers):
             raise NotElfError("section name string table index out of range")
-        _, _, _, str_off, str_size = headers[shstrndx]
+        str_off, str_size = headers[shstrndx][4:6]
         strtab = self.data[str_off : str_off + str_size]
 
+        # RELA addends live outside the section, so unrelocated string offsets read 0.
+        relocated = {h[7] for h in headers if h[1] == SHT_RELA} if e_type == ET_REL else ()
         self.sections: Dict[str, Section] = {}
-        for name_off, sh_type, flags, offset, size in headers:
+        for index, (name_off, sh_type, flags, _, offset, size, _, _) in enumerate(headers):
             end = strtab.find(b"\x00", name_off)
             if end < 0:
                 continue
             name = strtab[name_off:end].decode("utf-8", "replace")
+            if index in relocated and name.startswith((".debug_", ".zdebug_")):
+                raise NotElfError(f"section {name} has RELA relocations; they are not applied")
             self.sections[name] = Section(name, sh_type, flags, offset, size)
 
     def section_bytes(self, section: Section) -> bytes:

@@ -11,8 +11,9 @@ profile reproduces the input byte for byte.
 import json
 import os
 import re
+from json.encoder import encode_basestring as _quote  # the C quoting json.dumps uses
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError, SchemaError
 
@@ -99,6 +100,19 @@ def version_key(label: str):
     )
 
 
+def check_sequence(profiles: Sequence[Profile], minimum: int) -> None:
+    """ValueError unless `minimum`+ profiles, one architecture, strictly rising versions."""
+    if len(profiles) < minimum:
+        raise ValueError(f"sequence too short: need at least {minimum} profiles")
+    labels = [p.meta.platform_version for p in profiles]
+    keys = [version_key(label) for label in labels]
+    if any(b <= a for a, b in zip(keys, keys[1:])):
+        raise ValueError(f"profile sequence not in ascending version order: {labels}")
+    archs = {p.meta.architecture for p in profiles}
+    if len(archs) > 1:
+        raise ValueError(f"profiles span multiple architectures: {sorted(archs)}")
+
+
 def _check_type(value, expected, what: str):
     if expected is int and isinstance(value, bool):
         raise SchemaError(f"{what} must be an integer, got a boolean")
@@ -143,32 +157,55 @@ def validate_profile(profile: Profile) -> None:
             prev_offset, prev_name = offset, member_name
 
 
-def profile_to_doc(profile: Profile) -> dict:
-    """Canonical document; rejects non-canonical profiles."""
-    validate_profile(profile)
-    meta = {key: getattr(profile.meta, key) for key in _META_FIELDS}
-    meta["dwarf_versions_seen"] = list(meta["dwarf_versions_seen"])
-    return {
-        "schema": PROFILE_SCHEMA,
-        "meta": meta,
-        "structures": {
-            name: {
-                "size": record.byte_size,
-                "members": [{"name": m.name, "offset": m.offset} for m in record.members],
-            }
-            for name, record in profile.structures.items()
-        },
-    }
-
-
 def dumps_document(doc: dict) -> str:
     """Canonical JSON text of a document: UTF-8, two-space indent, final newline."""
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+def _number(value, what: str) -> str:
+    """Decimal text of an exact int; anything else would not read back."""
+    if type(value) is not int:
+        raise InvariantError(f"{what} must be an integer, got {type(value).__name__}")
+    return int.__repr__(value)
+
+
+def _block(ends: str, items: List[str], indent: str) -> str:
+    """A JSON array or object of indented item texts, laid out as json.dumps does."""
+    return "\n".join([ends[0], ",\n".join(items), indent + ends[1]]) if items else ends
+
+
+def _structure_text(record: StructureRecord) -> str:
+    members = record.members
+    items = [f'        {{\n          "name": {_quote(name)},\n'
+             f'          "offset": {offset}\n        }}'
+             for name, offset in members if type(offset) is int]
+    if len(items) != len(members):
+        bad = next(m for m in members if type(m.offset) is not int)
+        _number(bad.offset, f"{record.name}.{bad.name}: offset")
+    size = _number(record.byte_size, f"{record.name}: size")
+    return (f'    {_quote(record.name)}: {{\n      "size": {size},\n'
+            f'      "members": {_block("[]", items, "      ")}\n    }}')
+
+
 def dumps_profile(profile: Profile) -> str:
-    """Serialize to canonical text; rejects non-canonical profiles."""
-    return dumps_document(profile_to_doc(profile))
+    """Canonical text of a profile: dumps_document of its document, byte for byte.
+
+    Built from the records, without json.dumps's pure-Python indenting encoder.
+    Rejects non-canonical profiles, and a number that is not exactly an int.
+    """
+    validate_profile(profile)
+    meta = []
+    for key, kind in _META_FIELDS.items():
+        value = getattr(profile.meta, key)
+        if kind is list:
+            text = _block("[]", [f"      {_number(v, f'meta.{key}')}" for v in value], "    ")
+        else:
+            text = _quote(value) if kind is str else _number(value, f"meta.{key}")
+        meta.append(f'    "{key}": {text}')
+    structures = [_structure_text(record) for record in profile.structures.values()]
+    return (f'{{\n  "schema": {_quote(PROFILE_SCHEMA)},\n'
+            f'  "meta": {_block("{}", meta, "  ")},\n'
+            f'  "structures": {_block("{}", structures, "  ")}\n}}\n')
 
 
 def write_text(destination, text: str) -> None:

@@ -1,7 +1,8 @@
 """Report serialization: canonical JSON, CSV and tables.
 
-One registry maps each report type to its JSON document, table and
-optional CSV renderers. CSV is available for matrix-, aggregate- and
+One registry maps each report type to its JSON, table and optional CSV
+renderers; a profile's JSON is written from its records, other reports'
+from their documents. CSV is available for matrix-, aggregate- and
 timeline-shaped reports; real-valued cells carry three fraction digits,
 counts and offsets stay plain integers, and absent cells are left empty.
 Table output is fixed-width and carries the same values as the JSON form.
@@ -21,7 +22,7 @@ from .analytics import (
 )
 from .diff import ChangeCounts, DiffReport, diff_to_doc
 from .errors import SchemaError
-from .profile import Profile, RepositoryIndex, dumps_document, profile_to_doc
+from .profile import Profile, RepositoryIndex, dumps_document, dumps_profile
 from .watch import CapabilityAssessment, ChainReports
 
 IMPACT_SCHEMA = "structdrift-impact/1"
@@ -340,26 +341,31 @@ def _index_table(index: RepositoryIndex) -> str:
 
 
 class _Renderers(NamedTuple):
-    to_doc: Callable[..., dict]
+    json: Callable[..., str]
     table: Callable[..., str]
     csv: Optional[Callable[..., str]] = None
 
 
+def _json(to_doc: Callable[..., dict]) -> Callable[..., str]:
+    return lambda report: dumps_document(to_doc(report))
+
+
 _RENDERERS = {
-    Profile: _Renderers(profile_to_doc, _profile_table),
-    DiffReport: _Renderers(diff_to_doc, _diff_table),
-    ImpactMatrix: _Renderers(matrix_to_doc, lambda m: _fixed_table(*_matrix_rows(m, "-")),
+    Profile: _Renderers(dumps_profile, _profile_table),
+    DiffReport: _Renderers(_json(diff_to_doc), _diff_table),
+    ImpactMatrix: _Renderers(_json(matrix_to_doc),
+                             lambda m: _fixed_table(*_matrix_rows(m, "-")),
                              lambda m: _csv(*_matrix_rows(m, ""))),
-    TimelineReport: _Renderers(timeline_to_doc, _timeline_table,
+    TimelineReport: _Renderers(_json(timeline_to_doc), _timeline_table,
                                lambda r: _csv(*_timeline_rows(r, ""))),
-    VolatilityStats: _Renderers(volatility_to_doc, _volatility_table),
-    TransitionTable: _Renderers(aggregate_to_doc,
+    VolatilityStats: _Renderers(_json(volatility_to_doc), _volatility_table),
+    TransitionTable: _Renderers(_json(aggregate_to_doc),
                                 lambda t: _fixed_table(*_aggregate_rows(t, "Total")),
                                 lambda t: _csv(*_aggregate_rows(t, "total"))),
-    CapabilityAssessment: _Renderers(capabilities_to_doc, _capabilities_table),
-    RepositoryIndex: _Renderers(index_to_doc, _index_table),
-    StatsReport: _Renderers(stats_to_doc, _stats_table),
-    ChainReports: _Renderers(chain_reports_to_doc, _chain_reports_table),
+    CapabilityAssessment: _Renderers(_json(capabilities_to_doc), _capabilities_table),
+    RepositoryIndex: _Renderers(_json(index_to_doc), _index_table),
+    StatsReport: _Renderers(_json(stats_to_doc), _stats_table),
+    ChainReports: _Renderers(_json(chain_reports_to_doc), _chain_reports_table),
 }
 
 
@@ -370,7 +376,7 @@ def render_report(report, fmt: str) -> str:
     if fmt == "json":
         if renderers is None:
             raise UnsupportedFormatError(f"no json renderer for {kind}")
-        return dumps_document(renderers.to_doc(report))
+        return renderers.json(report)
     if fmt == "csv":
         if renderers is None or renderers.csv is None:
             raise UnsupportedFormatError(f"csv output is not available for {kind} reports")

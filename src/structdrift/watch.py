@@ -11,7 +11,7 @@ from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SchemaError
-from .profile import Profile, parse_json_document, read_text, version_key
+from .profile import Profile, check_sequence, parse_json_document, read_text, version_key
 
 CHAINS_SCHEMA = "structdrift-chains/1"
 WATCHLIST_SCHEMA = "structdrift-watchlist/1"
@@ -195,8 +195,7 @@ def assess_capabilities(
     consecutive versions, and offset movement inside chains that stay
     resolved (maintenance needed, but not broken).
     """
-    if not profiles:
-        raise ValueError("sequence too short: need at least 1 profile")
+    check_sequence(profiles, 1)
     versions = [p.meta.platform_version for p in profiles]
     capabilities = sorted({c.capability for c in chains})
     reports: Dict[str, List[ChainReport]] = {c.id: [] for c in chains}

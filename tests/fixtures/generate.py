@@ -181,6 +181,16 @@ def main():
     (HERE / "merge_b.o").unlink()
     print("merge-two-cu.so: built")
 
+    # Relocatable objects. x86_64 uses RELA relocations, whose addends (and
+    # so every string offset) live outside the debug sections: the extractor
+    # does not apply them and must refuse the file (exit 3). i386 uses REL
+    # relocations, whose addends sit in the section bytes, so its names
+    # come out right without them.
+    for stem, flags in (("thread-rela-64", []), ("thread-rel-32", ["-m32"])):
+        run(["gcc", "-c", "-g", "-gdwarf-5"] + flags + PREFIX_MAP
+            + [str(HERE / "thread.c"), "-o", str(HERE / f"{stem}.o")])
+    print("thread-rela-64.o, thread-rel-32.o: built")
+
     # Stripped and compressed variants of the dwarf4-64 build.
     run(["objcopy", "--strip-debug", str(HERE / "layouts-dwarf4-64.so"),
          str(HERE / "layouts-stripped.so")])

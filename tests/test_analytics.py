@@ -6,8 +6,10 @@ from structdrift import (
     MemberRecord,
     StructureRecord,
     aggregate_transitions,
+    assess_capabilities,
     binary_stats,
     combine_impact_factors,
+    default_chains,
     diff_profiles,
     diff_structure,
     extract_profile,
@@ -119,8 +121,9 @@ def test_matrix_requires_two_profiles():
     impact_matrix, aggregate_transitions, volatility_stats,
     lambda profiles, names: size_timeline(profiles, names[0]),
     lambda profiles, names: member_offset_timeline(profiles, names[0], "a"),
+    lambda profiles, names: assess_capabilities(profiles, default_chains()),
 ], ids=["impact_matrix", "aggregate_transitions", "volatility_stats",
-        "size_timeline", "member_offset_timeline"])
+        "size_timeline", "member_offset_timeline", "assess_capabilities"])
 def test_matrix_rejects_mixed_architectures(analysis):
     p = make_profile("9", {"S": (8, [("a", 0)])}, arch="arm64")
     q = make_profile("10", {"S": (8, [("a", 0)])}, arch="x86_64")

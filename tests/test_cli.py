@@ -399,6 +399,19 @@ def test_chains_non_string_version_bound_is_input_error(tmp_path, capsys):
     assert "bounds must be strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("second, message", [
+    (make_profile("10", {"S": (8, [])}, "x86_32"), "multiple architectures"),
+    (None, "not in ascending version order"),  # the same file twice
+], ids=["mixed-architectures", "same-profile-twice"])
+def test_chains_sequence_is_checked_like_the_others(tmp_path, capsys, second, message):
+    first = write_tmp_profile(tmp_path, make_profile("9", {"S": (8, [])}), "p.profile.json")
+    other = first if second is None else write_tmp_profile(tmp_path, second, "r.profile.json")
+    for command in ("chains", "aggregate"):
+        assert run([command, first, other]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_chains_capability_assessment(tmp_path, capsys):
     paths = [
         write_tmp_profile(tmp_path, p, f"p{p.meta.platform_version}.profile.json")

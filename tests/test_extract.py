@@ -694,6 +694,27 @@ def test_merge_never_invents_names():
     assert set(catalog) <= {"A", "B"}
 
 
+def test_relocatable_object_with_rela_debug_relocations_is_refused(capsys):
+    # RELA addends live outside the section, so without applying them every
+    # string offset reads 0 and each name would be whatever string is first.
+    from structdrift.cli import run
+
+    source = fixture_path("thread-rela-64.o")
+    with pytest.raises(NotElfError, match="RELA relocations"):
+        load_elf(source)
+    assert run(["extract", str(source)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "section .debug_info has RELA relocations" in captured.err
+
+
+def test_relocatable_object_with_rel_relocations_extracts():
+    # REL addends sit in the section bytes, so names resolve unrelocated.
+    profile = extract_profile(fixture_path("thread-rel-32.o"))
+    assert profile.meta.architecture == "x86_32"
+    assert layout_map(profile) == {"Thread": (12, [(0, "state"), (4, "tid"), (8, "name")])}
+
+
 FUZZ_CASES = 300
 
 
@@ -704,7 +725,12 @@ FUZZ_CASES = 300
     ("layouts-dwarf5-64.so", ".debug_str"),
     # Compressed: the mutations hit the compression header and zlib stream.
     ("layouts-zlib-64.so", ".debug_info"),
-], ids=["header", ".debug_info", ".debug_abbrev", ".debug_str", "zlib-.debug_info"])
+    # Relocatable: the mutations hit the ELF header (e_type) and the section
+    # headers (sh_type, sh_info) the RELA refusal reads.
+    ("thread-rela-64.o", "header"),
+    ("thread-rela-64.o", "section headers"),
+], ids=["header", ".debug_info", ".debug_abbrev", ".debug_str", "zlib-.debug_info",
+        "rela-object-header", "rela-object-section-headers"])
 def test_mutated_fixture_never_escapes(tmp_path, capsys, fixture, region):
     # Seeded, bounded byte mutation: every case must end in success or a
     # clean input error, never a traceback or exit code 1.
@@ -714,6 +740,9 @@ def test_mutated_fixture_never_escapes(tmp_path, capsys, fixture, region):
     original = source.read_bytes()
     if region == "header":
         start, size = 0, 64
+    elif region == "section headers":  # ELF64 little-endian
+        (start,) = struct.unpack_from("<Q", original, 0x28)  # e_shoff
+        size = 64 * struct.unpack_from("<H", original, 0x3C)[0]  # 64 bytes * e_shnum
     else:
         section = load_elf(source).sections[region]
         start, size = section.offset, section.size

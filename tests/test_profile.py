@@ -23,6 +23,7 @@ from structdrift import (
     write_profile,
 )
 from structdrift.profile import (
+    ARCHITECTURES,
     PROFILE_SCHEMA,
     _canonical_profile,
     doc_to_profile,
@@ -546,6 +547,84 @@ def test_round_trip_over_generated_profiles(profile):
 def test_canonical_text_fixed_point(profile):
     text = dumps_profile(profile)
     assert dumps_profile(loads_profile(text)) == text
+
+
+# ------------------------------------------------------------------- writer
+
+def reference_doc(profile):
+    """The profile's canonical document, built apart from the writer."""
+    meta = profile.meta._asdict()
+    meta["dwarf_versions_seen"] = list(meta["dwarf_versions_seen"])
+    return {
+        "schema": PROFILE_SCHEMA,
+        "meta": meta,
+        "structures": {
+            name: {"size": record.byte_size,
+                   "members": [{"name": m.name, "offset": m.offset} for m in record.members]}
+            for name, record in profile.structures.items()
+        },
+    }
+
+
+# Quotes, backslashes, control characters, line and paragraph separators,
+# non-BMP characters and lone surrogates, among any other characters.
+_AWKWARD_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\ud800\udfff\U0001f600'),
+    st.characters()), max_size=6)
+_AWKWARD_NAMES = _AWKWARD_TEXT.filter(bool)
+_LARGE = st.integers(0, 2 ** 80)
+
+
+@st.composite
+def _awkward_profiles(draw):
+    meta = make_meta(
+        draw(_AWKWARD_TEXT), draw(st.sampled_from(ARCHITECTURES)),
+        build_variant=draw(_AWKWARD_TEXT),
+        binary_size_bytes=draw(_LARGE),
+        dwarf_versions_seen=tuple(sorted(draw(st.sets(_LARGE, max_size=3)))),
+        raw_type_die_count=draw(_LARGE),
+        extraction_tool_version=draw(_AWKWARD_TEXT),
+    )
+    catalog = {}
+    for name in sorted(draw(st.sets(_AWKWARD_NAMES, max_size=4))):
+        size = draw(st.one_of(st.just(0), _LARGE))
+        offsets = st.integers(0, size - 1) if size else _LARGE
+        members = [MemberRecord(draw(_AWKWARD_NAMES), draw(offsets))
+                   for _ in range(draw(st.integers(0, 3)))]
+        catalog[name] = StructureRecord.canonical(name, size, members)
+    return Profile(meta, catalog)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_awkward_profiles())
+def test_writer_matches_json_dumps_of_the_document(profile):
+    expected = json.dumps(reference_doc(profile), ensure_ascii=False, indent=2) + "\n"
+    assert dumps_profile(profile) == expected
+
+
+@pytest.mark.parametrize("size, offset, message", [
+    (16, 8.0, "S.a: offset must be an integer, got float"),
+    (16, True, "S.a: offset must be an integer, got bool"),
+    (16.0, 8, "S: size must be an integer, got float"),
+], ids=["offset-float", "offset-bool", "size-float"])
+def test_writer_refuses_numbers_the_reader_refuses(tmp_path, size, offset, message):
+    profile = Profile(make_meta(), {"S": StructureRecord("S", size, [MemberRecord("a", offset)])})
+    with pytest.raises(SchemaError):  # json.dumps would write a file the reader refuses
+        loads_profile(json.dumps(reference_doc(profile), indent=2))
+    path = tmp_path / "s.profile.json"
+    with pytest.raises(InvariantError) as exc_info:
+        write_profile(profile, path)
+    assert str(exc_info.value) == message
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("meta", [
+    make_meta(binary_size_bytes=1000.0),
+    make_meta(dwarf_versions_seen=(True,)),
+], ids=["meta-float", "version-bool"])
+def test_writer_refuses_meta_values_the_reader_refuses(meta):
+    with pytest.raises(InvariantError):
+        dumps_profile(Profile(meta, {}))
 
 
 # ----------------------------------------------------------------- repository
