@@ -14,7 +14,7 @@ profile, in name order.
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diff import ChangeCounts, StructureDiff, diff_profiles, diff_structure, \
-    match_members, summarize_diff
+    match_members, member_identities, same_members, summarize_diff
 from .profile import Profile, StructureRecord, check_sequence
 
 # Weights of the three impact factors. Offset movement dominates observed
@@ -196,30 +196,32 @@ def volatility_stats(
     per-structure rates.
     """
     check_sequence(profiles, 2)
-    names = _structure_names(profiles, watchlist)
-    # Member identities (name, ordinal) per structure, so every count below
-    # is one pass over the sequence.
-    survived: Dict[str, Set[Tuple[str, int]]] = {name: set() for name in names}
-    moved: Dict[str, Set[Tuple[str, int]]] = {name: set() for name in names}
-    for old, new in zip(profiles, profiles[1:]):
-        for name in names:
+    pairs = list(zip(profiles, profiles[1:]))
+    per_structure: Dict[str, StructureVolatility] = {}
+    for name in _structure_names(profiles, watchlist):
+        # Member identities (name, ordinal), so each count is one pass.
+        survived: Set[Tuple[str, int]] = set()
+        moved: Set[Tuple[str, int]] = set()
+        whole = None  # a member list all of whose identities have survived
+        for old, new in pairs:
             old_rec = old.structures.get(name)
             new_rec = new.structures.get(name)
             if old_rec is None or new_rec is None:
                 continue
-            survived_here = survived[name]
-            moved_here = moved[name]
+            if same_members(old_rec.members, new_rec.members):
+                # Every identity survives and none moves.
+                if old_rec.members is not whole:
+                    survived.update(member_identities(old_rec.members))
+                whole = new_rec.members
+                continue
             for identity, a, b in match_members(old_rec.members, new_rec.members)[0]:
-                survived_here.add(identity)
+                survived.add(identity)
                 if a.offset != b.offset:
-                    moved_here.add(identity)
-    per_structure: Dict[str, StructureVolatility] = {}
-    for name in names:
-        s = len(survived[name])
-        m = len(moved[name])
+                    moved.add(identity)
+        s, m = len(survived), len(moved)
         per_structure[name] = StructureVolatility(s, m, (m / s) if s else 0.0)
-    total_s = sum(len(keys) for keys in survived.values())
-    total_m = sum(len(keys) for keys in moved.values())
+    total_s = sum(v.surviving_members for v in per_structure.values())
+    total_m = sum(v.members_with_offset_change for v in per_structure.values())
     return VolatilityStats(
         per_structure=per_structure,
         overall_rate=(total_m / total_s) if total_s else 0.0,

@@ -8,9 +8,12 @@ its earlier state afterwards. What a command builds (profiles, members,
 reports) holds no reference cycles, so reference counting frees it. With
 the collector on, the tens of thousands of objects allocated per profile
 set off collections, some of which walk the whole growing heap, and
-none of which finds anything to free. The extraction modules are
-imported only by the commands that read an ELF file (extract, and stats
-on a binary), so the report commands do not pay for loading them.
+none of which finds anything to free.
+
+Each command imports only the modules it runs, inside its handler: the
+extractor only for an ELF input, analytics only for the sequence
+analyses, diff only for diff, watch only for chains and a --scope, and
+render for the output. Building the parser loads none of them.
 """
 
 import argparse
@@ -19,17 +22,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .analytics import (
-    StatsReport,
-    aggregate_transitions,
-    binary_stats,
-    impact_matrix,
-    member_offset_timeline,
-    size_timeline,
-    volatility_stats,
-)
-from .diff import DiffReport, diff_profiles
-from .errors import StructDriftError
+from .errors import StructDriftError, UnsupportedFormatError
 from .profile import (
     ARCHITECTURES,
     Profile,
@@ -39,9 +32,6 @@ from .profile import (
     version_key,
     write_text,
 )
-from .render import UnsupportedFormatError, render_report
-from .watch import REASON_NOT_APPLICABLE, ChainReports, assess_capabilities, \
-    default_chains, default_watchlist, load_chains, load_watchlist, resolve_chain
 
 EXIT_OK = 0
 EXIT_BREAKAGE = 1
@@ -96,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="watchlist file or 'default'")
     _add_repo_options(p)
     _add_output_options(p, formats=("json", "csv", "table"))
-    p.set_defaults(func=_cmd_analysis, analysis=impact_matrix)
+    p.set_defaults(func=_cmd_analysis, analysis="impact_matrix")
 
     p = sub.add_parser("stats", help="binary size and symbol statistics")
     p.add_argument("sources", nargs="+", help="ELF binaries or profile files")
@@ -108,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="watchlist file or 'default'")
     _add_repo_options(p)
     _add_output_options(p, formats=("json", "csv", "table"))
-    p.set_defaults(func=_cmd_analysis, analysis=aggregate_transitions)
+    p.set_defaults(func=_cmd_analysis, analysis="aggregate_transitions")
 
     p = sub.add_parser("timeline", help="size or member-offset timeline")
     p.add_argument("structure")
@@ -123,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="watchlist file or 'default'")
     _add_repo_options(p)
     _add_output_options(p)
-    p.set_defaults(func=_cmd_analysis, analysis=volatility_stats)
+    p.set_defaults(func=_cmd_analysis, analysis="volatility_stats")
 
     p = sub.add_parser("chains", help="resolve forensic chains against profiles")
     p.add_argument("profiles", nargs="+")
@@ -142,7 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, report) -> None:
+    from .render import render_report
+
+    text = render_report(report, args.format)
     if args.out:
         write_text(args.out, text)
     else:
@@ -152,6 +145,8 @@ def _emit(args, text: str) -> None:
 def _load_scope(value: Optional[str]):
     if value is None:
         return None, None
+    from .watch import default_watchlist, load_watchlist
+
     spec = default_watchlist() if value == "default" else load_watchlist(value)
     return spec.structures, spec.name
 
@@ -186,20 +181,22 @@ def _cmd_extract(args) -> int:
         architecture=args.arch,
         build_variant=args.build_variant,
     )
-    _emit(args, render_report(profile, args.format))
+    _emit(args, profile)
     return EXIT_OK
 
 
-def _diff_is_breaking(report: DiffReport) -> bool:
+def _diff_is_breaking(report) -> bool:
     if report.removed_structures:
         return True
     return any(d.offset_changes or d.member_removals for d in report.modified)
 
 
 def _cmd_diff(args) -> int:
+    from .diff import diff_profiles
+
     scope, _ = _load_scope(args.scope)
     report = diff_profiles(read_profile(args.old), read_profile(args.new), scope)
-    _emit(args, render_report(report, args.format))
+    _emit(args, report)
     if args.fail_on_break and _diff_is_breaking(report):
         return EXIT_BREAKAGE
     return EXIT_OK
@@ -207,10 +204,12 @@ def _cmd_diff(args) -> int:
 
 def _cmd_analysis(args) -> int:
     """score, aggregate and volatility: one analysis over a version sequence."""
+    from . import analytics
+
     profiles = _load_sequence(args)
     scope, scope_name = _load_scope(args.scope)
-    report = args.analysis(profiles, scope, watchlist_name=scope_name)
-    _emit(args, render_report(report, args.format))
+    report = getattr(analytics, args.analysis)(profiles, scope, watchlist_name=scope_name)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -223,6 +222,8 @@ def _is_elf(path: str) -> bool:
 
 
 def _cmd_stats(args) -> int:
+    from .analytics import StatsReport, binary_stats
+
     results = []
     for source in args.sources:
         if _is_elf(source):
@@ -232,21 +233,26 @@ def _cmd_stats(args) -> int:
         else:
             profile = read_profile(source)
         results.append(binary_stats(profile)._replace(source=str(source)))
-    _emit(args, render_report(StatsReport(results), args.format))
+    _emit(args, StatsReport(results))
     return EXIT_OK
 
 
 def _cmd_timeline(args) -> int:
+    from .analytics import member_offset_timeline, size_timeline
+
     profiles = _load_sequence(args)
     if args.member:
         report = member_offset_timeline(profiles, args.structure, args.member)
     else:
         report = size_timeline(profiles, args.structure)
-    _emit(args, render_report(report, args.format))
+    _emit(args, report)
     return EXIT_OK
 
 
 def _cmd_chains(args) -> int:
+    from .watch import REASON_NOT_APPLICABLE, ChainReports, assess_capabilities, \
+        default_chains, load_chains, resolve_chain
+
     chains = default_chains() if args.chains_file == "default" \
         else load_chains(args.chains_file)
     profiles = [read_profile(p) for p in args.profiles]
@@ -256,7 +262,7 @@ def _cmd_chains(args) -> int:
             profile.meta.platform_version,
             [resolve_chain(profile, chain) for chain in chains],
         )
-        _emit(args, render_report(reports, args.format))
+        _emit(args, reports)
         # Chains outside their version range are not breakage.
         broken = any(
             r.first_failure is not None
@@ -266,7 +272,7 @@ def _cmd_chains(args) -> int:
     else:
         profiles.sort(key=lambda p: version_key(p.meta.platform_version))
         assessment = assess_capabilities(profiles, chains)
-        _emit(args, render_report(assessment, args.format))
+        _emit(args, assessment)
         broken = any(
             "broken" in statuses for statuses in assessment.statuses.values()
         )
@@ -279,7 +285,7 @@ def _cmd_index(args) -> int:
     if not args.repo:
         raise UsageError("--repo (or $STRUCTDRIFT_REPO) is required")
     index = index_repository(args.repo)
-    _emit(args, render_report(index, args.format))
+    _emit(args, index)
     return EXIT_OK
 
 

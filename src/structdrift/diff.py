@@ -16,8 +16,7 @@ from .profile import (
     parse_json_document,
     read_text,
 )
-
-DIFF_SCHEMA = "structdrift-diff/1"
+from .render import DIFF_SCHEMA
 
 
 class MemberChange(NamedTuple):
@@ -98,23 +97,30 @@ def match_members(
     return pairs, removed, list(unmatched.values())
 
 
+def same_members(old: Sequence[MemberRecord], new: Sequence[MemberRecord]) -> bool:
+    """Whether two member lists are equal: same names and offsets, in order.
+
+    Compares the records as plain tuples, in C; MemberRecord.__eq__ runs in
+    Python. Most structures keep their members from one version to the next.
+    """
+    return len(old) == len(new) and all(map(tuple.__eq__, old, new))
+
+
 def diff_structure(old: StructureRecord, new: StructureRecord) -> StructureDiff:
     if old.name != new.name:
         raise ValueError(f"structure name mismatch: {old.name!r} vs {new.name!r}")
-    pairs, removed, added = match_members(old.members, new.members)
+    if same_members(old.members, new.members):
+        # Every member is shared and none moved; only the size may differ.
+        added, removed, changes, shared = [], [], [], len(old.members)
+    else:
+        pairs, removed, added = match_members(old.members, new.members)
+        changes = [MemberChange(a.name, a.offset, b.offset)
+                   for _, a, b in pairs if a.offset != b.offset]
+        shared = len(pairs)
     return StructureDiff(
-        name=old.name,
-        old_size=old.byte_size,
-        new_size=new.byte_size,
-        member_additions=added,
-        member_removals=removed,
-        offset_changes=[
-            MemberChange(a.name, a.offset, b.offset)
-            for _, a, b in pairs
-            if a.offset != b.offset
-        ],
-        old_member_count=len(old.members),
-        shared_member_count=len(pairs),
+        name=old.name, old_size=old.byte_size, new_size=new.byte_size,
+        member_additions=added, member_removals=removed, offset_changes=changes,
+        old_member_count=len(old.members), shared_member_count=shared,
     )
 
 
@@ -152,37 +158,6 @@ def summarize_diff(report: DiffReport) -> ChangeCounts:
     return ChangeCounts(moves, additions, removals, structure_removals,
                         len(report.added_structures),
                         moves + additions + removals + structure_removals)
-
-
-def diff_to_doc(report: DiffReport) -> dict:
-    return {
-        "schema": DIFF_SCHEMA,
-        "from": report.from_label,
-        "to": report.to_label,
-        "added_structures": list(report.added_structures),
-        "removed_structures": list(report.removed_structures),
-        "modified": [
-            {
-                "name": d.name,
-                "old_size": d.old_size,
-                "new_size": d.new_size,
-                "member_additions": [
-                    {"name": m.name, "offset": m.offset} for m in d.member_additions
-                ],
-                "member_removals": [
-                    {"name": m.name, "offset": m.offset} for m in d.member_removals
-                ],
-                "offset_changes": [
-                    {"member": c.member_name, "old": c.old_offset, "new": c.new_offset}
-                    for c in d.offset_changes
-                ],
-                "old_member_count": d.old_member_count,
-                "shared_member_count": d.shared_member_count,
-            }
-            for d in report.modified
-        ],
-        "unchanged_count": report.unchanged_count,
-    }
 
 
 def _is_int(value) -> bool:

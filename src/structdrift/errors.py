@@ -32,3 +32,7 @@ class SchemaError(StructDriftError):
 
 class InvariantError(StructDriftError):
     """A structurally valid document violates a profile invariant."""
+
+
+class UnsupportedFormatError(SchemaError):
+    """The requested output format does not exist for this report kind."""

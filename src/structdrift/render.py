@@ -1,7 +1,8 @@
 """Report serialization: canonical JSON, CSV and tables.
 
-One registry maps each report type to its JSON, table and optional CSV
-renderers; a profile's JSON is written from its records, other reports'
+One registry maps each report type's name to its JSON, table and optional
+CSV renderers, so importing this module loads no module that builds
+reports. A profile's JSON is written from its records, other reports'
 from their documents. CSV is available for matrix-, aggregate- and
 timeline-shaped reports; real-valued cells carry three fraction digits,
 counts and offsets stay plain integers, and absent cells are left empty.
@@ -10,21 +11,20 @@ A report with both forms has one (headers, rows) builder, told only the
 absent-cell marker or the total-row label each form uses.
 """
 
-from typing import Callable, List, NamedTuple, Optional
+from __future__ import annotations
 
-from .analytics import (
-    ImpactMatrix,
-    ImpactScore,
-    StatsReport,
-    TimelineReport,
-    TransitionTable,
-    VolatilityStats,
-)
-from .diff import ChangeCounts, DiffReport, diff_to_doc
-from .errors import SchemaError
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional
+
+from .errors import UnsupportedFormatError
 from .profile import Profile, RepositoryIndex, dumps_document, dumps_profile
-from .watch import CapabilityAssessment, ChainReports
 
+if TYPE_CHECKING:  # annotations only: importing render loads no report module
+    from .analytics import (ImpactMatrix, ImpactScore, StatsReport, TimelineReport,
+                            TransitionTable, VolatilityStats)
+    from .diff import ChangeCounts, DiffReport
+    from .watch import CapabilityAssessment, ChainReports
+
+DIFF_SCHEMA = "structdrift-diff/1"
 IMPACT_SCHEMA = "structdrift-impact/1"
 TIMELINE_SCHEMA = "structdrift-timeline/1"
 VOLATILITY_SCHEMA = "structdrift-volatility/1"
@@ -40,12 +40,41 @@ _AGGREGATE_COUNTS = ["offset_changes", "member_additions", "member_removals",
 AGGREGATE_CSV_HEADER = ",".join(["transition"] + _AGGREGATE_COUNTS)
 
 
-class UnsupportedFormatError(SchemaError):
-    """The requested output format does not exist for this report kind."""
-
-
 def transition_label(from_label: str, to_label: str) -> str:
     return f"{from_label}->{to_label}"
+
+
+# ------------------------------------------------------------------ diff
+
+def diff_to_doc(report: DiffReport) -> dict:
+    return {
+        "schema": DIFF_SCHEMA,
+        "from": report.from_label,
+        "to": report.to_label,
+        "added_structures": list(report.added_structures),
+        "removed_structures": list(report.removed_structures),
+        "modified": [
+            {
+                "name": d.name,
+                "old_size": d.old_size,
+                "new_size": d.new_size,
+                "member_additions": [
+                    {"name": m.name, "offset": m.offset} for m in d.member_additions
+                ],
+                "member_removals": [
+                    {"name": m.name, "offset": m.offset} for m in d.member_removals
+                ],
+                "offset_changes": [
+                    {"member": c.member_name, "old": c.old_offset, "new": c.new_offset}
+                    for c in d.offset_changes
+                ],
+                "old_member_count": d.old_member_count,
+                "shared_member_count": d.shared_member_count,
+            }
+            for d in report.modified
+        ],
+        "unchanged_count": report.unchanged_count,
+    }
 
 
 # ---------------------------------------------------------------- impact
@@ -351,28 +380,28 @@ def _json(to_doc: Callable[..., dict]) -> Callable[..., str]:
 
 
 _RENDERERS = {
-    Profile: _Renderers(dumps_profile, _profile_table),
-    DiffReport: _Renderers(_json(diff_to_doc), _diff_table),
-    ImpactMatrix: _Renderers(_json(matrix_to_doc),
-                             lambda m: _fixed_table(*_matrix_rows(m, "-")),
-                             lambda m: _csv(*_matrix_rows(m, ""))),
-    TimelineReport: _Renderers(_json(timeline_to_doc), _timeline_table,
-                               lambda r: _csv(*_timeline_rows(r, ""))),
-    VolatilityStats: _Renderers(_json(volatility_to_doc), _volatility_table),
-    TransitionTable: _Renderers(_json(aggregate_to_doc),
-                                lambda t: _fixed_table(*_aggregate_rows(t, "Total")),
-                                lambda t: _csv(*_aggregate_rows(t, "total"))),
-    CapabilityAssessment: _Renderers(_json(capabilities_to_doc), _capabilities_table),
-    RepositoryIndex: _Renderers(_json(index_to_doc), _index_table),
-    StatsReport: _Renderers(_json(stats_to_doc), _stats_table),
-    ChainReports: _Renderers(_json(chain_reports_to_doc), _chain_reports_table),
+    "Profile": _Renderers(dumps_profile, _profile_table),
+    "DiffReport": _Renderers(_json(diff_to_doc), _diff_table),
+    "ImpactMatrix": _Renderers(_json(matrix_to_doc),
+                               lambda m: _fixed_table(*_matrix_rows(m, "-")),
+                               lambda m: _csv(*_matrix_rows(m, ""))),
+    "TimelineReport": _Renderers(_json(timeline_to_doc), _timeline_table,
+                                 lambda r: _csv(*_timeline_rows(r, ""))),
+    "VolatilityStats": _Renderers(_json(volatility_to_doc), _volatility_table),
+    "TransitionTable": _Renderers(_json(aggregate_to_doc),
+                                  lambda t: _fixed_table(*_aggregate_rows(t, "Total")),
+                                  lambda t: _csv(*_aggregate_rows(t, "total"))),
+    "CapabilityAssessment": _Renderers(_json(capabilities_to_doc), _capabilities_table),
+    "RepositoryIndex": _Renderers(_json(index_to_doc), _index_table),
+    "StatsReport": _Renderers(_json(stats_to_doc), _stats_table),
+    "ChainReports": _Renderers(_json(chain_reports_to_doc), _chain_reports_table),
 }
 
 
 def render_report(report, fmt: str) -> str:
     """Render any module report; csv only exists for matrix-shaped ones."""
-    renderers = _RENDERERS.get(type(report))
     kind = type(report).__name__
+    renderers = _RENDERERS.get(kind)
     if fmt == "json":
         if renderers is None:
             raise UnsupportedFormatError(f"no json renderer for {kind}")

@@ -21,7 +21,8 @@ from structdrift import (
 )
 from structdrift.analytics import bytes_to_mb
 
-from conftest import fixture_path, make_profile
+from conftest import fixture_path, make_profile, profiles
+from test_diff import as_sets, brute_force_diff
 
 
 def record(name, size, members):
@@ -410,3 +411,91 @@ def test_totals_row_is_columnwise_sum():
 def test_aggregate_requires_two_profiles():
     with pytest.raises(ValueError):
         aggregate_transitions([make_profile("9", {})], None)
+
+
+# ------------------------------------------- short-cut for unchanged structures
+
+_EDITS = ("move", "add", "remove", "rename", "resize", "duplicate",
+          "drop-structure", "new-structure")
+_EDIT_NAMES = st.text(alphabet="abc_", min_size=1, max_size=3)
+
+
+@st.composite
+def edited_sequences(draw):
+    """One random profile, then a few edits per version: most structures unchanged."""
+    base = draw(profiles(version="9"))
+    catalog = {name: (rec.byte_size, [(m.name, m.offset) for m in rec.members])
+               for name, rec in base.structures.items()}
+    seq = [make_profile("9", catalog)]
+    for version in range(10, 10 + draw(st.integers(1, 4))):
+        catalog = {name: (size, list(members)) for name, (size, members) in catalog.items()}
+        for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+            if edit == "new-structure" or not catalog:
+                catalog[draw(_EDIT_NAMES)] = (draw(st.integers(1, 64)), [])
+                continue
+            name = draw(st.sampled_from(sorted(catalog)))
+            size, members = catalog[name]
+            offset = draw(st.integers(0, max(size - 1, 0)))
+            if edit == "drop-structure":
+                del catalog[name]
+            elif edit == "resize":
+                catalog[name] = (size + draw(st.integers(1, 16)), members)
+            elif edit == "add" or not members:
+                members.append((draw(_EDIT_NAMES), offset))
+            else:
+                i = draw(st.integers(0, len(members) - 1))
+                member, old_offset = members[i]
+                if edit == "move":
+                    members[i] = (member, offset)
+                elif edit == "remove":
+                    del members[i]
+                elif edit == "rename":
+                    members[i] = (draw(_EDIT_NAMES), old_offset)
+                else:  # duplicate: a second member of the same name
+                    members.append((member, offset))
+        seq.append(make_profile(str(version), catalog))
+    return seq
+
+
+def brute_force_counts(old, new, scope):
+    added, removed, modified, _ = brute_force_diff(old, new, scope)
+    moves, adds, rems = (sum(len(m[i]) for m in modified.values()) for i in (2, 0, 1))
+    return (moves, adds, rems, len(removed), len(added),
+            moves + adds + rems + len(removed))
+
+
+def brute_force_factors(old, new):
+    """Impact factors from the identity maps alone."""
+    old_ids, new_ids = _identities(old.members), _identities(new.members)
+    shared = old_ids.keys() & new_ids.keys()
+    moves = sum(1 for k in shared if old_ids[k] != new_ids[k])
+    churn = len(old_ids.keys() ^ new_ids.keys())
+    return {
+        "offset_fraction": moves / max(1, len(shared)),
+        "churn_ratio": churn / max(1, len(old.members)),
+        "size_delta_fraction": abs(new.byte_size - old.byte_size) / max(1, old.byte_size),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_sequences())
+def test_unchanged_structure_short_cut_matches_brute_force(seq):
+    names = sorted({n for p in seq for n in p.structures})
+    pairs = list(zip(seq, seq[1:]))
+    for old, new in pairs:
+        assert as_sets(diff_profiles(old, new)) == brute_force_diff(old, new)
+    table = aggregate_transitions(seq)
+    assert [tuple(counts) for _, _, counts in table.rows] == \
+        [brute_force_counts(old, new, names) for old, new in pairs]
+    matrix = impact_matrix(seq)
+    for name in names:
+        for (old, new), score in zip(pairs, matrix.scores[name]):
+            if name not in old.structures or name not in new.structures:
+                assert score is None
+                continue
+            factors = brute_force_factors(old.structures[name], new.structures[name])
+            assert score.factors == factors
+            assert score.score == combine_impact_factors(*factors.values())
+    stats = volatility_stats(seq)
+    assert {name: (v.surviving_members, v.members_with_offset_change)
+            for name, v in stats.per_structure.items()} == brute_force_volatility(seq, names)

@@ -543,39 +543,68 @@ def test_main_turns_the_collector_off_and_restores_it(monkeypatch, collecting, o
     assert seen == [False]
 
 
-def test_report_commands_do_not_load_the_extractor():
-    # Run in a fresh interpreter: this one has loaded the extractor already.
-    script = "\n".join([
-        "import contextlib, io, sys",
-        "import structdrift.cli",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    code = structdrift.cli.run(['score', '--repo', {str(FIXTURES / 'profiles')!r},"
-        " '--arch', 'x86_64'])",
-        "assert code == 0, code",
-        "loaded = sorted(name for name in sys.modules if name in",
-        "    ('structdrift.extract', 'structdrift.dwarf', 'structdrift.elf'))",
-        "assert not loaded, loaded",
-        "from structdrift import extract_profile",
-        "assert extract_profile.__module__ == 'structdrift.extract'",
-        "from structdrift import *",
-    ])
+_REPORT_MODULES = ("analytics", "diff", "watch", "render")
+_EXTRACTOR_MODULES = ("extract", "dwarf", "elf")
+_PROFILES = FIXTURES / "profiles"
+
+
+def _quiet_run(*argv):
+    """Script lines running the CLI on argv, with its report discarded."""
+    return ["import contextlib, io, structdrift.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert structdrift.cli.run({list(argv)!r}) == 0"]
+
+
+# case -> (script lines, structdrift submodules they must not load; None: any)
+_IMPORT_BOUNDARIES = {
+    "package": (["import structdrift"], None),
+    "cli": (["import structdrift.cli"], _REPORT_MODULES + _EXTRACTOR_MODULES),
+    "extract": (_quiet_run("extract", str(fixture_path("layouts-dwarf5-64.so"))),
+                ("analytics", "diff", "watch")),
+    "index": (_quiet_run("index", "--repo", str(_PROFILES)), ("analytics", "diff")),
+    "chains": (_quiet_run("chains", str(_PROFILES / "9" / "x86_64" / "libart.profile.json"),
+                          str(_PROFILES / "10" / "x86_64" / "libart.profile.json")),
+               ("analytics", "diff")),
+    "score": (_quiet_run("score", "--repo", str(_PROFILES), "--arch", "x86_64"),
+              _EXTRACTOR_MODULES),
+    # Lazy loading turns a broken export into an error at first use; use them all.
+    "exports": (["import structdrift",
+                 "for name in set(structdrift.__all__) - {'__version__'}:",
+                 "    assert getattr(structdrift, name).__name__ == name, name",
+                 "namespace = {}",
+                 "exec('from structdrift import *', namespace)",
+                 "assert set(structdrift.__all__) <= set(namespace)"], ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IMPORT_BOUNDARIES))
+def test_commands_load_only_what_they_run(case):
+    # Run in a fresh interpreter: this one has loaded every module already.
+    lines, forbidden = _IMPORT_BOUNDARIES[case]
+    script = "\n".join(["import sys", *lines, "print(*sorted(n for n in sys.modules"
+                         " if n.startswith('structdrift.')))"])
+    loaded = set(_fresh_interpreter(script).split())
+    if forbidden is None:
+        assert not loaded
+    else:
+        assert not loaded & {f"structdrift.{m}" for m in forbidden}, loaded
+
+
+def _fresh_interpreter(script):
+    """Standard output of `script` run by a new interpreter on this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def test_cli_and_extractor_do_not_import_dataclasses():
     script = ("import sys, structdrift.cli, structdrift.extract; "
               "print('dataclasses' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+    assert _fresh_interpreter(script) == "False\n"
 
 
 def test_unsupported_render_format_rejected():

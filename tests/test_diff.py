@@ -12,9 +12,9 @@ from structdrift import (
     diff_structure,
     summarize_diff,
 )
-from structdrift.diff import diff_to_doc, doc_to_diff, read_diff
+from structdrift.diff import doc_to_diff, read_diff
 from structdrift.errors import SchemaError
-from structdrift.render import render_report
+from structdrift.render import diff_to_doc, render_report
 
 from conftest import make_profile, profiles
 
