@@ -13,6 +13,10 @@ from .profile import (
     MemberRecord,
     Profile,
     StructureRecord,
+    _check_fields,
+    _check_list,
+    _check_str,
+    _member_record,
     parse_json_document,
     read_text,
 )
@@ -160,74 +164,33 @@ def summarize_diff(report: DiffReport) -> ChangeCounts:
                         moves + additions + removals + structure_removals)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _offset_change(doc, where: str) -> MemberChange:
+    return MemberChange(*_check_fields(doc, (("member", str), ("old", int), ("new", int)),
+                                       where))
 
 
-def _member_list(doc, what: str) -> List[MemberRecord]:
-    if not isinstance(doc, list):
-        raise SchemaError(f"{what} must be a list")
-    members = []
-    for m in doc:
-        if not isinstance(m, dict) or not isinstance(m.get("name"), str) \
-                or not _is_int(m.get("offset")):
-            raise SchemaError(f"malformed member entry in {what}")
-        members.append(MemberRecord(m["name"], m["offset"]))
-    return members
-
-
-def _name_list(doc, what: str) -> List[str]:
-    if not all(isinstance(n, str) for n in doc):
-        raise SchemaError(f"{what} must list structure names")
-    return list(doc)
+def _structure_diff(doc, where: str) -> StructureDiff:
+    name, old_size, new_size, old_count, shared = _check_fields(doc, (
+        ("name", str), ("old_size", int), ("new_size", int),
+        ("old_member_count", int), ("shared_member_count", int)), where)
+    if not name:
+        raise SchemaError("modified entry needs a non-empty string name")
+    changes = _check_list(doc.get("offset_changes"), f"{where}.offset_changes",
+                          _offset_change)
+    additions, removals = (_check_list(doc.get(key), f"{where}.{key}", _member_record)
+                           for key in ("member_additions", "member_removals"))
+    return StructureDiff(name, old_size, new_size, additions, removals, changes,
+                         old_count, shared)
 
 
 def doc_to_diff(doc: dict) -> DiffReport:
-    for key, ty in (("from", str), ("to", str), ("added_structures", list),
-                    ("removed_structures", list), ("modified", list),
-                    ("unchanged_count", int)):
-        value = doc.get(key)
-        if not isinstance(value, ty) or (ty is int and isinstance(value, bool)):
-            raise SchemaError(f"diff field {key!r} missing or wrong type")
-    added = _name_list(doc["added_structures"], "added_structures")
-    removed = _name_list(doc["removed_structures"], "removed_structures")
-    modified = []
-    for entry in doc["modified"]:
-        if not isinstance(entry, dict):
-            raise SchemaError("modified entry is not an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise SchemaError("modified entry needs a non-empty string name")
-        for key in ("old_size", "new_size", "old_member_count", "shared_member_count"):
-            if not _is_int(entry.get(key)):
-                raise SchemaError(f"{name}: {key!r} missing or not an integer")
-        offset_changes = entry.get("offset_changes")
-        if not isinstance(offset_changes, list):
-            raise SchemaError(f"{name}: offset_changes must be a list")
-        changes = []
-        for c in offset_changes:
-            if not isinstance(c, dict) or not isinstance(c.get("member"), str) \
-                    or not _is_int(c.get("old")) or not _is_int(c.get("new")):
-                raise SchemaError("malformed offset_changes entry")
-            changes.append(MemberChange(c["member"], c["old"], c["new"]))
-        modified.append(
-            StructureDiff(
-                name=name,
-                old_size=entry["old_size"],
-                new_size=entry["new_size"],
-                member_additions=_member_list(
-                    entry.get("member_additions"), "member_additions"
-                ),
-                member_removals=_member_list(
-                    entry.get("member_removals"), "member_removals"
-                ),
-                offset_changes=changes,
-                old_member_count=entry["old_member_count"],
-                shared_member_count=entry["shared_member_count"],
-            )
-        )
-    return DiffReport(doc["from"], doc["to"], added, removed, modified,
-                      doc["unchanged_count"])
+    """A DiffReport from its document; SchemaError names the first bad field's path."""
+    frm, to, unchanged = _check_fields(doc, (("from", str), ("to", str),
+                                             ("unchanged_count", int)))
+    added, removed = (_check_list(doc.get(key), key, _check_str)
+                      for key in ("added_structures", "removed_structures"))
+    modified = _check_list(doc.get("modified"), "modified", _structure_diff)
+    return DiffReport(frm, to, added, removed, modified, unchanged)
 
 
 def read_diff(source) -> DiffReport:

@@ -572,6 +572,11 @@ class UnitWalker:
             raise cur.fail(f"unknown attribute form {form:#x}")
 
 
+def unsigned_value(value) -> Optional[int]:
+    """`value` if it is a usable DWARF integer: an int, not a flag, not negative."""
+    return value if type(value) is int and value >= 0 else None
+
+
 def member_byte_offset(attrs: dict) -> Optional[int]:
     """Resolve a member DIE's byte position within its parent.
 
@@ -581,25 +586,18 @@ def member_byte_offset(attrs: dict) -> Optional[int]:
     byte.
     """
     loc = attrs.get(AT_DATA_MEMBER_LOCATION)
-    if loc is not None:
-        if isinstance(loc, bool):
-            return None
-        if isinstance(loc, int):
-            return loc if loc >= 0 else None
-        if isinstance(loc, (bytes, bytearray)):
-            # Accept the common "push object address + constant" expression.
-            expr = Cursor(bytes(loc), "<exprloc>")
-            try:
-                op = expr.u8()
-                if op == OP_PLUS_UCONST:
-                    value = expr.uleb()
-                    if expr.pos == len(expr.data):
-                        return value
-            except MalformedDwarfError:
-                return None
-            return None
-        return None
-    bit = attrs.get(AT_DATA_BIT_OFFSET)
-    if isinstance(bit, int) and not isinstance(bit, bool) and bit >= 0:
-        return bit // 8
+    if loc is None:
+        bit = unsigned_value(attrs.get(AT_DATA_BIT_OFFSET))
+        return None if bit is None else bit // 8
+    if not isinstance(loc, (bytes, bytearray)):
+        return unsigned_value(loc)
+    # Accept the common "push object address + constant" expression.
+    expr = Cursor(bytes(loc), "<exprloc>")
+    try:
+        if expr.u8() == OP_PLUS_UCONST:
+            value = expr.uleb()
+            if expr.pos == len(expr.data):
+                return value
+    except MalformedDwarfError:
+        pass
     return None

@@ -1,7 +1,9 @@
 """Minimal ELF reader: just enough to locate and load debug sections.
 
-Handles 32- and 64-bit files of either endianness and decompresses
-zlib-compressed debug sections (both SHF_COMPRESSED and legacy .zdebug_*).
+Handles little-endian 32- and 64-bit files, and refuses big-endian ones
+at load, since the DWARF decoder reads little-endian data only (every
+profiled target is little-endian). Decompresses zlib-compressed debug
+sections (both SHF_COMPRESSED and legacy .zdebug_*).
 A compressed section must inflate to exactly the size its header states;
 inflation stops one byte past that size. Relocations are not applied, so a
 relocatable object with RELA relocations of its debug sections is refused.
@@ -48,8 +50,8 @@ class _ClassLayout(NamedTuple):
 
 
 _CLASS_LAYOUTS = {
-    32: _ClassLayout("I", 0x20, 0x2E, "IIIIIIII", 0x14, 0x18, "III"),
-    64: _ClassLayout("Q", 0x28, 0x3A, "IIQQQQII", 0x20, 0x28, "IIQQ"),
+    32: _ClassLayout("<I", 0x20, 0x2E, "<IIIIIIII", 0x14, 0x18, "<III"),
+    64: _ClassLayout("<Q", 0x28, 0x3A, "<IIQQQQII", 0x20, 0x28, "<IIQQ"),
 }
 
 
@@ -72,35 +74,34 @@ class ElfFile:
         ei_data = data[5]
         if ei_class not in (1, 2):
             raise NotElfError(f"unsupported ELF class {ei_class}")
-        if ei_data not in (1, 2):
-            raise NotElfError(f"unsupported ELF data encoding {ei_data}")
+        if ei_data != 1:
+            raise NotElfError(f"unsupported ELF data encoding {ei_data}: "
+                              "only little-endian (1) files are read")
         self.bits = 32 if ei_class == 1 else 64
-        self.little_endian = ei_data == 1
-        self._end = "<" if self.little_endian else ">"
         try:
             self._parse_headers()
         except struct.error as exc:
             raise NotElfError(f"truncated ELF header: {exc}") from exc
 
     def _parse_headers(self) -> None:
-        e, layout = self._end, _CLASS_LAYOUTS[self.bits]
-        e_type, self.machine = struct.unpack_from(e + "HH", self.data, 16)
-        (shoff,) = struct.unpack_from(e + layout.word, self.data, layout.shoff_at)
-        shentsize, shnum, shstrndx = struct.unpack_from(e + "HHH", self.data,
+        layout = _CLASS_LAYOUTS[self.bits]
+        e_type, self.machine = struct.unpack_from("<HH", self.data, 16)
+        (shoff,) = struct.unpack_from(layout.word, self.data, layout.shoff_at)
+        shentsize, shnum, shstrndx = struct.unpack_from("<HHH", self.data,
                                                         layout.shcounts_at)
         if shoff == 0 or shentsize == 0:
             raise NotElfError("ELF file has no section header table")
 
         # shnum == 0 means the real count lives in section 0's sh_size.
-        count = shnum or struct.unpack_from(e + layout.word, self.data,
+        count = shnum or struct.unpack_from(layout.word, self.data,
                                             shoff + layout.size_at)[0]
         if shoff + count * shentsize > len(self.data):
             raise NotElfError("section header table extends past end of file")
-        shdr = struct.Struct(e + layout.shdr)
+        shdr = struct.Struct(layout.shdr)
         headers = [shdr.unpack_from(self.data, shoff + i * shentsize) for i in range(count)]
 
         if shstrndx == 0xFFFF:
-            (shstrndx,) = struct.unpack_from(e + "I", self.data, shoff + layout.link_at)
+            (shstrndx,) = struct.unpack_from("<I", self.data, shoff + layout.link_at)
         if shstrndx >= len(headers):
             raise NotElfError("section name string table index out of range")
         str_off, str_size = headers[shstrndx][4:6]
@@ -129,7 +130,7 @@ class ElfFile:
         return raw
 
     def _decompress_chdr(self, name: str, raw: bytes) -> bytes:
-        header = struct.Struct(self._end + _CLASS_LAYOUTS[self.bits].chdr)
+        header = struct.Struct(_CLASS_LAYOUTS[self.bits].chdr)
         if len(raw) < header.size:
             raise NotElfError(f"section {name} is too short for its compression header")
         ch_type, *_, ch_size, _ = header.unpack_from(raw, 0)

@@ -26,6 +26,7 @@ from .dwarf import (
     iter_unit_headers,
     member_byte_offset,
     parse_abbrev_table,
+    unsigned_value,
 )
 from .elf import load_elf
 from .errors import NoDwarfError, StructDriftError
@@ -79,21 +80,10 @@ def _clean_name(value) -> str:
     return value if isinstance(value, str) and value else UNNAMED
 
 
-def _clean_int(value) -> Optional[int]:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        return None
-    return value
-
-
 def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
     """Collect one RawTypeEntry per class/structure DIE in the binary."""
     path = Path(binary)
     elf = load_elf(path)
-    # The DWARF decoder is little-endian only; every supported target
-    # (arm32/arm64/x86_32/x86_64) is little-endian.
-    if not elf.little_endian:
-        raise StructDriftError(f"{path} is big-endian; only little-endian "
-                               "targets are supported")
     info = elf.debug_section("info")
     if info is None:
         raise NoDwarfError(f"{path} has no DWARF debug sections")
@@ -158,7 +148,7 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                     parent.members.append(record)
                 elif tag in _TYPE_TAGS:
                     name = _clean_name(attrs.get(AT_NAME))
-                    byte_size = _clean_int(attrs.get(AT_BYTE_SIZE))
+                    byte_size = unsigned_value(attrs.get(AT_BYTE_SIZE))
                     entry = RawTypeEntry(name, byte_size, [], unit_index,
                                          _decl_only(attrs, byte_size))
                     entries.append(entry)

@@ -121,6 +121,27 @@ def _check_type(value, expected, what: str):
     return value
 
 
+def _check_str(value, what: str) -> str:
+    return _check_type(value, str, what)
+
+
+def _check_fields(doc, fields, where: str = "") -> list:
+    """The value of each (key, JSON type) of `fields` in the object `doc`, checked.
+
+    A value's path is `where.key`, or `key` alone in a top-level document.
+    """
+    if where:
+        _check_type(doc, dict, where)
+        where += "."
+    return [_check_type(doc.get(key), kind, where + key) for key, kind in fields]
+
+
+def _check_list(value, what: str, read) -> list:
+    """The JSON list `value`, each entry read by read(entry, its path)."""
+    items = _check_type(value, list, what)
+    return [read(item, f"{what}[{i}]") for i, item in enumerate(items)]
+
+
 def validate_profile(profile: Profile) -> None:
     """Raise InvariantError unless the profile is canonical."""
     meta = profile.meta
@@ -282,11 +303,7 @@ def read_text(source) -> str:
 
 
 def _member_record(doc, where: str) -> MemberRecord:
-    _check_type(doc, dict, where)
-    return MemberRecord(
-        _check_type(doc.get("name"), str, f"{where}.name"),
-        _check_type(doc.get("offset"), int, f"{where}.offset"),
-    )
+    return MemberRecord(*_check_fields(doc, (("name", str), ("offset", int)), where))
 
 
 def doc_to_profile(doc: dict) -> Profile:
@@ -295,28 +312,15 @@ def doc_to_profile(doc: dict) -> Profile:
     missing = set(_META_FIELDS) - set(meta_doc)
     if missing:
         raise SchemaError(f"meta is missing fields: {sorted(missing)}")
-    for key, expected in _META_FIELDS.items():
-        _check_type(meta_doc[key], expected, f"meta.{key}")
-    versions = []
-    for v in meta_doc["dwarf_versions_seen"]:
-        versions.append(_check_type(v, int, "meta.dwarf_versions_seen entry"))
-    meta = ProfileMeta(
-        platform_version=meta_doc["platform_version"],
-        architecture=meta_doc["architecture"],
-        build_variant=meta_doc["build_variant"],
-        binary_size_bytes=meta_doc["binary_size_bytes"],
-        dwarf_versions_seen=tuple(versions),
-        raw_type_die_count=meta_doc["raw_type_die_count"],
-        extraction_tool_version=meta_doc["extraction_tool_version"],
-    )
+    meta = ProfileMeta(*_check_fields(meta_doc, _META_FIELDS.items(), "meta"))
+    meta = meta._replace(dwarf_versions_seen=tuple(
+        _check_type(v, int, "meta.dwarf_versions_seen entry")
+        for v in meta.dwarf_versions_seen))
     structures: Dict[str, StructureRecord] = {}
     for name, body in structures_doc.items():
         _check_type(body, dict, f"structures.{name}")
         size = _check_type(body.get("size"), int, f"{name}.size")
-        members_doc = _check_type(body.get("members"), list, f"{name}.members")
-        members = [
-            _member_record(m, f"{name}.members[{i}]") for i, m in enumerate(members_doc)
-        ]
+        members = _check_list(body.get("members"), f"{name}.members", _member_record)
         structures[name] = StructureRecord(name, size, members)
     profile = Profile(meta, structures)
     validate_profile(profile)

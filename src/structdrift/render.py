@@ -37,7 +37,6 @@ INDEX_SCHEMA = "structdrift-index/1"
 # The ChangeCounts fields the aggregate CSV and table show, in column order.
 _AGGREGATE_COUNTS = ["offset_changes", "member_additions", "member_removals",
                      "structure_removals", "total_impact"]
-AGGREGATE_CSV_HEADER = ",".join(["transition"] + _AGGREGATE_COUNTS)
 
 
 def transition_label(from_label: str, to_label: str) -> str:
@@ -249,7 +248,13 @@ def index_to_doc(index: RepositoryIndex) -> dict:
 # ------------------------------------------------------------ csv, table
 
 def _csv(headers: List[str], rows: List[List[str]]) -> str:
-    return "\n".join(",".join(row) for row in [headers, *rows]) + "\n"
+    """CSV text in which a cell holding a comma, a quote or a newline is quoted."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([headers, *rows])
+    return out.getvalue()
 
 
 def _fixed_table(headers: List[str], rows: List[List[str]]) -> str:

@@ -11,7 +11,17 @@ from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SchemaError
-from .profile import Profile, check_sequence, parse_json_document, read_text, version_key
+from .profile import (
+    Profile,
+    _check_fields,
+    _check_list,
+    _check_str,
+    _check_type,
+    check_sequence,
+    parse_json_document,
+    read_text,
+    version_key,
+)
 
 CHAINS_SCHEMA = "structdrift-chains/1"
 WATCHLIST_SCHEMA = "structdrift-watchlist/1"
@@ -98,12 +108,8 @@ def _load_data_file(name: str) -> str:
 
 def parse_watchlist(text: str) -> WatchlistSpec:
     doc = parse_json_document(text, WATCHLIST_SCHEMA)
-    name = doc.get("name")
-    structures = doc.get("structures")
-    if not isinstance(name, str) or not isinstance(structures, list) \
-            or not all(isinstance(s, str) for s in structures):
-        raise SchemaError("watchlist requires a name and a list of structure names")
-    spec = WatchlistSpec(name, list(structures))
+    spec = WatchlistSpec(_check_type(doc.get("name"), str, "name"),
+                         _check_list(doc.get("structures"), "structures", _check_str))
     spec.validate()
     return spec
 
@@ -116,49 +122,44 @@ def default_watchlist() -> WatchlistSpec:
     return parse_watchlist(_load_data_file("watchlist.json"))
 
 
+def _chain_step(doc, where: str) -> ChainStep:
+    return ChainStep(*_check_fields(doc, (("structure", str), ("member", str)), where))
+
+
+def _chain_spec(doc, where: str) -> ChainSpec:
+    _check_type(doc, dict, where)
+    chain_id = _check_type(doc.get("id"), str, f"{where}.id")
+    if not chain_id:
+        raise SchemaError("chain id missing")
+    capability = doc.get("capability")
+    if capability not in CAPABILITIES:
+        raise SchemaError(f"chain {chain_id}: unknown capability {capability!r}")
+    steps = _check_list(doc.get("steps"), f"{where}.steps", _chain_step)
+    if not steps:
+        raise SchemaError(f"chain {chain_id}: needs at least one step")
+    # Absent or null means no bounds; any other value must be an object.
+    versions = doc.get("applicable_versions")
+    versions = {} if versions is None else versions
+    if not isinstance(versions, dict):
+        raise SchemaError(f"chain {chain_id}: applicable_versions must be an object")
+    min_v = versions.get("min")
+    max_v = versions.get("max")
+    if any(v is not None and not isinstance(v, str) for v in (min_v, max_v)):
+        raise SchemaError(f"chain {chain_id}: applicable_versions bounds must be strings")
+    if min_v is not None and max_v is not None \
+            and version_key(min_v) > version_key(max_v):
+        raise SchemaError(f"chain {chain_id}: applicable_versions range is inverted")
+    return ChainSpec(chain_id, capability, steps, min_v, max_v)
+
+
 def parse_chains(text: str) -> List[ChainSpec]:
     doc = parse_json_document(text, CHAINS_SCHEMA)
-    chains_doc = doc.get("chains")
-    if not isinstance(chains_doc, list):
-        raise SchemaError("chains document requires a 'chains' list")
-    chains: List[ChainSpec] = []
+    chains = _check_list(doc.get("chains"), "chains", _chain_spec)
     seen_ids = set()
-    for entry in chains_doc:
-        if not isinstance(entry, dict):
-            raise SchemaError("chain entry is not an object")
-        chain_id = entry.get("id")
-        capability = entry.get("capability")
-        steps_doc = entry.get("steps")
-        if not isinstance(chain_id, str) or not chain_id:
-            raise SchemaError("chain id missing")
-        if chain_id in seen_ids:
-            raise SchemaError(f"duplicate chain id {chain_id!r}")
-        seen_ids.add(chain_id)
-        if capability not in CAPABILITIES:
-            raise SchemaError(f"chain {chain_id}: unknown capability {capability!r}")
-        if not isinstance(steps_doc, list) or not steps_doc:
-            raise SchemaError(f"chain {chain_id}: needs at least one step")
-        steps = []
-        for s in steps_doc:
-            if not isinstance(s, dict) or not isinstance(s.get("structure"), str) \
-                    or not isinstance(s.get("member"), str):
-                raise SchemaError(f"chain {chain_id}: malformed step")
-            steps.append(ChainStep(s["structure"], s["member"]))
-        # Absent or null means no bounds; any other value must be an object.
-        versions = entry.get("applicable_versions")
-        versions = {} if versions is None else versions
-        if not isinstance(versions, dict):
-            raise SchemaError(f"chain {chain_id}: applicable_versions must be an object")
-        min_v = versions.get("min")
-        max_v = versions.get("max")
-        if any(v is not None and not isinstance(v, str) for v in (min_v, max_v)):
-            raise SchemaError(
-                f"chain {chain_id}: applicable_versions bounds must be strings"
-            )
-        if min_v is not None and max_v is not None \
-                and version_key(min_v) > version_key(max_v):
-            raise SchemaError(f"chain {chain_id}: applicable_versions range is inverted")
-        chains.append(ChainSpec(chain_id, capability, steps, min_v, max_v))
+    for chain in chains:
+        if chain.id in seen_ids:
+            raise SchemaError(f"duplicate chain id {chain.id!r}")
+        seen_ids.add(chain.id)
     return chains
 
 

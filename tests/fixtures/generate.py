@@ -196,7 +196,10 @@ def main():
          str(HERE / "layouts-stripped.so")])
     run(["objcopy", "--compress-debug-sections=zlib",
          str(HERE / "layouts-dwarf4-64.so"), str(HERE / "layouts-zlib-64.so")])
-    print("layouts-stripped.so, layouts-zlib-64.so: built")
+    # Legacy GNU compression: .zdebug_* sections with a "ZLIB" header.
+    run(["objcopy", "--compress-debug-sections=zlib-gnu",
+         str(HERE / "layouts-dwarf4-64.so"), str(HERE / "layouts-zlibgnu-64.so")])
+    print("layouts-stripped.so, layouts-zlib-64.so, layouts-zlibgnu-64.so: built")
 
 
 if __name__ == "__main__":

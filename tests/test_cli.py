@@ -14,7 +14,6 @@ import structdrift.cli as cli
 from structdrift import read_diff, read_profile, write_profile
 from structdrift.cli import run
 from structdrift.profile import ARCHITECTURES
-from structdrift.render import AGGREGATE_CSV_HEADER
 
 from conftest import FIXTURES, art_profile, art_sequence, fixture_path, make_profile
 
@@ -134,6 +133,21 @@ def test_diff_scope_default(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- score
+
+def test_csv_quotes_cells_with_commas_and_quotes(tmp_path, capsys):
+    import csv
+
+    # C++ template names carry commas; a quote must be doubled inside quotes.
+    old = {"Pair<int, long>": (16, [("first", 0), ("second", 8)]), 'Say"Hi"': (8, [])}
+    new = dict(old, **{"Pair<int, long>": (16, [("second", 0), ("first", 8)])})
+    a = write_tmp_profile(tmp_path, make_profile("9", old), "a.profile.json")
+    b = write_tmp_profile(tmp_path, make_profile("10", new), "b.profile.json")
+    assert run(["score", a, b, "--format", "csv"]) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert header == ["structure", "9->10"]
+    assert [row[0] for row in rows] == ["Pair<int, long>", 'Say"Hi"']
+    assert all(len(row) == len(header) for row in rows)
+
 
 def test_score_csv_has_three_decimal_cells(tmp_path, capsys):
     a = write_tmp_profile(tmp_path, art_profile("9"), "a.profile.json")
@@ -265,7 +279,8 @@ def test_aggregate_csv_header_and_totals(art_repo, capsys):
     assert run(["aggregate", "--repo", str(art_repo), "--arch", "x86_64",
                 "--scope", "default", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == AGGREGATE_CSV_HEADER
+    assert lines[0] == ("transition,offset_changes,member_additions,member_removals,"
+                        "structure_removals,total_impact")
     assert lines[-1].startswith("total,")
     body = [line.split(",") for line in lines[1:]]
     for column in range(1, 6):
@@ -431,6 +446,17 @@ def test_index_lists_repository(art_repo, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "structdrift-index/1"
     assert len(doc["entries"]) == 6
+
+
+def test_index_table_names_skipped_files(art_repo, capsys):
+    broken = art_repo / "99" / "x86_64" / "libart.profile.json"
+    broken.parent.mkdir(parents=True)
+    broken.write_text("{broken")
+    assert run(["index", "--repo", str(art_repo), "--format", "table"]) == 0
+    listed, skipped = capsys.readouterr().out.split("skipped:\n")
+    assert len(listed.splitlines()) == 2 + 6 and str(broken) not in listed
+    (line,) = skipped.splitlines()
+    assert line.startswith(f"  {broken}: not valid JSON")
 
 
 def test_repo_env_variable(art_repo, capsys, monkeypatch):

@@ -291,6 +291,24 @@ def test_diff_reader_rejects_malformed_fields(mutate):
         doc_to_diff(doc)
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: _entry(d).update(old_size=True),
+     "modified[0].old_size must be an integer, got a boolean"),
+    (lambda d: _entry(d)["offset_changes"][0].pop("member"),
+     "modified[0].offset_changes[0].member has wrong type NoneType"),
+    (lambda d: _entry(d)["member_removals"][0].update(name=3),
+     "modified[0].member_removals[0].name has wrong type int"),
+    (lambda d: d["added_structures"].append(3), "added_structures[1] has wrong type int"),
+    (lambda d: d.update(to=None), "to has wrong type NoneType"),
+])
+def test_diff_reader_names_the_field_path(mutate, message):
+    doc = _diff_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as exc_info:
+        doc_to_diff(doc)
+    assert str(exc_info.value) == message
+
+
 # -------------------------------------------------------------- properties
 
 def test_oracle_equivalence_on_random_pairs():

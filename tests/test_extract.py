@@ -77,11 +77,13 @@ def test_gcc_and_clang_builds_agree():
 
 
 def test_compressed_debug_sections_extract_identically():
-    plain = extract_profile(fixture_path("layouts-dwarf4-64.so"),
-                            platform_version="9")
-    compressed = extract_profile(fixture_path("layouts-zlib-64.so"),
-                                 platform_version="9")
-    assert layout_map(plain) == layout_map(compressed)
+    plain = extract_profile(fixture_path("layouts-dwarf4-64.so"), platform_version="9")
+    # SHF_COMPRESSED sections, then legacy .zdebug_* sections with a "ZLIB" header.
+    for fixture, section in (("layouts-zlib-64.so", ".debug_info"),
+                             ("layouts-zlibgnu-64.so", ".zdebug_info")):
+        assert section in load_elf(fixture_path(fixture)).sections
+        compressed = extract_profile(fixture_path(fixture), platform_version="9")
+        assert layout_map(plain) == layout_map(compressed), fixture
 
 
 def test_compressed_size_must_match_its_header(tmp_path, capsys):
@@ -147,13 +149,11 @@ def test_non_elf_input_rejected(tmp_path):
 
 
 def test_big_endian_rejected_cleanly(tmp_path):
-    from structdrift import StructDriftError
-
     data = bytearray(fixture_path("layouts-dwarf4-64.so").read_bytes())
     data[5] = 2  # EI_DATA = big-endian
     swapped = tmp_path / "be.so"
     swapped.write_bytes(bytes(data))
-    with pytest.raises(StructDriftError):
+    with pytest.raises(NotElfError, match="little-endian"):
         extract_profile(swapped)
 
 
@@ -469,6 +469,32 @@ def test_expression_and_bit_offset_locations_resolve(tmp_path, capsys):
         (0, {"S": (8, [("f", 2), ("e", 6)])})
 
 
+LOC, BIT = dwarf.AT_DATA_MEMBER_LOCATION, dwarf.AT_DATA_BIT_OFFSET
+
+
+@pytest.mark.parametrize("attrs, offset", [
+    ({}, None),
+    ({LOC: 12}, 12),
+    ({LOC: -4}, None),  # a negative sdata constant
+    ({LOC: True}, None),  # a flag
+    ({LOC: "12"}, None),
+    ({LOC: b"\x23\x10"}, 16),  # DW_OP_plus_uconst 16
+    ({LOC: bytearray(b"\x23\x90\x01")}, 144),
+    ({LOC: b"\x23\x10\x00"}, None),  # trailing bytes
+    ({LOC: b"\x23\x80"}, None),  # cut-off ULEB
+    ({LOC: b""}, None),
+    ({LOC: b"\x10\x04"}, None),  # DW_OP_constu
+    ({LOC: -4, BIT: 16}, None),  # a bad location is not replaced by the bit offset
+    ({LOC: b"\x10\x04", BIT: 16}, None),
+    ({BIT: 13}, 1),
+    ({BIT: 0}, 0),
+    ({BIT: True}, None),
+    ({BIT: -8}, None),
+])
+def test_member_byte_offset(attrs, offset):
+    assert dwarf.member_byte_offset(attrs) == offset
+
+
 def test_non_string_name_counts_as_unnamed(tmp_path, capsys):
     from structdrift.cli import run
 
@@ -725,12 +751,13 @@ FUZZ_CASES = 300
     ("layouts-dwarf5-64.so", ".debug_str"),
     # Compressed: the mutations hit the compression header and zlib stream.
     ("layouts-zlib-64.so", ".debug_info"),
+    ("layouts-zlibgnu-64.so", ".zdebug_info"),
     # Relocatable: the mutations hit the ELF header (e_type) and the section
     # headers (sh_type, sh_info) the RELA refusal reads.
     ("thread-rela-64.o", "header"),
     ("thread-rela-64.o", "section headers"),
 ], ids=["header", ".debug_info", ".debug_abbrev", ".debug_str", "zlib-.debug_info",
-        "rela-object-header", "rela-object-section-headers"])
+        "zlibgnu-.zdebug_info", "rela-object-header", "rela-object-section-headers"])
 def test_mutated_fixture_never_escapes(tmp_path, capsys, fixture, region):
     # Seeded, bounded byte mutation: every case must end in success or a
     # clean input error, never a traceback or exit code 1.

@@ -226,6 +226,29 @@ def test_watchlist_file_validation():
                         '"name": "x", "structures": ["A", "A"]}')
 
 
+@pytest.mark.parametrize("body, message", [
+    ({"name": 1, "structures": ["A"]}, "name has wrong type int"),
+    ({"name": "x", "structures": "A"}, "structures has wrong type str"),
+    ({"name": "x", "structures": ["A", None]}, "structures[1] has wrong type NoneType"),
+])
+def test_watchlist_reader_names_the_field_path(body, message):
+    with pytest.raises(SchemaError) as exc_info:
+        parse_watchlist(json.dumps(dict({"schema": "structdrift-watchlist/1"}, **body)))
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("chain, message", [
+    ({"id": 7}, "chains[0].id has wrong type int"),
+    ({"steps": {}}, "chains[0].steps has wrong type dict"),
+    ({"steps": [{"structure": "S", "member": "m"}, {"structure": "S", "member": False}]},
+     "chains[0].steps[1].member has wrong type bool"),
+])
+def test_chains_reader_names_the_field_path(chain, message):
+    with pytest.raises(SchemaError) as exc_info:
+        parse_chains(_chain_doc(**chain))
+    assert str(exc_info.value) == message
+
+
 def test_chains_file_validation():
     header = '{"schema": "structdrift-chains/1", "chains": '
     with pytest.raises(SchemaError):
