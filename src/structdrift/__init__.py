@@ -20,8 +20,8 @@ _EXPORTS = {
     "extract": ("ExtractionMeta", "RawTypeEntry", "extract_profile",
                 "extract_profile_with_meta", "merge_duplicate_definitions"),
     "profile": ("MemberRecord", "Profile", "ProfileMeta", "RepositoryIndex",
-                "StructureRecord", "index_repository", "read_profile", "read_sequence",
-                "write_profile"),
+                "StructureRecord", "index_repository", "read_profile", "read_profiles",
+                "read_sequence", "write_profile"),
     "watch": ("CapabilityAssessment", "ChainReport", "ChainReports", "ChainSpec",
               "ChainStep", "WatchlistSpec", "assess_capabilities", "default_chains",
               "default_watchlist", "load_chains", "load_watchlist", "resolve_chain"),

@@ -28,6 +28,7 @@ from .profile import (
     Profile,
     index_repository,
     read_profile,
+    read_profiles,
     read_sequence,
     version_key,
     write_text,
@@ -153,7 +154,7 @@ def _load_scope(value: Optional[str]):
 
 def _load_sequence(args) -> List[Profile]:
     if args.profiles:
-        profiles = [read_profile(p) for p in args.profiles]
+        profiles = read_profiles(args.profiles)
         profiles.sort(key=lambda p: version_key(p.meta.platform_version))
         return profiles
     if not args.repo:
@@ -195,7 +196,7 @@ def _cmd_diff(args) -> int:
     from .diff import diff_profiles
 
     scope, _ = _load_scope(args.scope)
-    report = diff_profiles(read_profile(args.old), read_profile(args.new), scope)
+    report = diff_profiles(*read_profiles([args.old, args.new]), scope)
     _emit(args, report)
     if args.fail_on_break and _diff_is_breaking(report):
         return EXIT_BREAKAGE
@@ -255,7 +256,7 @@ def _cmd_chains(args) -> int:
 
     chains = default_chains() if args.chains_file == "default" \
         else load_chains(args.chains_file)
-    profiles = [read_profile(p) for p in args.profiles]
+    profiles = read_profiles(args.profiles)
     if len(profiles) == 1:
         profile = profiles[0]
         reports = ChainReports(

@@ -9,8 +9,11 @@ profile reproduces the input byte for byte.
 """
 
 import json
+import marshal
 import os
 import re
+import sys
+from itertools import repeat
 from json.encoder import encode_basestring as _quote  # the C quoting json.dumps uses
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -406,6 +409,87 @@ def read_profile(source) -> Profile:
     return loads_profile(read_text(source))
 
 
+# Profiles totalling this many bytes or more are read by forked workers. On two
+# CPUs a fresh command breaks even at 1-1.5 MB and gains 5% at 2.7 MB (diff).
+PARALLEL_READ_BYTES = 2_000_000
+
+
+def _size(path) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:  # reading the file reports the error
+        return 0
+
+
+def _read_or_none(source) -> Optional[Profile]:
+    try:
+        return read_profile(source)
+    except Exception:  # the caller reads it again and raises the error itself
+        return None
+
+
+def _prefetched(paths: list) -> List[Optional[Profile]]:
+    """Each path's profile as read_profiles reads it, or None for the caller to read."""
+    found: List[Optional[Profile]] = [None] * len(paths)
+    threading = sys.modules.get("threading")
+    if (len(paths) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2 or threading and threading.active_count() > 1
+            or sum(map(_size, paths)) < PARALLEL_READ_BYTES):
+        return found
+    count = min(len(os.sched_getaffinity(0)), len(paths))
+    # The caller's run is the longest: the workers' own profiles cost it a rebuild.
+    bounds = [-(-len(paths) * i // count) for i in range(count + 1)]
+    workers, sent, statuses = [], [], []
+    try:
+        for start, end in zip(bounds[1:], bounds[2:]):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller reads the rest
+                os.close(reader)
+                os.close(writer)
+                break
+            if pid == 0:  # a worker: send its profiles as plain tuples, or None, and exit
+                try:
+                    plain = [p and (tuple(p.meta), [
+                        (r.name, r.byte_size, list(map(tuple, r.members)))
+                        for r in p.structures.values()])
+                        for p in map(_read_or_none, paths[start:end])]
+                    with open(writer, "wb") as out:
+                        out.write(marshal.dumps(plain))
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # never return into the caller's code
+            os.close(writer)
+            workers.append((pid, reader, start, end))
+        found[:bounds[1]] = map(_read_or_none, paths[:bounds[1]])
+    finally:
+        for pid, reader, _, _ in workers:  # to EOF before waiting: a full pipe blocks its writer
+            with open(reader, "rb") as pipe:
+                sent.append(pipe.read())
+            statuses.append(os.waitpid(pid, 0)[1])
+    new = tuple.__new__
+    for (_, _, start, end), data, status in zip(workers, sent, statuses):
+        if status == 0:  # else the caller reads these files
+            found[start:end] = [p and Profile(new(ProfileMeta, p[0]), {
+                name: new(StructureRecord, (name, size, list(map(new, repeat(MemberRecord), m))))
+                for name, size, m in p[1]}) for p in marshal.loads(data)]
+    return found
+
+
+def read_profiles(sources) -> List[Profile]:
+    """read_profile of each source, in order: the same profiles and the same first error.
+
+    On one thread with os.fork, two or more CPUs and files totalling at least
+    PARALLEL_READ_BYTES, this process reads the first of one run of files per
+    CPU and a forked worker each other run, so each file is read once. Only a
+    file that fails, or every file of a worker that fails, is read again here,
+    in order, so errors are the serial ones. No worker outlives the call.
+    """
+    paths = list(sources)
+    return [profile or read_profile(path) for path, profile in zip(paths, _prefetched(paths))]
+
+
 class RepositoryIndex(NamedTuple):
     """Profiles found under <root>/<version>/<architecture>/<stem>.profile.json,
     keyed by the (version, architecture, stem) of their path."""
@@ -427,10 +511,11 @@ def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]]):
         if root.exists():
             raise NotADirectoryError(f"repository root {root} is not a directory")
         raise FileNotFoundError(f"repository root {root} does not exist")
-    for path in sorted(root.glob(f"*/{architecture}/*{PROFILE_SUFFIX}")):
+    paths = sorted(root.glob(f"*/{architecture}/*{PROFILE_SUFFIX}"))
+    for path, profile in zip(paths, _prefetched(paths)):  # read_profiles, one error each
         placed = (path.parent.parent.name, path.parent.name)
         try:
-            profile = read_profile(path)
+            profile = profile or read_profile(path)
         except (SchemaError, InvariantError) as exc:
             skipped.append((path, str(exc)))
             continue

@@ -248,12 +248,16 @@ def index_to_doc(index: RepositoryIndex) -> dict:
 # ------------------------------------------------------------ csv, table
 
 def _csv(headers: List[str], rows: List[List[str]]) -> str:
-    """CSV text in which a cell holding a comma, a quote or a newline is quoted."""
+    """CSV text in which a cell holding a comma, a quote or a newline is quoted, and
+    every cell of a row holding a carriage return, which the writer would leave bare."""
     import csv
     import io
 
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([headers, *rows])
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in [headers, *rows]:
+        (quoted if "\r" in "".join(row) else plain).writerow(row)
     return out.getvalue()
 
 

@@ -149,6 +149,27 @@ def test_csv_quotes_cells_with_commas_and_quotes(tmp_path, capsys):
     assert all(len(row) == len(header) for row in rows)
 
 
+@pytest.mark.parametrize("command", [["score"], ["aggregate"], ["timeline", "c\rd"]])
+def test_csv_cells_with_line_breaks_round_trip(tmp_path, capsys, command):
+    import csv
+    import io
+
+    # A hand-edited profile can hold any character in a name or a version.
+    names = ["a\nb", "c\rd", "e\r\nf", "g"]
+    paths = [write_tmp_profile(tmp_path, make_profile(version, {
+        name: (8, [("m", offset)]) for name in names}), f"{offset}.profile.json")
+        for version, offset in (("9", 0), ("10\r", 4))]
+    assert run(command + paths + ["--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+    if command[0] == "score":
+        assert header[1:] == ["9->10\r"] and [row[0] for row in rows] == sorted(names)
+    elif command[0] == "aggregate":
+        assert [row[0] for row in rows] == ["9->10\r", "total"]
+    else:
+        assert [row[0] for row in rows] == ["9", "10\r"]
+    assert all(len(row) == len(header) for row in rows)
+
+
 def test_score_csv_has_three_decimal_cells(tmp_path, capsys):
     a = write_tmp_profile(tmp_path, art_profile("9"), "a.profile.json")
     b = write_tmp_profile(tmp_path, art_profile(
