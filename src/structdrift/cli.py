@@ -155,17 +155,14 @@ def _load_scope(value: Optional[str]):
 def _load_sequence(args) -> List[Profile]:
     if args.profiles:
         profiles = read_profiles(args.profiles)
-        profiles.sort(key=lambda p: version_key(p.meta.platform_version))
-        return profiles
+        return sorted(profiles, key=lambda p: version_key(p.meta.platform_version))
     if not args.repo:
         raise UsageError("give profile files, or --repo (or $STRUCTDRIFT_REPO)")
     if not args.arch:
         raise UsageError("--arch is required when reading a sequence from --repo")
     profiles = read_sequence(args.repo, args.arch)
     if not profiles:
-        raise StructDriftError(
-            f"no {args.arch} profiles found under {args.repo}"
-        )
+        raise StructDriftError(f"no {args.arch} profiles found under {args.repo}")
     return profiles
 
 
@@ -254,29 +251,19 @@ def _cmd_chains(args) -> int:
     from .watch import REASON_NOT_APPLICABLE, ChainReports, assess_capabilities, \
         default_chains, load_chains, resolve_chain
 
-    chains = default_chains() if args.chains_file == "default" \
-        else load_chains(args.chains_file)
-    profiles = read_profiles(args.profiles)
+    chains = default_chains() if args.chains_file == "default" else load_chains(args.chains_file)
+    profiles = _load_sequence(args)
     if len(profiles) == 1:
-        profile = profiles[0]
-        reports = ChainReports(
-            profile.meta.platform_version,
-            [resolve_chain(profile, chain) for chain in chains],
-        )
+        reports = ChainReports(profiles[0].meta.platform_version,
+                               [resolve_chain(profiles[0], chain) for chain in chains])
         _emit(args, reports)
         # Chains outside their version range are not breakage.
-        broken = any(
-            r.first_failure is not None
-            and r.first_failure[1] != REASON_NOT_APPLICABLE
-            for r in reports.reports
-        )
+        broken = any(r.first_failure is not None
+                     and r.first_failure[1] != REASON_NOT_APPLICABLE for r in reports.reports)
     else:
-        profiles.sort(key=lambda p: version_key(p.meta.platform_version))
         assessment = assess_capabilities(profiles, chains)
         _emit(args, assessment)
-        broken = any(
-            "broken" in statuses for statuses in assessment.statuses.values()
-        )
+        broken = any("broken" in statuses for statuses in assessment.statuses.values())
     if args.fail_on_break and broken:
         return EXIT_BREAKAGE
     return EXIT_OK

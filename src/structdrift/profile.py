@@ -409,16 +409,8 @@ def read_profile(source) -> Profile:
     return loads_profile(read_text(source))
 
 
-# Profiles totalling this many bytes or more are read by forked workers. On two
-# CPUs a fresh command breaks even at 1-1.5 MB and gains 5% at 2.7 MB (diff).
+# Measured on two CPUs: a fresh command breaks even at 1-1.5 MB and gains 5% at 2.7 MB.
 PARALLEL_READ_BYTES = 2_000_000
-
-
-def _size(path) -> int:
-    try:
-        return os.stat(path).st_size
-    except OSError:  # reading the file reports the error
-        return 0
 
 
 def _read_or_none(source) -> Optional[Profile]:
@@ -431,61 +423,52 @@ def _read_or_none(source) -> Optional[Profile]:
 def _prefetched(paths: list) -> List[Optional[Profile]]:
     """Each path's profile as read_profiles reads it, or None for the caller to read."""
     found: List[Optional[Profile]] = [None] * len(paths)
-    threading = sys.modules.get("threading")
-    if (len(paths) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2 or threading and threading.active_count() > 1
-            or sum(map(_size, paths)) < PARALLEL_READ_BYTES):
-        return found
-    count = min(len(os.sched_getaffinity(0)), len(paths))
-    # The caller's run is the longest: the workers' own profiles cost it a rebuild.
-    bounds = [-(-len(paths) * i // count) for i in range(count + 1)]
-    workers, sent, statuses = [], [], []
     try:
-        for start, end in zip(bounds[1:], bounds[2:]):
-            reader, writer = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the caller reads the rest
-                os.close(reader)
-                os.close(writer)
-                break
-            if pid == 0:  # a worker: send its profiles as plain tuples, or None, and exit
-                try:
-                    plain = [p and (tuple(p.meta), [
-                        (r.name, r.byte_size, list(map(tuple, r.members)))
-                        for r in p.structures.values()])
-                        for p in map(_read_or_none, paths[start:end])]
-                    with open(writer, "wb") as out:
-                        out.write(marshal.dumps(plain))
-                    os._exit(0)
-                finally:
-                    os._exit(1)  # never return into the caller's code
-            os.close(writer)
-            workers.append((pid, reader, start, end))
-        found[:bounds[1]] = map(_read_or_none, paths[:bounds[1]])
+        total = sum(os.stat(path).st_size for path in paths)
+    except OSError:  # reading the files reports the error
+        total = 0
+    if (total < PARALLEL_READ_BYTES or len(paths) < 2 or not hasattr(os, "fork")
+            or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+            or "threading" in sys.modules and sys.modules["threading"].active_count() > 1):
+        return found
+    half = (len(paths) + 1) // 2  # the caller's half is the larger: it rebuilds the worker's
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller reads the second half too
+        pid = None
+    if pid == 0:  # the worker: send its profiles as plain tuples, or None, and exit
+        try:
+            with open(writer, "wb") as out:
+                marshal.dump([p and (tuple(p.meta), [
+                    (r.name, r.byte_size, list(map(tuple, r.members)))
+                    for r in p.structures.values()])
+                    for p in map(_read_or_none, paths[half:])], out)
+            os._exit(0)
+        finally:
+            os._exit(1)  # never return into the caller's code
+    os.close(writer)
+    try:
+        found[:half] = map(_read_or_none, paths[:half])
     finally:
-        for pid, reader, _, _ in workers:  # to EOF before waiting: a full pipe blocks its writer
+        try:  # to EOF before waiting: a full pipe blocks the worker
             with open(reader, "rb") as pipe:
-                sent.append(pipe.read())
-            statuses.append(os.waitpid(pid, 0)[1])
-    new = tuple.__new__
-    for (_, _, start, end), data, status in zip(workers, sent, statuses):
-        if status == 0:  # else the caller reads these files
-            found[start:end] = [p and Profile(new(ProfileMeta, p[0]), {
-                name: new(StructureRecord, (name, size, list(map(new, repeat(MemberRecord), m))))
-                for name, size, m in p[1]}) for p in marshal.loads(data)]
+                data = pipe.read()
+        finally:
+            status = pid and os.waitpid(pid, 0)[1]
+    if status == 0:  # else the caller reads these files
+        new = tuple.__new__
+        found[half:] = [p and Profile(new(ProfileMeta, p[0]), {
+            name: new(StructureRecord, (name, size, list(map(new, repeat(MemberRecord), m))))
+            for name, size, m in p[1]}) for p in marshal.loads(data)]
     return found
 
 
 def read_profiles(sources) -> List[Profile]:
     """read_profile of each source, in order: the same profiles and the same first error.
 
-    On one thread with os.fork, two or more CPUs and files totalling at least
-    PARALLEL_READ_BYTES, this process reads the first of one run of files per
-    CPU and a forked worker each other run, so each file is read once. Only a
-    file that fails, or every file of a worker that fails, is read again here,
-    in order, so errors are the serial ones. No worker outlives the call.
-    """
+    From PARALLEL_READ_BYTES on, a forked worker may read the second half; only a file it
+    fails on, or every file if it fails, is read twice (here, for the serial error)."""
     paths = list(sources)
     return [profile or read_profile(path) for path, profile in zip(paths, _prefetched(paths))]
 

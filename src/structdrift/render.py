@@ -248,16 +248,16 @@ def index_to_doc(index: RepositoryIndex) -> dict:
 # ------------------------------------------------------------ csv, table
 
 def _csv(headers: List[str], rows: List[List[str]]) -> str:
-    """CSV text in which a cell holding a comma, a quote or a newline is quoted, and
-    every cell of a row holding a carriage return, which the writer would leave bare."""
+    """CSV text quoting a cell that holds a comma, a quote or a newline, and every
+    cell if one holds a carriage return, which a writer ending lines in LF leaves bare."""
     import csv
     import io
 
     out = io.StringIO()
-    plain = csv.writer(out, lineterminator="\n")
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for row in [headers, *rows]:
-        (quoted if "\r" in "".join(row) else plain).writerow(row)
+    table = [headers, *rows]
+    bare = any("\r" in cell for row in table for cell in row)
+    csv.writer(out, lineterminator="\n",
+               quoting=csv.QUOTE_ALL if bare else csv.QUOTE_MINIMAL).writerows(table)
     return out.getvalue()
 
 

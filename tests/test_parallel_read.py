@@ -2,7 +2,8 @@
 
 The fixture profiles are far below PARALLEL_READ_BYTES, so each test sets
 it to 0 to put them on the forked path, and compares with a serial run
-(the constant set out of reach) or with read_profile itself.
+(the constant set out of reach) or with read_profile itself. Every test
+sees two usable CPUs, so the forked path runs the same on any machine.
 """
 
 import json
@@ -22,6 +23,13 @@ from conftest import art_profile, art_sequence, make_profile
 SERIAL = 10 ** 12
 VERSIONS = [p.meta.platform_version for p in art_sequence()]
 
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -40,6 +48,10 @@ def forks(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
 def _path(root: Path, version: str, stem: str = "libart") -> Path:
@@ -124,14 +136,15 @@ def _profile_files(tmp_path, count=6):
     return paths
 
 
-def test_reader_uses_every_cpu_but_never_more_workers_than_files(tmp_path, monkeypatch, forks):
+@pytest.mark.parametrize("cpus", [1, 2, 4, 64])
+def test_reader_forks_one_worker_at_most(tmp_path, monkeypatch, forks, cpus):
     monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    for count in (2, 3, 6):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for count in (1, 2, 3, 6):
         paths = _profile_files(tmp_path, count)
         del forks[:]
         assert read_profiles(paths) == [read_profile(p) for p in paths]
-        assert len(forks) == min(4, count) - 1
+        assert len(forks) == (cpus > 1 and count > 1)
     assert_no_child_left()
 
 
@@ -202,13 +215,53 @@ def test_worker_that_cannot_send_falls_back(tmp_path, monkeypatch, forks):
 
 def test_failed_fork_reads_serially(tmp_path, monkeypatch):
     paths = _profile_files(tmp_path)
+    serial, fds = [read_profile(p) for p in paths], open_fds()
 
     def no_fork():
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", 0)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert read_profiles(paths) == [read_profile(p) for p in paths]
+    assert read_profiles(paths) == serial
+    assert open_fds() == fds
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+def _interrupting_open(parent: int):
+    """open, except that reading the worker's pipe in the caller is interrupted."""
+
+    def wrapped(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if os.getpid() == parent and mode == "rb" and isinstance(file, int):
+            handle.read = _interrupt
+        return handle
+
+    return wrapped
+
+
+@pytest.mark.parametrize("step", ["own reads", "pipe read"])
+def test_interrupted_caller_still_waits_for_the_worker(tmp_path, monkeypatch, forks, step):
+    paths = _profile_files(tmp_path)
+    parent, read, fds = os.getpid(), profile_module.read_profile, open_fds()
+
+    def interrupted_read(source):
+        if os.getpid() == parent:
+            _interrupt()
+        return read(source)
+
+    monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", 0)
+    if step == "own reads":
+        monkeypatch.setattr(profile_module, "read_profile", interrupted_read)
+    else:
+        monkeypatch.setattr(profile_module, "open", _interrupting_open(parent), raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        read_profiles(paths)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert open_fds() == fds
 
 
 def test_threaded_caller_never_forks(tmp_path, monkeypatch):
