@@ -17,8 +17,7 @@ _EXPORTS = {
              "diff_profiles", "diff_structure", "read_diff", "summarize_diff"),
     "errors": ("InvariantError", "MalformedDwarfError", "NoDwarfError", "NotElfError",
                "SchemaError", "StructDriftError"),
-    "extract": ("ExtractionMeta", "RawTypeEntry", "extract_profile",
-                "extract_profile_with_meta", "merge_duplicate_definitions"),
+    "extract": ("ExtractionMeta", "extract_profile", "extract_profile_with_meta"),
     "profile": ("MemberRecord", "Profile", "ProfileMeta", "RepositoryIndex",
                 "StructureRecord", "index_repository", "read_profile", "read_profiles",
                 "read_sequence", "write_profile"),

@@ -20,7 +20,7 @@ import argparse
 import gc
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import StructDriftError, UnsupportedFormatError
 from .profile import (
@@ -54,7 +54,8 @@ def _add_repo_options(parser):
                         help="architecture to select from the repository")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by command name."""
     parser = argparse.ArgumentParser(
         prog="structdrift",
         description="Extract, store, diff and analyze structure layouts "
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(func=_cmd_index)
 
-    return parser
+    return parser, sub.choices
 
 
 def _emit(args, report) -> None:
@@ -278,9 +279,15 @@ def _cmd_index(args) -> int:
 
 
 def run(argv: List[str]) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # The command's own parser reads its arguments, so that options may
+        # come before, between or after its files: the subcommand dispatch
+        # fills a nargs="*" positional before later options (bpo-14191).
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_intermixed_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -2,8 +2,9 @@
 
 Walks every compilation unit's DIE tree, keeps class- and structure-type
 definitions together with their directly declared members, and merges
-repeated definitions of the same name across units into one canonical
-record per structure.
+repeated definitions of the same name during the walk: a header's types,
+defined again in every unit that includes it, cost one dict lookup per
+repeat. One canonical record per structure is left.
 """
 
 from pathlib import Path
@@ -51,14 +52,6 @@ _WANTED = {
 }
 
 
-class RawTypeEntry(NamedTuple):
-    name: str
-    byte_size: Optional[int]
-    members: List[MemberRecord]
-    origin_unit: int = 0
-    is_declaration_only: bool = False
-
-
 class ExtractionMeta(NamedTuple):
     binary_path: str
     binary_size_bytes: int
@@ -71,17 +64,20 @@ class ExtractionMeta(NamedTuple):
     architecture: Optional[str] = None  # from the ELF header; None if unsupported
 
 
-def _decl_only(attrs: dict, byte_size: Optional[int]) -> bool:
-    return byte_size is None or bool(attrs.get(AT_DECLARATION))
-
-
 def _clean_name(value) -> str:
     # DW_AT_name in a non-string form (hostile input) counts as no name.
     return value if isinstance(value, str) and value else UNNAMED
 
 
-def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
-    """Collect one RawTypeEntry per class/structure DIE in the binary."""
+def _extract_structures(binary) -> Tuple[Dict[str, StructureRecord], ExtractionMeta]:
+    """Walk every unit and reduce repeated definitions to one record per name.
+
+    Only complete definitions (a byte size and no DW_AT_declaration) are
+    kept, each shape with the first unit that defines it. Of several
+    shapes, the one with the most members wins (ties: larger byte size,
+    then earliest unit, then first seen) and the name is reported as a
+    conflict.
+    """
     path = Path(binary)
     elf = load_elf(path)
     info = elf.debug_section("info")
@@ -93,9 +89,11 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
         str_offsets=elf.debug_section("str_offsets"),
     )
 
-    entries: List[RawTypeEntry] = []
+    # name -> {(byte size, members): first unit}; empty for declarations only.
+    shapes: Dict[str, Dict[Tuple[int, tuple], int]] = {}
     versions: Set[int] = set()
     unit_count = 0
+    type_die_count = 0
     skipped_members = 0
 
     sections = [(info, ".debug_info")]
@@ -120,16 +118,18 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                 table = parse_abbrev_table(abbrev, header.abbrev_offset)
                 abbrev_cache[header.abbrev_offset] = table
             walker = UnitWalker(data, header, table, strings, _WANTED, section_name)
-            # Stack of (depth, entry) for open class/structure DIEs so that
-            # only direct member children attach to each type.
-            open_types: List[Tuple[int, RawTypeEntry]] = []
+            # Stack of (depth, byte size, members) for open class/structure
+            # DIEs so that only direct member children attach to each type.
+            open_types: List[Tuple[int, Optional[int], List[MemberRecord]]] = []
+            # (shapes of the name, byte size, members) per complete definition.
+            complete: List[Tuple[dict, int, List[MemberRecord]]] = []
             for depth, tag, attrs in walker:
                 while open_types and depth <= open_types[-1][0]:
                     open_types.pop()
                 if tag == TAG_MEMBER:
                     if not open_types or depth != open_types[-1][0] + 1:
                         continue
-                    parent = open_types[-1][1]
+                    _, parent_size, members = open_types[-1]
                     # A plain non-negative constant location is the offset.
                     offset = attrs.get(AT_DATA_MEMBER_LOCATION)
                     if type(offset) is not int or offset < 0:
@@ -138,67 +138,46 @@ def parse_raw_types(binary) -> Tuple[List[RawTypeEntry], ExtractionMeta]:
                         if AT_DATA_MEMBER_LOCATION in attrs or AT_DATA_BIT_OFFSET in attrs:
                             skipped_members += 1
                         continue
-                    if parent.byte_size and offset >= parent.byte_size:
+                    if parent_size and offset >= parent_size:
                         skipped_members += 1
                         continue
                     key = (_clean_name(attrs.get(AT_NAME)), offset)
                     record = records.get(key)
                     if record is None:
                         record = records[key] = MemberRecord(*key)
-                    parent.members.append(record)
+                    members.append(record)
                 elif tag in _TYPE_TAGS:
-                    name = _clean_name(attrs.get(AT_NAME))
+                    type_die_count += 1
+                    name_shapes = shapes.setdefault(_clean_name(attrs.get(AT_NAME)), {})
                     byte_size = unsigned_value(attrs.get(AT_BYTE_SIZE))
-                    entry = RawTypeEntry(name, byte_size, [], unit_index,
-                                         _decl_only(attrs, byte_size))
-                    entries.append(entry)
-                    open_types.append((depth, entry))
+                    members = []
+                    open_types.append((depth, byte_size, members))
+                    if byte_size is not None and not attrs.get(AT_DECLARATION):
+                        complete.append((name_shapes, byte_size, members))
+            for name_shapes, byte_size, members in complete:
+                name_shapes.setdefault((byte_size, tuple(members)), unit_index)
+
+    catalog: Dict[str, StructureRecord] = {}
+    for name, variants in sorted(shapes.items()):
+        if variants:
+            # ((byte size, members), first unit); min keeps the first seen of equals.
+            (byte_size, members), _ = min(
+                variants.items(), key=lambda v: (-len(v[0][1]), -v[0][0], v[1]))
+            catalog[name] = StructureRecord.canonical(name, byte_size, members)
+    conflicts = [name for name in catalog if len(shapes[name]) > 1]
 
     meta = ExtractionMeta(
         binary_path=str(path),
         binary_size_bytes=path.stat().st_size,
         dwarf_versions_seen=versions,
         compilation_unit_count=unit_count,
-        raw_type_die_count=len(entries),
-        unique_type_name_count=len({e.name for e in entries}),
+        raw_type_die_count=type_die_count,
+        unique_type_name_count=len(shapes),
         members_skipped=skipped_members,
-        merge_conflicts=[],
+        merge_conflicts=conflicts,
         architecture=elf.architecture_label(),
     )
-    return entries, meta
-
-
-def merge_duplicate_definitions(
-    entries: List[RawTypeEntry],
-) -> Tuple[Dict[str, StructureRecord], List[str]]:
-    """Reduce repeated definitions to one canonical record per name.
-
-    Declaration-only entries never win. Identical complete definitions
-    merge silently; disagreeing ones keep the definition with the most
-    members (ties: larger byte size, then earliest origin unit) and the
-    name is reported as a conflict.
-    """
-    by_name: Dict[str, List[RawTypeEntry]] = {}
-    for entry in entries:
-        by_name.setdefault(entry.name, []).append(entry)
-
-    catalog: Dict[str, StructureRecord] = {}
-    conflicts: List[str] = []
-    for name in sorted(by_name):
-        complete = [e for e in by_name[name] if not e.is_declaration_only]
-        if not complete:
-            continue
-        shapes = {(e.byte_size, tuple(e.members)) for e in complete}
-        if len(shapes) > 1:
-            conflicts.append(name)
-            complete.sort(
-                key=lambda e: (-len(e.members), -(e.byte_size or 0), e.origin_unit)
-            )
-        winner = complete[0]
-        catalog[name] = StructureRecord.canonical(
-            name, winner.byte_size or 0, winner.members
-        )
-    return catalog, conflicts
+    return catalog, meta
 
 
 def extract_profile_with_meta(
@@ -208,9 +187,7 @@ def extract_profile_with_meta(
     build_variant: str = "unknown",
 ) -> Tuple[Profile, ExtractionMeta]:
     """Full extraction: returns the profile plus extraction statistics."""
-    entries, meta = parse_raw_types(binary)
-    catalog, conflicts = merge_duplicate_definitions(entries)
-    meta = meta._replace(merge_conflicts=conflicts)
+    catalog, meta = _extract_structures(binary)
 
     if architecture is None:
         architecture = meta.architecture

@@ -553,6 +553,25 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
+@pytest.mark.parametrize("place", ["before", "between", "after"])
+@pytest.mark.parametrize("command, option", [
+    (["timeline", "Runtime"], ["--member", "heap_"]),
+    (["score"], ["--scope", "default"]),
+], ids=["timeline-member", "score-scope"])
+def test_option_may_come_before_between_or_after_the_files(tmp_path, capsys, command,
+                                                           option, place):
+    a, b = (write_tmp_profile(tmp_path, art_profile(v), f"{v}.profile.json")
+            for v in ("9", "10"))
+    argv = {"before": option + [a, b], "between": [a] + option + [b],
+            "after": [a, b] + option}[place]
+    assert run(command + argv) == 0
+    out = capsys.readouterr().out
+    assert run(command + [a, b]) == 0
+    assert out != capsys.readouterr().out  # the option took effect
+    assert run(command + [a, b] + option) == 0
+    assert out == capsys.readouterr().out
+
+
 def test_unexpected_exception_is_internal_error(art_repo, capsys, monkeypatch):
     import structdrift.cli as cli
 

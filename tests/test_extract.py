@@ -4,6 +4,7 @@ import random
 import struct
 import types
 import zlib
+from typing import List, NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,10 @@ from structdrift import (
     MalformedDwarfError,
     NoDwarfError,
     NotElfError,
-    RawTypeEntry,
     extract_profile,
     extract_profile_with_meta,
-    merge_duplicate_definitions,
 )
-from structdrift import MemberRecord, dwarf
+from structdrift import MemberRecord, StructureRecord, dwarf
 from structdrift.dwarf import (
     AT_BYTE_SIZE,
     AT_NAME,
@@ -650,74 +649,172 @@ def test_merge_two_cu_binary():
     ]
 
 
-def _entry(name, size, members, unit=0, decl=False):
-    return RawTypeEntry(
-        name=name,
-        byte_size=size,
-        members=[MemberRecord(m, o) for m, o in members],
-        origin_unit=unit,
-        is_declaration_only=decl,
-    )
+# LAYOUT_ABBREV plus three more structures with children, all with a name
+# string: 6 a declaration (DW_AT_declaration flag_present) without a byte
+# size, 7 a declaration with one, 8 neither byte size nor declaration.
+MERGE_ABBREV = LAYOUT_ABBREV[:-1] + bytes([6, 0x13, 1, 0x03, 0x08, 0x3C, 0x19, 0, 0,
+                                           7, 0x13, 1, 0x03, 0x08, 0x0B, 0x0B,
+                                           0x3C, 0x19, 0, 0,
+                                           8, 0x13, 1, 0x03, 0x08, 0, 0, 0])
+# (has a byte size, is a declaration) -> abbreviation code
+_TYPE_CODES = {(True, False): 1, (False, True): 6, (True, True): 7, (False, False): 8}
 
 
-def test_merge_identical_definitions():
-    entries = [
-        _entry("Thread", 16, [("id", 0), ("state", 8)], unit=0),
-        _entry("Thread", 16, [("id", 0), ("state", 8)], unit=1),
-    ]
-    catalog, conflicts = merge_duplicate_definitions(entries)
+def _type_die(name, size, members, decl=False):
+    """One structure DIE with its member children, in MERGE_ABBREV's codes."""
+    die = bytes([_TYPE_CODES[size is not None, decl]]) + name.encode() + b"\x00"
+    if size is not None:
+        die += bytes([size])
+    for member, offset in members:
+        die += b"\x02" + member.encode() + b"\x00" + bytes([offset])
+    return die + b"\x00"
+
+
+def _extract_units(directory, units):
+    """(structures, meta) of a binary whose units hold the given _type_die args."""
+    info = b"".join(_indirect_unit(b"".join(_type_die(*t) for t in unit))
+                    for unit in units)
+    profile, meta = extract_profile_with_meta(
+        _with_debug_sections(directory, info, MERGE_ABBREV))
+    return profile.structures, meta
+
+
+def test_merge_identical_definitions(tmp_path):
+    thread = ("Thread", 16, [("id", 0), ("state", 8)])
+    catalog, meta = _extract_units(tmp_path, [[thread], [thread]])
     assert list(catalog) == ["Thread"]
-    assert conflicts == []
+    assert meta.merge_conflicts == []
 
 
-def test_merge_conflicting_definitions_keeps_largest():
-    entries = [
-        _entry("Foo", 24, [("a", 0), ("b", 8), ("c", 16)], unit=0),
-        _entry("Foo", 40, [("a", 0), ("b", 8), ("c", 16), ("d", 24), ("e", 32)],
-               unit=1),
-    ]
-    catalog, conflicts = merge_duplicate_definitions(entries)
-    assert conflicts == ["Foo"]
+def test_merge_conflicting_definitions_keeps_largest(tmp_path):
+    catalog, meta = _extract_units(tmp_path, [
+        [("Foo", 24, [("a", 0), ("b", 8), ("c", 16)])],
+        [("Foo", 40, [("a", 0), ("b", 8), ("c", 16), ("d", 24), ("e", 32)])],
+    ])
+    assert meta.merge_conflicts == ["Foo"]
     assert len(catalog["Foo"].members) == 5
 
 
-def test_merge_declaration_never_wins():
-    entries = [
-        _entry("Bar", None, [], unit=0, decl=True),
-        _entry("Bar", 8, [("x", 0)], unit=1),
-    ]
-    catalog, conflicts = merge_duplicate_definitions(entries)
-    assert conflicts == []
+def test_merge_declaration_never_wins(tmp_path):
+    catalog, meta = _extract_units(tmp_path, [
+        [("Bar", None, [], True)],
+        [("Bar", 8, [("x", 0)])],
+    ])
+    assert meta.merge_conflicts == []
     assert catalog["Bar"].byte_size == 8
     assert [m.name for m in catalog["Bar"].members] == ["x"]
 
 
-def test_merge_declaration_only_names_dropped():
-    catalog, conflicts = merge_duplicate_definitions(
-        [_entry("Ghost", None, [], decl=True)]
-    )
+def test_merge_declaration_only_names_dropped(tmp_path):
+    catalog, meta = _extract_units(tmp_path, [[("Ghost", None, [], True)]])
     assert catalog == {}
-    assert conflicts == []
+    assert meta.merge_conflicts == []
+    assert (meta.raw_type_die_count, meta.unique_type_name_count) == (1, 1)
 
 
-def test_merge_tie_breaks_by_size_then_unit():
-    entries = [
-        _entry("Tie", 16, [("a", 0), ("b", 8)], unit=3),
-        _entry("Tie", 32, [("a", 0), ("b", 16)], unit=5),
-    ]
-    catalog, conflicts = merge_duplicate_definitions(entries)
-    assert conflicts == ["Tie"]
+def test_merge_tie_breaks_by_size_then_unit(tmp_path):
+    catalog, meta = _extract_units(tmp_path, [
+        [], [], [], [("Tie", 16, [("a", 0), ("b", 8)])],
+        [], [("Tie", 32, [("a", 0), ("b", 16)])],
+    ])
+    assert meta.merge_conflicts == ["Tie"]
     assert catalog["Tie"].byte_size == 32
+    # Equal size and member count: the shape first defined earliest wins,
+    # though the other one's only unit comes before its repeat.
+    early, late = ("Even", 8, [("a", 0)]), ("Even", 8, [("b", 0)])
+    catalog, meta = _extract_units(tmp_path, [[early], [late], [early]])
+    assert meta.merge_conflicts == ["Even"]
+    assert [m.name for m in catalog["Even"].members] == ["a"]
 
 
-def test_merge_never_invents_names():
-    entries = [
-        _entry("A", 8, [("x", 0)]),
-        _entry("B", 8, [("y", 0)]),
-        _entry("A", 8, [("x", 0)]),
-    ]
-    catalog, _ = merge_duplicate_definitions(entries)
+def test_merge_never_invents_names(tmp_path):
+    catalog, _ = _extract_units(tmp_path, [
+        [("A", 8, [("x", 0)]), ("B", 8, [("y", 0)])],
+        [("A", 8, [("x", 0)])],
+    ])
     assert set(catalog) <= {"A", "B"}
+
+
+class _RawType(NamedTuple):
+    name: str
+    byte_size: Optional[int]
+    members: List[MemberRecord]
+    origin_unit: int
+    is_declaration_only: bool
+
+
+def _merge_oracle(entries):
+    """The merge rule over a list of every definition: extraction's reference.
+
+    Declaration-only entries never win. Identical complete definitions
+    merge silently; disagreeing ones keep the definition with the most
+    members (ties: larger byte size, then earliest origin unit, then list
+    order) and the name is reported as a conflict.
+    """
+    by_name = {}
+    for entry in entries:
+        by_name.setdefault(entry.name, []).append(entry)
+    catalog, conflicts = {}, []
+    for name in sorted(by_name):
+        complete = [e for e in by_name[name] if not e.is_declaration_only]
+        if not complete:
+            continue
+        if len({(e.byte_size, tuple(e.members)) for e in complete}) > 1:
+            conflicts.append(name)
+            complete.sort(key=lambda e: (-len(e.members), -e.byte_size, e.origin_unit))
+        winner = complete[0]
+        catalog[name] = StructureRecord.canonical(name, winner.byte_size, winner.members)
+    return catalog, conflicts
+
+
+# (name, byte size or None, [(member, offset)], declaration flag). Mostly
+# complete definitions over few sizes and members, so that distinct shapes
+# of one name often tie on member count and size.
+_TYPE_DEFS = st.tuples(
+    st.sampled_from("ABC"),
+    st.sampled_from([None, 8, 16, 16]),
+    st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from([0, 8])), max_size=2),
+    st.sampled_from([False, False, False, True]),
+)
+
+
+@st.composite
+def _merge_units(draw):
+    units, drawn = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        unit = []
+        for _ in range(draw(st.integers(0, 4))):
+            if drawn and draw(st.sampled_from([False, False, True])):
+                unit.append(draw(st.sampled_from(drawn)))  # an identical repeat
+            else:
+                drawn.append(draw(_TYPE_DEFS))
+                unit.append(drawn[-1])
+        units.append(unit)
+    return units
+
+
+@pytest.fixture(scope="module")
+def merge_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("merge")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_merge_units())
+def test_merge_while_walking_matches_merging_every_definition(merge_dir, units):
+    entries, skipped = [], 0
+    for unit_index, unit in enumerate(units):
+        for name, size, members, decl in unit:
+            # A member at or past a nonzero byte size is skipped.
+            kept = [MemberRecord(m, o) for m, o in members if not size or o < size]
+            skipped += len(members) - len(kept)
+            entries.append(_RawType(name, size, kept, unit_index, size is None or decl))
+    catalog, conflicts = _merge_oracle(entries)
+    structures, meta = _extract_units(merge_dir, units)
+    assert structures == catalog
+    assert meta.merge_conflicts == conflicts
+    assert meta.raw_type_die_count == len(entries)
+    assert meta.unique_type_name_count == len({e.name for e in entries})
+    assert meta.members_skipped == skipped
 
 
 def test_relocatable_object_with_rela_debug_relocations_is_refused(capsys):
