@@ -229,7 +229,6 @@ class Cursor:
 class UnitHeader(NamedTuple):
     offset: int          # start of the unit within the section
     version: int
-    unit_type: int       # 1 (compile) for pre-v5 units
     address_size: int
     abbrev_offset: int
     dwarf64: bool
@@ -280,7 +279,6 @@ def iter_unit_headers(data: bytes, section: str = ".debug_info") -> Iterator[Uni
         yield UnitHeader(
             offset=start,
             version=version,
-            unit_type=unit_type,
             address_size=address_size,
             abbrev_offset=abbrev_offset,
             dwarf64=dwarf64,

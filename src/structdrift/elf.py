@@ -57,7 +57,6 @@ _CLASS_LAYOUTS = {
 
 class Section(NamedTuple):
     name: str
-    sh_type: int
     flags: int
     offset: int
     size: int
@@ -110,14 +109,14 @@ class ElfFile:
         # RELA addends live outside the section, so unrelocated string offsets read 0.
         relocated = {h[7] for h in headers if h[1] == SHT_RELA} if e_type == ET_REL else ()
         self.sections: Dict[str, Section] = {}
-        for index, (name_off, sh_type, flags, _, offset, size, _, _) in enumerate(headers):
+        for index, (name_off, _, flags, _, offset, size, _, _) in enumerate(headers):
             end = strtab.find(b"\x00", name_off)
             if end < 0:
                 continue
             name = strtab[name_off:end].decode("utf-8", "replace")
             if index in relocated and name.startswith((".debug_", ".zdebug_")):
                 raise NotElfError(f"section {name} has RELA relocations; they are not applied")
-            self.sections[name] = Section(name, sh_type, flags, offset, size)
+            self.sections[name] = Section(name, flags, offset, size)
 
     def section_bytes(self, section: Section) -> bytes:
         raw = self.data[section.offset : section.offset + section.size]

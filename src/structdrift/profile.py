@@ -310,6 +310,8 @@ def _member_record(doc, where: str) -> MemberRecord:
 
 
 def doc_to_profile(doc: dict) -> Profile:
+    """Profile of a parsed document, validated. Fields are tested by exact JSON
+    type; one that fails is checked again by the helper whose error names it."""
     meta_doc = _check_type(doc.get("meta"), dict, "meta")
     structures_doc = _check_type(doc.get("structures"), dict, "structures")
     missing = set(_META_FIELDS) - set(meta_doc)
@@ -319,11 +321,24 @@ def doc_to_profile(doc: dict) -> Profile:
     meta = meta._replace(dwarf_versions_seen=tuple(
         _check_type(v, int, "meta.dwarf_versions_seen entry")
         for v in meta.dwarf_versions_seen))
+    new_member = tuple.__new__  # skips MemberRecord's Python-level __new__
     structures: Dict[str, StructureRecord] = {}
     for name, body in structures_doc.items():
-        _check_type(body, dict, f"structures.{name}")
-        size = _check_type(body.get("size"), int, f"{name}.size")
-        members = _check_list(body.get("members"), f"{name}.members", _member_record)
+        if type(body) is not dict:
+            _check_type(body, dict, f"structures.{name}")
+        size, members_doc = body.get("size"), body.get("members")
+        if type(size) is not int:
+            size = _check_type(size, int, f"{name}.size")
+        if type(members_doc) is not list:
+            members_doc = _check_type(members_doc, list, f"{name}.members")
+        members = []
+        for m in members_doc:
+            if type(m) is dict:
+                member_name, offset = m.get("name"), m.get("offset")
+                if type(member_name) is str and type(offset) is int:
+                    members.append(new_member(MemberRecord, (member_name, offset)))
+                    continue
+            members.append(_member_record(m, f"{name}.members[{len(members)}]"))
         structures[name] = StructureRecord(name, size, members)
     profile = Profile(meta, structures)
     validate_profile(profile)
@@ -333,76 +348,38 @@ def doc_to_profile(doc: dict) -> Profile:
 _SPACE_BEFORE_COLON = re.compile(r'"[ \t\n\r]+:')
 
 
-def _canonical_profile(text: str) -> Optional[Profile]:
-    """Profile of a document in exactly the canonical shape, else None.
-
-    One pass over a plain json.loads result, without the per-object
-    duplicate-key hook. The shape is exact: the schema, meta and
-    structures keys, the seven meta keys, and size and members in each
-    structure and name and offset in each member, every value of exactly
-    the JSON type expected (so no boolean passes as an integer).
-
-    Those keys total `expected`, and every parsed object holds at least
-    its expected keys. A key in the text is a string, optional whitespace
-    and ':', so when no '"' is followed by whitespace and ':', each key in
-    the text adds one '":'; one inside a string (an escaped quote, a
-    leading colon) only adds more. Hence '":' count >= keys in the text
-    >= parsed keys >= expected, and a count equal to `expected` proves
-    the text has no extra key and no duplicate key.
-    """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError):
-        return None
-    if type(doc) is not dict or doc.get("schema") != PROFILE_SCHEMA:
-        return None
-    meta_doc, structures_doc = doc.get("meta"), doc.get("structures")
-    if type(meta_doc) is not dict or type(structures_doc) is not dict:
-        return None
-    meta_values = [meta_doc.get(key) for key in _META_FIELDS]
-    if any(type(v) is not t for v, t in zip(meta_values, _META_FIELDS.values())):
-        return None
-    # The one list-typed meta value, dwarf_versions_seen, is kept as a tuple.
-    meta = ProfileMeta._make(tuple(v) if type(v) is list else v for v in meta_values)
-    if any(type(v) is not int for v in meta.dwarf_versions_seen):
-        return None
-    expected = 3 + len(_META_FIELDS) + 3 * len(structures_doc)
-    new_member = tuple.__new__  # skips MemberRecord's Python-level __new__
-    structures: Dict[str, StructureRecord] = {}
-    for name, body in structures_doc.items():
-        if type(body) is not dict:
-            return None
-        size, members_doc = body.get("size"), body.get("members")
-        if type(size) is not int or type(members_doc) is not list:
-            return None
-        members = []
-        for m in members_doc:
-            if type(m) is not dict:
-                return None
-            member_name, offset = m.get("name"), m.get("offset")
-            if type(member_name) is not str or type(offset) is not int:
-                return None
-            members.append(new_member(MemberRecord, (member_name, offset)))
-        expected += 2 * len(members)
-        structures[name] = StructureRecord(name, size, members)
-    if text.count('":') != expected or _SPACE_BEFORE_COLON.search(text):
-        return None
-    return Profile(meta, structures)
-
-
 def loads_profile(text: str) -> Profile:
     """Profile from canonical JSON text, validated.
 
-    Text in the exact canonical shape takes the one-pass reader; anything
-    else, and anything it cannot prove free of duplicate keys, is read by
-    parse_json_document and doc_to_profile, the reference whose errors
-    every rejected document gets.
+    The text is parsed by a plain json.loads, without the per-object
+    duplicate-key hook, and its document read by doc_to_profile. That
+    profile is returned only when the text provably has no duplicate key;
+    anything else is read by parse_json_document and doc_to_profile, the
+    reference whose errors every rejected document gets (a duplicate key
+    before any other).
+
+    The proof: the schema, meta and structures keys, the seven meta keys,
+    and size and members in each structure and name and offset in each
+    member total `expected`, and doc_to_profile accepts a document only if
+    every parsed object holds at least its expected keys. A key in the
+    text is a string, optional whitespace and ':', so when no '"' is
+    followed by whitespace and ':', each key in the text adds one '":';
+    one inside a string (an escaped quote, a leading colon) only adds
+    more. Hence '":' count >= keys in the text >= parsed keys >= expected,
+    and a count equal to `expected` proves the text has no extra key and
+    no duplicate key.
     """
-    profile = _canonical_profile(text)
-    if profile is None:
-        return doc_to_profile(parse_json_document(text, PROFILE_SCHEMA))
-    validate_profile(profile)
-    return profile
+    try:
+        doc = json.loads(text)
+        if type(doc) is dict and doc.get("schema") == PROFILE_SCHEMA:
+            profile = doc_to_profile(doc)
+            records = profile.structures.values()
+            expected = 3 + len(_META_FIELDS) + sum(3 + 2 * len(r.members) for r in records)
+            if text.count('":') == expected and not _SPACE_BEFORE_COLON.search(text):
+                return profile
+    except (ValueError, RecursionError, SchemaError, InvariantError):
+        pass
+    return doc_to_profile(parse_json_document(text, PROFILE_SCHEMA))
 
 
 def read_profile(source) -> Profile:

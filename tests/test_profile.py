@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structdrift
+import structdrift.profile as profile_module
 
 from structdrift import (
     InvariantError,
@@ -25,7 +26,6 @@ from structdrift import (
 from structdrift.profile import (
     ARCHITECTURES,
     PROFILE_SCHEMA,
-    _canonical_profile,
     doc_to_profile,
     dumps_profile,
     loads_profile,
@@ -289,7 +289,7 @@ def test_write_into_a_pipe_writes_in_place(tmp_path):
     assert os.listdir(tmp_path) == ["pipe"]
 
 
-# ------------------------------------------------------ one-pass reader
+# ------------------------------------------------------ profile reader
 
 def _outcome(read, text):
     """What reading `text` gives: the profile in catalog order, or the error."""
@@ -308,7 +308,7 @@ def assert_reads_like_reference(text):
     assert _outcome(loads_profile, text) == _outcome(_reference, text)
 
 
-# C++ scopes put bare colons into names; the one-pass reader takes them.
+# C++ scopes put bare colons into names; the plain json.loads path takes them.
 _BASE = make_profile("9", {
     "ns::S": (16, [("a", 0), ("b", 8)]),
     "T": (8, [("x::y", 0)]),
@@ -407,10 +407,86 @@ def test_reader_matches_reference(text):
     assert_reads_like_reference(text)
 
 
-def test_one_pass_reader_takes_canonical_text_only():
-    assert _canonical_profile(_BASE_TEXT) == _BASE
-    assert _canonical_profile(_QUOTED_TEXT) is None
+# What each READER_CASES text reads as, written out: loads_profile and the
+# reference share one walker, so comparing the two cannot catch a change
+# to the shape rules themselves.
+READER_OUTCOMES = {
+    "canonical": _BASE,
+    "canonical-quoted-names": _QUOTED,
+    "duplicate-top-level-key": (SchemaError, "duplicate key 'meta'"),
+    "duplicate-meta-key": (SchemaError, "duplicate key 'build_variant'"),
+    "duplicate-structure": (SchemaError, "duplicate key 'T'"),
+    "duplicate-body-key": (SchemaError, "duplicate key 'size'"),
+    "duplicate-member-key": (SchemaError, "duplicate key 'name'"),
+    "duplicate-member-key-quoted-names": (SchemaError, "duplicate key 'offset'"),
+    "space-before-colon": _BASE,
+    "tab-before-colon": _BASE,
+    "newline-before-colon": _BASE,
+    "carriage-return-before-colon": _BASE,
+    "duplicate-hidden-by-whitespace": (SchemaError, "duplicate key 'name'"),
+    "quoted-name-and-whitespace": _QUOTED,
+    "extra-top-level-key": _BASE,
+    "extra-meta-key": _BASE,
+    "extra-body-key": _BASE,
+    "extra-member-key": _BASE,
+    "reordered-member-keys": _BASE,
+    "reordered-meta-keys": _BASE,
+    "reordered-top-level-keys": _BASE,
+    "boolean-offset": (SchemaError, "ns::S.members[1].offset must be an integer, got a boolean"),
+    "float-offset": (SchemaError, "ns::S.members[1].offset has wrong type float"),
+    "boolean-name": (SchemaError, "ns::S.members[1].name has wrong type bool"),
+    "float-size": (SchemaError, "T.size has wrong type float"),
+    "boolean-binary-size": (
+        SchemaError, "meta.binary_size_bytes must be an integer, got a boolean"),
+    "float-die-count": (SchemaError, "meta.raw_type_die_count has wrong type float"),
+    "boolean-dwarf-version": (
+        SchemaError, "meta.dwarf_versions_seen entry must be an integer, got a boolean"),
+    "object-in-meta": (SchemaError, "meta.build_variant has wrong type dict"),
+    "extra-object-in-meta": _BASE,
+    "null-member": (SchemaError, "T.members[1] has wrong type NoneType"),
+    "missing-meta-key": (SchemaError, "meta is missing fields: ['architecture']"),
+    "unsorted-members": (InvariantError, "ns::S: members not sorted at 'a'"),
+    "wrong-schema": (SchemaError, "expected schema 'structdrift-profile/1', "
+                                  "found 'structdrift-profile/2'"),
+    "truncated-half": (SchemaError, "not valid JSON: Expecting property name enclosed "
+                                    "in double quotes: line 16 column 4 (char 319)"),
+    "truncated-end": (
+        SchemaError, "not valid JSON: Expecting ',' delimiter: line 37 column 4 (char 635)"),
+    "truncated-to-nothing": (
+        SchemaError, "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "duplicate-then-syntax-error": (SchemaError, "duplicate key 'name'"),
+    "array": (SchemaError, "document is not a JSON object"),
+    "string": (SchemaError, "document is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_reader_outcome_is_pinned(case):
+    expected = READER_OUTCOMES[case]
+    if isinstance(expected, Profile):
+        assert loads_profile(READER_CASES[case]) == expected
+    else:
+        with pytest.raises(expected[0]) as exc_info:
+            loads_profile(READER_CASES[case])
+        assert (type(exc_info.value), str(exc_info.value)) == expected
+
+
+def _refuse_hook(pairs):
+    raise AssertionError("canonical text reached the duplicate-key hook")
+
+
+def test_one_pass_reader_takes_canonical_text_only(monkeypatch):
+    # Canonical text never needs the hook; a name whose escaped quote or
+    # leading colon adds a '":' does, and still reads the same profile.
+    with monkeypatch.context() as patched:
+        patched.setattr(profile_module, "_reject_duplicate_keys", _refuse_hook)
+        assert loads_profile(_BASE_TEXT) == _BASE
+    calls = []
+    hook = profile_module._reject_duplicate_keys
+    monkeypatch.setattr(profile_module, "_reject_duplicate_keys",
+                        lambda pairs: calls.append(pairs) or hook(pairs))
     assert loads_profile(_QUOTED_TEXT) == _QUOTED
+    assert calls
 
 
 class _Object(list):
@@ -496,7 +572,9 @@ def test_reader_matches_reference_on_mutated_texts(text):
 @settings(max_examples=60, deadline=None)
 @given(profiles())
 def test_canonical_text_takes_the_one_pass_reader(profile):
-    assert _canonical_profile(dumps_profile(profile)) == profile
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(profile_module, "_reject_duplicate_keys", _refuse_hook)
+        assert loads_profile(dumps_profile(profile)) == profile
 
 
 # ------------------------------------------------------------- MemberRecord
