@@ -16,7 +16,7 @@ import sys
 from itertools import repeat
 from json.encoder import encode_basestring as _quote  # the C quoting json.dumps uses
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError, SchemaError
 
@@ -254,11 +254,13 @@ def write_text(destination, text: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(temp)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.errno:  # name the destination, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(destination)) from exc
         raise
 
 
@@ -397,48 +399,79 @@ def _read_or_none(source) -> Optional[Profile]:
         return None
 
 
-def _prefetched(paths: list) -> List[Optional[Profile]]:
-    """Each path's profile as read_profiles reads it, or None for the caller to read."""
-    found: List[Optional[Profile]] = [None] * len(paths)
+def _cpu_quota() -> float:
+    """CPUs a cgroup v2 quota allows this process; infinite without one."""
     try:
-        total = sum(os.stat(path).st_size for path in paths)
-    except OSError:  # reading the files reports the error
-        total = 0
-    if (total < PARALLEL_READ_BYTES or len(paths) < 2 or not hasattr(os, "fork")
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            quota, period = fh.read().split()
+        return int(quota) / int(period)
+    except (OSError, ValueError, ZeroDivisionError):  # no file, or "max"
+        return float("inf")
+
+
+def _fork_and_collect(items: list, work: Callable[[list], Any],
+                     own: Callable[[list], Any]) -> Tuple[int, Any]:
+    """Run own(items[:half]) here and work(items[half:]) in one forked worker.
+
+    Returns half (rounded up: the caller also rebuilds what the worker sends)
+    and work's result by marshal, or None where the caller must do
+    items[half:] itself: the fork or the worker failed. With fewer than two
+    items, a second thread, or one CPU by the affinity mask or a cgroup v2
+    quota, it returns (0, None) without forking or calling own. The worker
+    is reaped even if own raises.
+    """
+    if (len(items) < 2 or not hasattr(os, "fork")
+            or "threading" in sys.modules and sys.modules["threading"].active_count() > 1
             or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
-            or "threading" in sys.modules and sys.modules["threading"].active_count() > 1):
-        return found
-    half = (len(paths) + 1) // 2  # the caller's half is the larger: it rebuilds the worker's
+            or _cpu_quota() < 2):
+        return 0, None
+    half = (len(items) + 1) // 2
     reader, writer = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the caller reads the second half too
+    except OSError:  # no process to spare: the caller does the second half too
         pid = None
-    if pid == 0:  # the worker: send its profiles as plain tuples, or None, and exit
+    if pid == 0:  # the worker: send its result and exit
         try:
+            os.close(reader)  # so that a write fails, not blocks, once the caller is gone
             with open(writer, "wb") as out:
-                marshal.dump([p and (tuple(p.meta), [
-                    (r.name, r.byte_size, list(map(tuple, r.members)))
-                    for r in p.structures.values()])
-                    for p in map(_read_or_none, paths[half:])], out)
+                marshal.dump(work(items[half:]), out)
             os._exit(0)
         finally:
             os._exit(1)  # never return into the caller's code
     os.close(writer)
     try:
-        found[:half] = map(_read_or_none, paths[:half])
+        own(items[:half])
     finally:
         try:  # to EOF before waiting: a full pipe blocks the worker
             with open(reader, "rb") as pipe:
                 data = pipe.read()
         finally:
             status = pid and os.waitpid(pid, 0)[1]
-    if status == 0:  # else the caller reads these files
-        new = tuple.__new__
-        found[half:] = [p and Profile(new(ProfileMeta, p[0]), {
-            name: new(StructureRecord, (name, size, list(map(new, repeat(MemberRecord), m))))
-            for name, size, m in p[1]}) for p in marshal.loads(data)]
-    return found
+    return half, marshal.loads(data) if status == 0 else None
+
+
+def _profile_tuples(paths: list) -> list:  # a worker's profiles, or None, for marshal
+    return [p and (tuple(p.meta), [(r.name, r.byte_size, list(map(tuple, r.members)))
+                                   for r in p.structures.values()])
+            for p in map(_read_or_none, paths)]
+
+
+def _prefetched(paths: list) -> List[Optional[Profile]]:
+    """Each path's profile as read_profiles reads it, or None for the caller to read."""
+    found: List[Optional[Profile]] = []
+    try:
+        total = sum(os.stat(path).st_size for path in paths)
+    except OSError:  # reading the files reports the error
+        total = 0
+    half, sent = (0, None) if total < PARALLEL_READ_BYTES else _fork_and_collect(
+        paths, _profile_tuples, lambda part: found.extend(map(_read_or_none, part)))
+    if sent is None:  # the caller reads these files
+        return found + [None] * (len(paths) - half)
+    new = tuple.__new__
+    return found + [p and Profile(new(ProfileMeta, p[0]), {
+        name: new(StructureRecord, (name, size, list(map(new, repeat(MemberRecord), m))))
+        for name, size, m in p[1]}) for p in sent]
 
 
 def read_profiles(sources) -> List[Profile]:

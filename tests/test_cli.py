@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -57,6 +58,26 @@ def test_extract_out_failure_keeps_earlier_file(tmp_path, monkeypatch, capsys):
     assert "rename refused" in capsys.readouterr().err
     assert out.read_bytes() == b"earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["p.profile.json"]
+
+
+@pytest.mark.parametrize("failure", [errno.ENOENT, errno.EXDEV],
+                         ids=["missing directory", "cross-device rename"])
+def test_extract_out_failure_names_the_destination(tmp_path, monkeypatch, capsys, failure):
+    # The error names the --out path and the OS reason, never the temporary file.
+    out = tmp_path / "missing" / "p.json"
+    if failure == errno.EXDEV:
+        out = tmp_path / "p.json"
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+        monkeypatch.setattr("os.replace", refuse)
+    code = run(["extract", str(fixture_path("layouts-dwarf5-64.so")),
+                "--version", "9", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"structdrift: [Errno {failure}] {os.strerror(failure)}: {str(out)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extract_stdout_is_deterministic(capsys):

@@ -798,9 +798,8 @@ def merge_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("merge")
 
 
-@settings(max_examples=400, deadline=None)
-@given(_merge_units())
-def test_merge_while_walking_matches_merging_every_definition(merge_dir, units):
+def check_merge_against_oracle(directory, units):
+    """Extract the units' definitions and compare with _merge_oracle over all of them."""
     entries, skipped = [], 0
     for unit_index, unit in enumerate(units):
         for name, size, members, decl in unit:
@@ -809,12 +808,19 @@ def test_merge_while_walking_matches_merging_every_definition(merge_dir, units):
             skipped += len(members) - len(kept)
             entries.append(_RawType(name, size, kept, unit_index, size is None or decl))
     catalog, conflicts = _merge_oracle(entries)
-    structures, meta = _extract_units(merge_dir, units)
+    structures, meta = _extract_units(directory, units)
     assert structures == catalog
     assert meta.merge_conflicts == conflicts
     assert meta.raw_type_die_count == len(entries)
     assert meta.unique_type_name_count == len({e.name for e in entries})
     assert meta.members_skipped == skipped
+    assert meta.compilation_unit_count == len(units)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_merge_units())
+def test_merge_while_walking_matches_merging_every_definition(merge_dir, units):
+    check_merge_against_oracle(merge_dir, units)
 
 
 def test_relocatable_object_with_rela_debug_relocations_is_refused(capsys):
@@ -860,6 +866,16 @@ def test_mutated_fixture_never_escapes(tmp_path, capsys, fixture, region):
     # clean input error, never a traceback or exit code 1.
     from structdrift.cli import run
 
+    target = tmp_path / "mutated.so"
+    for case, data in enumerate(mutations(fixture, region)):
+        target.write_bytes(data)
+        code = run(["extract", str(target)])
+        capsys.readouterr()
+        assert code in (0, 3), (fixture, region, case, code)
+
+
+def mutations(fixture, region, cases=FUZZ_CASES):
+    """Copies of the fixture with 1-7 random bytes of `region` changed, seeded by it."""
     source = fixture_path(fixture)
     original = source.read_bytes()
     if region == "header":
@@ -871,15 +887,11 @@ def test_mutated_fixture_never_escapes(tmp_path, capsys, fixture, region):
         section = load_elf(source).sections[region]
         start, size = section.offset, section.size
     rng = random.Random(f"{region}-2024")
-    target = tmp_path / "mutated.so"
-    for case in range(FUZZ_CASES):
+    for _ in range(cases):
         data = bytearray(original)
         for _ in range(rng.randint(1, 7)):
             data[start + rng.randrange(size)] = rng.randrange(256)
-        target.write_bytes(bytes(data))
-        code = run(["extract", str(target)])
-        capsys.readouterr()
-        assert code in (0, 3), (fixture, region, case, code)
+        yield bytes(data)
 
 
 # ------------------------------------------------------ decoder round trip
