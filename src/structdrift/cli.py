@@ -14,6 +14,7 @@ Each command imports only the modules it runs, inside its handler: the
 extractor only for an ELF input, analytics only for the sequence
 analyses, diff only for diff, watch only for chains and a --scope, and
 render for the output. Building the parser loads none of them.
+A command keeps only the structures it reports on, after validating all.
 """
 
 import argparse
@@ -153,15 +154,19 @@ def _load_scope(value: Optional[str]):
     return spec.structures, spec.name
 
 
-def _load_sequence(args) -> List[Profile]:
-    if args.profiles:
-        profiles = read_profiles(args.profiles)
-        return sorted(profiles, key=lambda p: version_key(p.meta.platform_version))
-    if not args.repo:
+def _check_sources(args) -> None:
+    if not args.profiles and not args.repo:
         raise UsageError("give profile files, or --repo (or $STRUCTDRIFT_REPO)")
-    if not args.arch:
+    if not args.profiles and not args.arch:
         raise UsageError("--arch is required when reading a sequence from --repo")
-    profiles = read_sequence(args.repo, args.arch)
+
+
+def _load_sequence(args, names) -> List[Profile]:
+    _check_sources(args)
+    if args.profiles:
+        profiles = read_profiles(args.profiles, names)
+        return sorted(profiles, key=lambda p: version_key(p.meta.platform_version))
+    profiles = read_sequence(args.repo, args.arch, names)
     if not profiles:
         raise StructDriftError(f"no {args.arch} profiles found under {args.repo}")
     return profiles
@@ -194,7 +199,7 @@ def _cmd_diff(args) -> int:
     from .diff import diff_profiles
 
     scope, _ = _load_scope(args.scope)
-    report = diff_profiles(*read_profiles([args.old, args.new]), scope)
+    report = diff_profiles(*read_profiles([args.old, args.new], scope), scope)
     _emit(args, report)
     if args.fail_on_break and _diff_is_breaking(report):
         return EXIT_BREAKAGE
@@ -205,8 +210,9 @@ def _cmd_analysis(args) -> int:
     """score, aggregate and volatility: one analysis over a version sequence."""
     from . import analytics
 
-    profiles = _load_sequence(args)
+    _check_sources(args)  # before the scope file, which is read before the profiles
     scope, scope_name = _load_scope(args.scope)
+    profiles = _load_sequence(args, scope)
     report = getattr(analytics, args.analysis)(profiles, scope, watchlist_name=scope_name)
     _emit(args, report)
     return EXIT_OK
@@ -239,7 +245,7 @@ def _cmd_stats(args) -> int:
 def _cmd_timeline(args) -> int:
     from .analytics import member_offset_timeline, size_timeline
 
-    profiles = _load_sequence(args)
+    profiles = _load_sequence(args, [args.structure])
     if args.member:
         report = member_offset_timeline(profiles, args.structure, args.member)
     else:
@@ -253,7 +259,7 @@ def _cmd_chains(args) -> int:
         default_chains, load_chains, resolve_chain
 
     chains = default_chains() if args.chains_file == "default" else load_chains(args.chains_file)
-    profiles = _load_sequence(args)
+    profiles = _load_sequence(args, {step.structure for chain in chains for step in chain.steps})
     if len(profiles) == 1:
         reports = ChainReports(profiles[0].meta.platform_version,
                                [resolve_chain(profiles[0], chain) for chain in chains])

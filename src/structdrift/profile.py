@@ -392,9 +392,15 @@ def read_profile(source) -> Profile:
 PARALLEL_READ_BYTES = 2_000_000
 
 
-def _read_or_none(source) -> Optional[Profile]:
+def _kept(profile: Profile, names) -> Profile:
+    """`profile` with only the structures in `names`, in canonical order; None keeps all."""
+    return profile if names is None else profile._replace(structures={
+        name: profile.structures[name] for name in sorted(profile.structures.keys() & names)})
+
+
+def _read_or_none(source, names) -> Optional[Profile]:
     try:
-        return read_profile(source)
+        return _kept(read_profile(source), names)
     except Exception:  # the caller reads it again and raises the error itself
         return None
 
@@ -451,21 +457,22 @@ def _fork_and_collect(items: list, work: Callable[[list], Any],
     return half, marshal.loads(data) if status == 0 else None
 
 
-def _profile_tuples(paths: list) -> list:  # a worker's profiles, or None, for marshal
+def _profile_tuples(paths: list, names) -> list:  # a worker's profiles, or None, for marshal
     return [p and (tuple(p.meta), [(r.name, r.byte_size, list(map(tuple, r.members)))
                                    for r in p.structures.values()])
-            for p in map(_read_or_none, paths)]
+            for p in map(_read_or_none, paths, repeat(names))]
 
 
-def _prefetched(paths: list) -> List[Optional[Profile]]:
-    """Each path's profile as read_profiles reads it, or None for the caller to read."""
+def _prefetched(paths: list, names) -> List[Optional[Profile]]:
+    """Each path's profile as read_profiles(paths, names) reads it, or None to read here."""
     found: List[Optional[Profile]] = []
     try:
         total = sum(os.stat(path).st_size for path in paths)
     except OSError:  # reading the files reports the error
         total = 0
     half, sent = (0, None) if total < PARALLEL_READ_BYTES else _fork_and_collect(
-        paths, _profile_tuples, lambda part: found.extend(map(_read_or_none, part)))
+        paths, lambda part: _profile_tuples(part, names),
+        lambda part: found.extend(map(_read_or_none, part, repeat(names))))
     if sent is None:  # the caller reads these files
         return found + [None] * (len(paths) - half)
     new = tuple.__new__
@@ -474,13 +481,16 @@ def _prefetched(paths: list) -> List[Optional[Profile]]:
         for name, size, m in p[1]}) for p in sent]
 
 
-def read_profiles(sources) -> List[Profile]:
+def read_profiles(sources, names=None) -> List[Profile]:
     """read_profile of each source, in order: the same profiles and the same first error.
 
-    From PARALLEL_READ_BYTES on, a forked worker may read the second half; only a file it
+    Each file is validated whole; then only the structures in the collection `names`
+    are kept (all of them with None), so a worker sends back only those. From
+    PARALLEL_READ_BYTES on, a forked worker may read the second half; only a file it
     fails on, or every file if it fails, is read twice (here, for the serial error)."""
     paths = list(sources)
-    return [profile or read_profile(path) for path, profile in zip(paths, _prefetched(paths))]
+    return [profile or _kept(read_profile(path), names)
+            for path, profile in zip(paths, _prefetched(paths, names))]
 
 
 class RepositoryIndex(NamedTuple):
@@ -491,8 +501,9 @@ class RepositoryIndex(NamedTuple):
     skipped: List[Tuple[Path, str]]
 
 
-def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]]):
-    """Yield (key, path, profile) for each valid <root>/*/<architecture>/*.profile.json.
+def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]], names):
+    """Yield (key, path, profile) for each valid <root>/*/<architecture>/*.profile.json,
+    keeping the structures in `names` as read_profiles does.
 
     The path places a profile: its key is (version, architecture, stem)
     from the path, and a profile whose meta names another version or
@@ -505,10 +516,10 @@ def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]]):
             raise NotADirectoryError(f"repository root {root} is not a directory")
         raise FileNotFoundError(f"repository root {root} does not exist")
     paths = sorted(root.glob(f"*/{architecture}/*{PROFILE_SUFFIX}"))
-    for path, profile in zip(paths, _prefetched(paths)):  # read_profiles, one error each
+    for path, profile in zip(paths, _prefetched(paths, names)):  # read_profiles, one error each
         placed = (path.parent.parent.name, path.parent.name)
         try:
-            profile = profile or read_profile(path)
+            profile = profile or _kept(read_profile(path), names)
         except (SchemaError, InvariantError) as exc:
             skipped.append((path, str(exc)))
             continue
@@ -523,12 +534,12 @@ def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]]):
 def index_repository(root) -> RepositoryIndex:
     """Read and validate every profile of the repository at `root`."""
     skipped: List[Tuple[Path, str]] = []
-    entries = {key: path for key, path, _ in _placed_profiles(root, "*", skipped)}
+    entries = {key: path for key, path, _ in _placed_profiles(root, "*", skipped, set())}
     return RepositoryIndex(entries, skipped)
 
 
-def read_sequence(root, architecture: str) -> List[Profile]:
-    """The profiles of `architecture` in version order.
+def read_sequence(root, architecture: str, names=None) -> List[Profile]:
+    """The profiles of `architecture` in version order, with the structures in `names`.
 
     Only <root>/*/<architecture>/*.profile.json is read. Raises SchemaError,
     naming each file and why, when index_repository would skip any of them,
@@ -539,7 +550,7 @@ def read_sequence(root, architecture: str) -> List[Profile]:
     if architecture not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {architecture!r}")
     skipped: List[Tuple[Path, str]] = []
-    placed = sorted(_placed_profiles(root, architecture, skipped),
+    placed = sorted(_placed_profiles(root, architecture, skipped, names),
                     key=lambda item: version_key(item[0][0]))
     if skipped:
         raise SchemaError(f"{architecture} sequence under {root} has unusable profiles: "

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import structdrift.profile as profile_module
-from structdrift import read_profile, read_profiles, write_profile
+from structdrift import Profile, read_profile, read_profiles, read_sequence, write_profile
 from structdrift.cli import run
 
 from conftest import art_profile, art_sequence, make_profile
@@ -93,8 +93,24 @@ def _too_deep(root: Path) -> None:
         _path(root, version).write_text("[" * 200000)
 
 
+# A structure that no command reports on, which is still validated: 10 is read by
+# the calling process and 14 by the worker, in version order and in path order alike.
+UNREPORTED = "Unreported"
+UNREPORTED_ERROR = f"{UNREPORTED}.m: offset 8 outside size 4"
+
+
+def _invalid_unreported(root: Path) -> None:
+    for version in ("10", "14"):
+        path = _path(root, version)
+        doc = json.loads(path.read_text())
+        structures = dict(doc["structures"], **{
+            UNREPORTED: {"size": 4, "members": [{"name": "m", "offset": 8}]}})
+        doc["structures"] = dict(sorted(structures.items()))
+        path.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+
+
 REPOSITORIES = [_break_nothing, _break_json, _misplace, _add_stem, _not_utf8,
-                _not_canonical, _too_deep]
+                _not_canonical, _too_deep, _invalid_unreported]
 
 
 def _commands(root: Path):
@@ -128,12 +144,40 @@ def test_forked_commands_match_serial(tmp_repo, monkeypatch, capsys, forks, dama
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("threshold", [SERIAL, 0])
+def test_invalid_unreported_structure_is_refused(tmp_repo, monkeypatch, capsys, threshold):
+    # Forked matching serial would also pass if both accepted the files.
+    for profile in art_sequence():
+        tmp_repo(profile)
+    _invalid_unreported(tmp_repo.root)
+    monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", threshold)
+    for argv in _commands(tmp_repo.root):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if argv[0] == "index":
+            assert code == 0
+            skipped = json.loads(out)["skipped"]
+            assert skipped == [{"path": str(_path(tmp_repo.root, v)), "reason": UNREPORTED_ERROR}
+                               for v in ("10", "14")]
+        else:
+            assert code == 3, argv
+            assert UNREPORTED_ERROR in err, argv
+
+
 def _profile_files(tmp_path, count=6):
     paths = []
     for i, profile in enumerate(art_sequence()[:count]):
         paths.append(tmp_path / f"{i}.profile.json")
         write_profile(profile, paths[-1])
     return paths
+
+
+def _dropped(profile: Profile, names) -> Profile:
+    """read_profile's profile with the structures outside `names` dropped."""
+    if names is None:
+        return profile
+    return profile._replace(structures={
+        name: record for name, record in profile.structures.items() if name in names})
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
@@ -192,24 +236,27 @@ def test_failed_worker_falls_back_to_serial_reads(tmp_path, monkeypatch, forks, 
     monkeypatch.setattr(profile_module, "read_profile",
                         _in_worker(os.getpid(), WORKER_FAILURES[failure]))
     assert read_profiles(paths) == serial
-    assert forks
+    # The files read again here keep the named structures, as the worker's would.
+    assert read_profiles(paths, {"Runtime"}) == [_dropped(p, {"Runtime"}) for p in serial]
+    assert len(forks) == 2
     assert_no_child_left()
 
 
 def test_worker_that_cannot_send_falls_back(tmp_path, monkeypatch, forks):
     paths = _profile_files(tmp_path)
     serial = [read_profile(p) for p in paths]
-    parent, dumps = os.getpid(), profile_module.marshal.dumps
+    parent, dump, sends = os.getpid(), profile_module.marshal.dump, tmp_path / "sends"
 
-    def failing_dumps(value):
+    def failing_dump(value, file):
         if os.getpid() != parent:
+            sends.touch()  # the worker's only trace that it got this far
             raise ValueError("unmarshallable")
-        return dumps(value)
+        return dump(value, file)
 
     monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", 0)
-    monkeypatch.setattr(profile_module.marshal, "dumps", failing_dumps)
+    monkeypatch.setattr(profile_module.marshal, "dump", failing_dump)
     assert read_profiles(paths) == serial
-    assert forks
+    assert sends.exists() and len(forks) == 1
     assert_no_child_left()
 
 
@@ -314,3 +361,41 @@ def test_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch,
     finally:
         os.close(fd)
     assert_no_child_left()
+
+
+NAMES = {
+    "all": None,
+    "none": set(),
+    "present": {"Thread", "Runtime", "tls_32bit_sized_values"},
+    "absent": {"NoSuchStructure"},
+    "some absent": ["Object", "NoSuchStructure", "Class"],  # Object and Class leave at 13
+}
+
+
+@pytest.mark.parametrize("threshold", [SERIAL, 0])
+@pytest.mark.parametrize("names", sorted(NAMES))
+def test_readers_keep_the_named_structures(tmp_repo, monkeypatch, forks, threshold, names):
+    paths = [tmp_repo(profile) for profile in art_sequence()]
+    want = [_dropped(read_profile(path), NAMES[names]) for path in paths]
+    monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", threshold)
+    for got in (read_profiles(paths, NAMES[names]),
+                read_sequence(tmp_repo.root, "x86_64", NAMES[names])):
+        assert got == want
+        assert [list(p.structures) for p in got] == [list(p.structures) for p in want]
+    assert len(forks) == (0 if threshold else 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", ["score", "aggregate", "volatility"])
+def test_scope_is_read_before_the_profiles(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv("STRUCTDRIFT_REPO", raising=False)
+    good, bad = _profile_files(tmp_path, 1)[0], tmp_path / "bad.profile.json"
+    bad.write_text("{broken\n")
+    missing = tmp_path / "missing.json"
+    assert run([command, "--scope", str(missing), str(good), str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert str(missing) in err and str(bad) not in err
+    # Usage errors still come first.
+    assert run([command, "--scope", str(missing)]) == 2
+    assert run([command, "--scope", str(missing), "--repo", str(tmp_path)]) == 2
+    assert str(missing) not in capsys.readouterr().err
