@@ -5,9 +5,9 @@ definitions together with their directly declared members, and merges
 repeated definitions of the same name during the walk: a header's types,
 defined again in every unit that includes it, cost one dict lookup per
 repeat. One canonical record per structure is left. From
-PARALLEL_EXTRACT_BYTES of DWARF on, a forked worker walks the second half
-of the units and sends back its shapes, merged after the first half's;
-profiles and errors are the serial walk's.
+PARALLEL_EXTRACT_BYTES of DWARF on, a forked worker runs the same walk over
+the second half of the units and sends back its shape table, merged after
+the first half's; profiles and errors are the serial walk's.
 """
 
 from pathlib import Path
@@ -78,19 +78,20 @@ def _clean_name(value) -> str:
 
 
 def _units(sections):
-    """(unit index, (section bytes, section name, header)) of each unit, in order."""
-    return enumerate((data, name, header) for data, name in sections
-                     for header in iter_unit_headers(data, name))
+    """(section bytes, section name, header) of each unit, in order."""
+    return ((data, name, header) for data, name in sections
+            for header in iter_unit_headers(data, name))
 
 
-def _walk(units, abbrev, strings, shapes, records) -> tuple:
-    """Add each complete definition in `units` (from _units) to `shapes`, its
-    (name, offset) members interned through `records`; returns (DWARF versions,
-    type DIEs, skipped members, units)."""
+def _walk(units, abbrev, strings) -> tuple:
+    """Walk `units` (from _units); returns (DWARF versions, type DIEs, skipped
+    members, units, shapes). shapes maps each name to {(byte size, members): None}
+    of its complete definitions in first-seen order, {} for declarations only."""
+    shapes: Dict[str, Dict[Tuple[int, tuple], None]] = {}
     abbrev_cache: Dict[int, dict] = {}
     versions: Set[int] = set()
     unit_count = type_die_count = skipped_members = 0
-    for unit_index, (data, section_name, header) in units:
+    for data, section_name, header in units:
         unit_count += 1
         versions.add(header.version)
         table = abbrev_cache.get(header.abbrev_offset)
@@ -121,8 +122,7 @@ def _walk(units, abbrev, strings, shapes, records) -> tuple:
                 if parent_size and offset >= parent_size:
                     skipped_members += 1
                     continue
-                key = (_clean_name(attrs.get(AT_NAME)), offset)
-                members.append(records.setdefault(key, key))
+                members.append((_clean_name(attrs.get(AT_NAME)), offset))
             elif tag in _TYPE_TAGS:
                 type_die_count += 1
                 name_shapes = shapes.setdefault(_clean_name(attrs.get(AT_NAME)), {})
@@ -132,18 +132,23 @@ def _walk(units, abbrev, strings, shapes, records) -> tuple:
                 if byte_size is not None and not attrs.get(AT_DECLARATION):
                     complete.append((name_shapes, byte_size, members))
         for name_shapes, byte_size, members in complete:
-            name_shapes.setdefault((byte_size, tuple(members)), unit_index)
-    return versions, type_die_count, skipped_members, unit_count
+            name_shapes[byte_size, tuple(members)] = None
+    return versions, type_die_count, skipped_members, unit_count, shapes
 
 
-def _extract_structures(binary) -> Tuple[Dict[str, StructureRecord], ExtractionMeta]:
-    """Walk every unit and reduce repeated definitions to one record per name.
+def extract_profile_with_meta(
+    binary,
+    platform_version: str = "unknown",
+    architecture: Optional[str] = None,
+    build_variant: str = "unknown",
+) -> Tuple[Profile, ExtractionMeta]:
+    """Full extraction: returns the profile plus extraction statistics.
 
-    Only complete definitions (a byte size and no DW_AT_declaration) are
-    kept, each shape with the first unit that defines it. Of several
-    shapes, the one with the most members wins (ties: larger byte size,
-    then earliest unit, then first seen) and the name is reported as a
-    conflict.
+    Walks every unit and reduces repeated definitions to one record per
+    name. Only complete definitions (a byte size and no DW_AT_declaration)
+    are kept. Of several shapes, the one with the most members wins (ties:
+    larger byte size, then first seen: earliest unit, then first in that
+    unit) and the name is reported as a conflict.
     """
     path = Path(binary)
     elf = load_elf(path)
@@ -163,20 +168,10 @@ def _extract_structures(binary) -> Tuple[Dict[str, StructureRecord], ExtractionM
     if abbrev is None:
         raise NoDwarfError(f"{path} has no .debug_abbrev section")
 
-    # name -> {(byte size, members): first unit}; empty for declarations only.
-    shapes: Dict[str, Dict[Tuple[int, tuple], int]] = {}
-    # One (name, offset) tuple per distinct member, so that repeated
-    # definitions share their members and merging compares them by identity.
-    records: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    counts = []
-
     def walk(units):
-        counts.append(_walk(units, abbrev, strings, shapes, records))
+        return _walk(units, abbrev, strings)
 
-    def walk_to_send(units):  # plain values, for marshal
-        sent: Dict[str, dict] = {}
-        return _walk(units, abbrev, strings, sent, {}), sent
-
+    parts: list = []  # _walk's result per run of units, in unit order
     units, half, sent = _units(sections), 0, None
     if sum(len(data) for data, _ in sections) >= PARALLEL_EXTRACT_BYTES:
         try:
@@ -184,52 +179,33 @@ def _extract_structures(binary) -> Tuple[Dict[str, StructureRecord], ExtractionM
         except StructDriftError:  # the serial walk raises it after the units before it
             units = _units(sections)
         else:  # the caller walks the first half, a worker the second
-            half, sent = _fork_and_collect(units, walk_to_send, walk)
-    if sent is None:  # the worker's units, or all of them
-        walk(units[half:] if half else units)
-    else:  # after the caller's units, as the serial walk meets them
-        counts.append(sent[0])
-        for name, variants in sent[1].items():
-            name_shapes = shapes.setdefault(name, {})
-            for (byte_size, members), unit in variants.items():
-                members = tuple(map(records.setdefault, members, members))
-                name_shapes.setdefault((byte_size, members), unit)
-    versions, *totals = zip(*counts)
-    type_die_count, skipped_members, unit_count = map(sum, totals)
+            half, sent = _fork_and_collect(units, walk, lambda own: parts.append(walk(own)))
+    # The worker's units, or all of them, after the caller's.
+    parts.append(walk(units[half:] if half else units) if sent is None else sent)
+    versions, type_dies, skipped, unit_counts, part_shapes = zip(*parts)
 
+    shapes: Dict[str, Dict[Tuple[int, tuple], None]] = {}
+    for part in part_shapes:  # update keeps a shape's first-seen position
+        for name, variants in part.items():
+            shapes.setdefault(name, {}).update(variants)
     catalog: Dict[str, StructureRecord] = {}
     for name, variants in sorted(shapes.items()):
-        if variants:
-            # ((byte size, members), first unit); min keeps the first seen of equals.
-            (byte_size, members), _ = min(
-                variants.items(), key=lambda v: (-len(v[0][1]), -v[0][0], v[1]))
+        if variants:  # min keeps the first seen of equals
+            byte_size, members = min(variants, key=lambda v: (-len(v[1]), -v[0]))
             catalog[name] = StructureRecord.canonical(
                 name, byte_size, map(MemberRecord._make, members))
-    conflicts = [name for name in catalog if len(shapes[name]) > 1]
 
     meta = ExtractionMeta(
         binary_path=str(path),
         binary_size_bytes=path.stat().st_size,
         dwarf_versions_seen=set().union(*versions),
-        compilation_unit_count=unit_count,
-        raw_type_die_count=type_die_count,
+        compilation_unit_count=sum(unit_counts),
+        raw_type_die_count=sum(type_dies),
         unique_type_name_count=len(shapes),
-        members_skipped=skipped_members,
-        merge_conflicts=conflicts,
+        members_skipped=sum(skipped),
+        merge_conflicts=[name for name in catalog if len(shapes[name]) > 1],
         architecture=elf.architecture_label(),
     )
-    return catalog, meta
-
-
-def extract_profile_with_meta(
-    binary,
-    platform_version: str = "unknown",
-    architecture: Optional[str] = None,
-    build_variant: str = "unknown",
-) -> Tuple[Profile, ExtractionMeta]:
-    """Full extraction: returns the profile plus extraction statistics."""
-    catalog, meta = _extract_structures(binary)
-
     if architecture is None:
         architecture = meta.architecture
         if architecture is None:

@@ -13,7 +13,7 @@ absent-cell marker or the total-row label each form uses.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .errors import UnsupportedFormatError
 from .profile import Profile, RepositoryIndex, dumps_document, dumps_profile
@@ -378,49 +378,34 @@ def _index_table(index: RepositoryIndex) -> str:
     return body
 
 
-class _Renderers(NamedTuple):
-    json: Callable[..., str]
-    table: Callable[..., str]
-    csv: Optional[Callable[..., str]] = None
-
-
 def _json(to_doc: Callable[..., dict]) -> Callable[..., str]:
     return lambda report: dumps_document(to_doc(report))
 
 
-_RENDERERS = {
-    "Profile": _Renderers(dumps_profile, _profile_table),
-    "DiffReport": _Renderers(_json(diff_to_doc), _diff_table),
-    "ImpactMatrix": _Renderers(_json(matrix_to_doc),
-                               lambda m: _fixed_table(*_matrix_rows(m, "-")),
-                               lambda m: _csv(*_matrix_rows(m, ""))),
-    "TimelineReport": _Renderers(_json(timeline_to_doc), _timeline_table,
-                                 lambda r: _csv(*_timeline_rows(r, ""))),
-    "VolatilityStats": _Renderers(_json(volatility_to_doc), _volatility_table),
-    "TransitionTable": _Renderers(_json(aggregate_to_doc),
-                                  lambda t: _fixed_table(*_aggregate_rows(t, "Total")),
-                                  lambda t: _csv(*_aggregate_rows(t, "total"))),
-    "CapabilityAssessment": _Renderers(_json(capabilities_to_doc), _capabilities_table),
-    "RepositoryIndex": _Renderers(_json(index_to_doc), _index_table),
-    "StatsReport": _Renderers(_json(stats_to_doc), _stats_table),
-    "ChainReports": _Renderers(_json(chain_reports_to_doc), _chain_reports_table),
+_RENDERERS: Dict[str, Dict[str, Callable[..., str]]] = {
+    "Profile": {"json": dumps_profile, "table": _profile_table},
+    "DiffReport": {"json": _json(diff_to_doc), "table": _diff_table},
+    "ImpactMatrix": {"json": _json(matrix_to_doc),
+                     "table": lambda m: _fixed_table(*_matrix_rows(m, "-")),
+                     "csv": lambda m: _csv(*_matrix_rows(m, ""))},
+    "TimelineReport": {"json": _json(timeline_to_doc), "table": _timeline_table,
+                       "csv": lambda r: _csv(*_timeline_rows(r, ""))},
+    "VolatilityStats": {"json": _json(volatility_to_doc), "table": _volatility_table},
+    "TransitionTable": {"json": _json(aggregate_to_doc),
+                        "table": lambda t: _fixed_table(*_aggregate_rows(t, "Total")),
+                        "csv": lambda t: _csv(*_aggregate_rows(t, "total"))},
+    "CapabilityAssessment": {"json": _json(capabilities_to_doc),
+                             "table": _capabilities_table},
+    "RepositoryIndex": {"json": _json(index_to_doc), "table": _index_table},
+    "StatsReport": {"json": _json(stats_to_doc), "table": _stats_table},
+    "ChainReports": {"json": _json(chain_reports_to_doc), "table": _chain_reports_table},
 }
 
 
 def render_report(report, fmt: str) -> str:
     """Render any module report; csv only exists for matrix-shaped ones."""
     kind = type(report).__name__
-    renderers = _RENDERERS.get(kind)
-    if fmt == "json":
-        if renderers is None:
-            raise UnsupportedFormatError(f"no json renderer for {kind}")
-        return renderers.json(report)
-    if fmt == "csv":
-        if renderers is None or renderers.csv is None:
-            raise UnsupportedFormatError(f"csv output is not available for {kind} reports")
-        return renderers.csv(report)
-    if fmt == "table":
-        if renderers is None:
-            raise UnsupportedFormatError(f"no table renderer for {kind}")
-        return renderers.table(report)
-    raise UnsupportedFormatError(f"unknown format {fmt!r}")
+    renderer = _RENDERERS.get(kind, {}).get(fmt)
+    if renderer is None:
+        raise UnsupportedFormatError(f"{fmt!r} output is not available for {kind} reports")
+    return renderer(report)

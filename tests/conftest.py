@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import structdrift.profile as profile_module
 from structdrift import MemberRecord, Profile, ProfileMeta, StructureRecord
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -111,6 +113,42 @@ def art_sequence():
     seq.append(art_profile("13", Object=None, Class=None))
     seq.append(art_profile("14", Object=None, Class=None))
     return seq
+
+
+# ------------------------------------------------------------ forked paths
+
+# A PARALLEL_*_BYTES threshold that no test input reaches: the serial path.
+SERIAL = 10 ** 12
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs and no cgroup quota, so the forked paths run the same on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(profile_module, "_cpu_quota", lambda: float("inf"))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the os.fork calls made in this process."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
 # ---------------------------------------------------------------- hypothesis

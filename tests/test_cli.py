@@ -14,7 +14,9 @@ import pytest
 import structdrift.cli as cli
 from structdrift import read_diff, read_profile, write_profile
 from structdrift.cli import run
+from structdrift.errors import UnsupportedFormatError
 from structdrift.profile import ARCHITECTURES
+from structdrift.render import _RENDERERS, render_report
 
 from conftest import FIXTURES, art_profile, art_sequence, fixture_path, make_profile
 
@@ -702,6 +704,47 @@ def test_unsupported_render_format_rejected():
         render_report(report, "csv")  # csv only exists for matrix shapes
     with pytest.raises(UnsupportedFormatError):
         render_report(report, "yaml")
+
+
+def _report_of_kind(kind: str):
+    import structdrift as sd
+
+    seq = art_sequence()
+    chains = sd.default_chains()
+    return {
+        "Profile": lambda: seq[0],
+        "DiffReport": lambda: sd.diff_profiles(seq[0], seq[1]),
+        "ImpactMatrix": lambda: sd.impact_matrix(seq),
+        "TimelineReport": lambda: sd.member_offset_timeline(seq, "Runtime", "thread_list_"),
+        "VolatilityStats": lambda: sd.volatility_stats(seq),
+        "TransitionTable": lambda: sd.aggregate_transitions(seq),
+        "CapabilityAssessment": lambda: sd.assess_capabilities(seq, chains),
+        "RepositoryIndex": lambda: sd.RepositoryIndex(
+            {("9", "x86_64", "libart"): Path("repo/9/x86_64/libart.profile.json")},
+            [(Path("repo/10/x86_64/libart.profile.json"), "broken")]),
+        "StatsReport": lambda: sd.StatsReport([sd.binary_stats(seq[0])]),
+        "ChainReports": lambda: sd.ChainReports(
+            "9", [sd.resolve_chain(seq[0], chain) for chain in chains]),
+    }[kind]()
+
+
+CSV_KINDS = {"ImpactMatrix", "TimelineReport", "TransitionTable"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv", "yaml"])
+@pytest.mark.parametrize("kind", sorted(_RENDERERS))
+def test_every_report_kind_renders_or_refuses_each_format(kind, fmt):
+    report = _report_of_kind(kind)
+    assert type(report).__name__ == kind
+    if fmt in ("json", "table") or fmt == "csv" and kind in CSV_KINDS:
+        text = render_report(report, fmt)
+        assert text.endswith("\n") and text.strip()
+        if fmt == "json":
+            json.loads(text)
+    else:
+        with pytest.raises(UnsupportedFormatError) as refused:
+            render_report(report, fmt)
+        assert repr(fmt) in str(refused.value) and kind in str(refused.value)
 
 
 # ------------------------------------------------------------ end to end

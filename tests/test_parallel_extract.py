@@ -20,7 +20,7 @@ from structdrift import MalformedDwarfError, StructDriftError, extract_profile_w
 from structdrift.cli import run
 from structdrift.profile import dumps_profile
 
-from conftest import FIXTURES
+from conftest import FIXTURES, SERIAL, assert_no_child_left, open_fds
 from test_extract import (
     FUZZ_CASES,
     HOSTILE_UNITS,
@@ -32,44 +32,15 @@ from test_extract import (
     mutations,
 )
 
-SERIAL = 10 ** 12
 BINARIES = sorted(p.name for p in FIXTURES.iterdir() if p.suffix in (".so", ".o"))
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-@pytest.fixture(autouse=True)
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(profile_module, "_cpu_quota", lambda: float("inf"))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Count the os.fork calls made in this process."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
+pytestmark = [pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork"),
+              pytest.mark.usefixtures("two_cpus")]
 
 
 @pytest.fixture
 def forked(monkeypatch):
     monkeypatch.setattr(extract_module, "PARALLEL_EXTRACT_BYTES", 0)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def open_fds():
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
 def _extract(path):
@@ -107,12 +78,16 @@ def _crafted(directory, units, abbrev=MERGE_ABBREV):
 THREAD = ("Thread", 16, [("id", 0), ("state", 8)])
 CLASH_SMALL = ("Clash", 8, [("a", 0)])
 CLASH_LARGE = ("Clash", 16, [("a", 0), ("b", 8)])
+EVEN_A, EVEN_B = ("Even", 8, [("a", 0)]), ("Even", 8, [("b", 0)])
 CRAFTED = {
     "two units": [[THREAD, CLASH_SMALL], [THREAD, CLASH_LARGE, ("Ghost", None, [], True)]],
     "three units": [[CLASH_LARGE], [THREAD], [CLASH_SMALL, ("Late", 8, [("x", 0)])]],
     # Equal member count and size: the shape of the earlier unit, in the
     # caller's half, wins.
-    "tie across halves": [[], [("Even", 8, [("a", 0)])], [("Even", 8, [("b", 0)])]],
+    "tie across halves": [[], [EVEN_A], [EVEN_B]],
+    # The worker meets the caller's shape again after an equal one: the
+    # caller's first sighting still wins, as in the serial walk.
+    "tie seen again": [[EVEN_A], [], [EVEN_B], [EVEN_A]],
 }
 
 
@@ -333,7 +308,7 @@ def test_cpu_quota_reads_the_cgroup_v2_limit(monkeypatch, text, cpus):
             raise FileNotFoundError(file)
         return io.StringIO(text)
 
-    monkeypatch.undo()  # the real reader, not the autouse stand-in
+    monkeypatch.undo()  # the real reader, not the two_cpus stand-in
     monkeypatch.setattr(profile_module, "open", fake_open, raising=False)
     assert profile_module._cpu_quota() == cpus
 

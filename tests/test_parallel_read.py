@@ -3,7 +3,8 @@
 The fixture profiles are far below PARALLEL_READ_BYTES, so each test sets
 it to 0 to put them on the forked path, and compares with a serial run
 (the constant set out of reach) or with read_profile itself. Every test
-sees two usable CPUs, so the forked path runs the same on any machine.
+sees two usable CPUs and no CPU quota, so the forked path runs the same on
+any machine.
 """
 
 import json
@@ -18,40 +19,13 @@ import structdrift.profile as profile_module
 from structdrift import Profile, read_profile, read_profiles, read_sequence, write_profile
 from structdrift.cli import run
 
-from conftest import art_profile, art_sequence, make_profile
+from conftest import (SERIAL, art_profile, art_sequence, assert_no_child_left, make_profile,
+                      open_fds)
 
-SERIAL = 10 ** 12
 VERSIONS = [p.meta.platform_version for p in art_sequence()]
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-@pytest.fixture(autouse=True)
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Count the os.fork calls the reader makes in this process."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def open_fds():
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+pytestmark = [pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork"),
+              pytest.mark.usefixtures("two_cpus")]
 
 
 def _path(root: Path, version: str, stem: str = "libart") -> Path:
