@@ -15,16 +15,17 @@ run for every DIE of the unit that uses its code. A tag with no wanted
 attributes compiles to skips only. A run of adjacent fixed-size
 attributes that are not wanted is one bounds-checked skip; an unwanted
 LEB128 of one byte, ULEB128-length block or exprloc with a one-byte
-length, or inline string is skipped in place, and any longer or cut-off
-one falls back to the general decoder's skip, so every error keeps its
-message and offset. Wanted fixed-size integers and .debug_str offsets
-are unpacked in place with a precompiled struct; every other wanted form
-(LEB128, inline strings, blocks, strx, DW_FORM_indirect) goes through
-the general decoder. That decoder reads a fixed-size form by its size
-from the unit's size table and gives the bytes their meaning from
-_MEANINGS, the same table the plan compiler reads. A strp name is
-decoded once per StringTables and then looked up by its .debug_str
-offset.
+length, or inline string is skipped in place; any other attribute that is
+not wanted, a longer or cut-off one included, goes through the general
+decoder told not to decode it, so every error keeps its message and
+offset. Wanted fixed-size integers and .debug_str offsets are unpacked in
+place with a precompiled struct; every other wanted form (LEB128, inline
+strings, blocks, strx, DW_FORM_indirect) goes through the general
+decoder. That decoder sorts a form once into fixed size, LEB128, inline
+string or block, reads a fixed-size form by its size from the unit's
+size table and gives the bytes their meaning from _MEANINGS, the same
+table the plan compiler reads. A strp name is read from .debug_str once
+per StringTables and then looked up by its offset.
 
 Every skip is bounds-checked, so a read past the section end raises
 MalformedDwarfError wherever it happens. An attribute that is not wanted
@@ -143,7 +144,7 @@ _UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"
 # Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
 # the attribute is None for a step that only skips. The kinds up to _STRP
 # read `size` bytes at the current position and share one bounds check;
-# the three variable-size skips fall back to UnitWalker._skip(form).
+# the three variable-size skips fall back to UnitWalker._value(form, False).
 _SKIP = 0         # advance over `size` bytes of attributes that are not wanted
 _UNPACK = 1       # unsigned integer of `size` bytes; argument: its unpack_from
 _STRP = 2         # .debug_str offset of `size` bytes; argument: its unpack_from
@@ -152,7 +153,7 @@ _SKIP_BLOCK = 4   # ULEB128-length block or exprloc not wanted: in place when
                   # its length is one byte and its data is in the section
 _SKIP_STRING = 5  # inline string not wanted: in place when it is terminated
 _CONST = 6        # value held by the abbreviation; argument: the value
-_GENERAL = 7      # any other form, through UnitWalker._value/_skip; argument: None
+_GENERAL = 7      # any other form, through UnitWalker._value; argument: None
 _INLINE_SKIPS = {**dict.fromkeys(_LEB_FORMS, _SKIP_LEB), FORM_BLOCK: _SKIP_BLOCK,
                  FORM_EXPRLOC: _SKIP_BLOCK, FORM_STRING: _SKIP_STRING}
 
@@ -171,12 +172,9 @@ class Cursor:
         return MalformedDwarfError(message, self.section, self.pos)
 
     def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise self.fail(f"unexpected end of data reading {n} bytes")
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
+        start = self.pos
+        self.skip(n)
+        return self.data[start : self.pos]
 
     def skip(self, n: int) -> None:
         end = self.pos + n
@@ -227,40 +225,31 @@ class Cursor:
 
 
 class UnitHeader(NamedTuple):
-    offset: int          # start of the unit within the section
     version: int
     address_size: int
     abbrev_offset: int
-    dwarf64: bool
+    offset_size: int     # 4, or 8 in 64-bit DWARF
     die_start: int       # first DIE byte
     end: int             # one past the unit
-
-    @property
-    def offset_size(self) -> int:
-        return 8 if self.dwarf64 else 4
 
 
 def iter_unit_headers(data: bytes, section: str = ".debug_info") -> Iterator[UnitHeader]:
     """Yield unit headers in order; raises MalformedDwarfError on damage."""
     cur = Cursor(data, section)
     while cur.pos < len(data):
-        start = cur.pos
+        offset_size = 4
         length = cur.uint(4)
-        dwarf64 = False
         if length == 0xFFFFFFFF:
-            dwarf64 = True
+            offset_size = 8
             length = cur.uint(8)
         elif length >= 0xFFFFFFF0:
             raise cur.fail(f"reserved initial length {length:#x}")
-        body_start = cur.pos
-        end = body_start + length
+        end = cur.pos + length
         if end > len(data):
             raise cur.fail("unit length extends past end of section")
         version = cur.uint(2)
         if not 2 <= version <= 5:
             raise cur.fail(f"unsupported DWARF version {version}")
-        offset_size = 8 if dwarf64 else 4
-        unit_type = 1
         if version >= 5:
             unit_type = cur.u8()
             address_size = cur.u8()
@@ -276,15 +265,7 @@ def iter_unit_headers(data: bytes, section: str = ".debug_info") -> Iterator[Uni
                 cur.skip(8 + offset_size)  # type signature + type offset
         if address_size not in (2, 4, 8):
             raise cur.fail(f"implausible address size {address_size}")
-        yield UnitHeader(
-            offset=start,
-            version=version,
-            address_size=address_size,
-            abbrev_offset=abbrev_offset,
-            dwarf64=dwarf64,
-            die_start=cur.pos,
-            end=end,
-        )
+        yield UnitHeader(version, address_size, abbrev_offset, offset_size, cur.pos, end)
         cur.pos = end
 
 
@@ -400,8 +381,9 @@ class UnitWalker:
         self.wanted = wanted
         self.sizes = _form_sizes(header)
         self.plans: Dict[int, tuple] = {}  # abbreviation code -> decode plan
-        # Default per DWARF 5: the offset table starts right after its header.
-        self.str_offsets_base = 16 if header.dwarf64 else 8
+        # Default per DWARF 5: the offset table starts right after its header,
+        # a 4- or 12-byte length, a 2-byte version and 2 bytes of padding.
+        self.str_offsets_base = 2 * header.offset_size
 
     def __iter__(self) -> Iterator[Tuple[int, int, dict]]:
         cur = self.cur
@@ -435,19 +417,16 @@ class UnitWalker:
                 if kind <= _STRP:
                     if pos + n > limit:
                         cur.pos = pos
-                        raise cur.fail(f"unexpected end of data reading {n} bytes")
+                        cur.skip(n)  # raises
                     if kind == _UNPACK:
                         attrs[attr] = arg(data, pos)[0]
                     elif kind == _STRP:
                         offset = arg(data, pos)[0]
                         name = names.get(offset)
                         if name is None:
-                            stop = -1 if debug_str is None else debug_str.find(b"\x00", offset)
-                            if stop < 0:  # no table or no terminator: raises
-                                cur.pos = pos + n
-                                _read_cstr_at(debug_str, offset, cur, "strp string")
-                            name = debug_str[offset:stop].decode("utf-8", "replace")
-                            names[offset] = name
+                            cur.pos = pos + n
+                            name = names[offset] = _read_cstr_at(debug_str, offset, cur,
+                                                                 "strp string")
                         attrs[attr] = name
                     pos += n
                     continue
@@ -470,12 +449,13 @@ class UnitWalker:
                 # _GENERAL, or an in-place skip that does not apply here.
                 cur.pos = pos
                 form = n
-                if form == FORM_INDIRECT:
-                    form = self._indirect_form()
-                if attr is None:
-                    self._skip(form)
-                else:
-                    attrs[attr] = self._value(form)
+                # A loop rather than recursion: every DW_FORM_indirect step
+                # reads a byte, so a hostile chain ends at the section end.
+                while form == FORM_INDIRECT:
+                    form = cur.uleb()
+                value = self._value(form, attr is not None)
+                if attr is not None:
+                    attrs[attr] = value
                 pos = cur.pos
             cur.pos = pos
             if tag == TAG_COMPILE_UNIT and AT_STR_OFFSETS_BASE in attrs:
@@ -494,18 +474,6 @@ class UnitWalker:
                                                 self.wanted.get(decl.tag, ()))
         return plan
 
-    def _indirect_form(self) -> int:
-        """Read the form named by DW_FORM_indirect, following nested ones.
-
-        A loop rather than recursion: every step consumes at least one byte,
-        so a hostile chain ends at the section end in MalformedDwarfError.
-        """
-        cur = self.cur
-        form = cur.uleb()
-        while form == FORM_INDIRECT:
-            form = cur.uleb()
-        return form
-
     def _strx(self, index: int) -> str:
         cur = self.cur
         offs = self.strings.str_offsets
@@ -521,27 +489,29 @@ class UnitWalker:
         offset = _UNSIGNED[osize].unpack_from(offs, pos)[0]
         return _read_cstr_at(self.strings.debug_str, offset, cur, "strx string")
 
-    def _block_length(self, form: int) -> int:
-        prefix = _BLOCK_PREFIX[form]
-        return self.cur.uint(prefix) if prefix else self.cur.uleb()
-
-    def _value(self, form: int):
-        """Decoded value of one attribute; None for a form never interpreted."""
+    def _value(self, form: int, decode: bool = True):
+        """Decoded value of one attribute; None for a form never interpreted.
+        With `decode` false the attribute is only read past, and None returned."""
         cur = self.cur
         size = self.sizes.get(form)
         if size is not None:
             number = cur.uint(size)
-        elif form == FORM_SDATA:
+        elif form == FORM_SDATA and decode:
             return cur.sleb()
         elif form in _LEB_FORMS:
+            # A skipped sdata too: a ULEB128 read covers the same bytes, and
+            # an over-long one is reported as the ULEB128 it was read as.
             number = cur.uleb()
         elif form == FORM_STRING:
-            return cur.cstr().decode("utf-8", "replace")
+            text = cur.cstr()
+            return text.decode("utf-8", "replace") if decode else None
         elif form in _BLOCK_PREFIX:
-            return cur.take(self._block_length(form))
+            prefix = _BLOCK_PREFIX[form]
+            block = cur.take(cur.uint(prefix) if prefix else cur.uleb())
+            return block if decode else None
         else:
             raise cur.fail(f"unknown attribute form {form:#x}")
-        meaning = _MEANINGS.get(form)
+        meaning = _MEANINGS.get(form) if decode else None
         if meaning is None:
             return None
         if meaning == "int":
@@ -554,20 +524,6 @@ class UnitWalker:
             return self._strx(number)
         table = self.strings.debug_str if meaning == "strp" else self.strings.line_str
         return _read_cstr_at(table, number, cur, f"{meaning} string")
-
-    def _skip(self, form: int) -> None:
-        cur = self.cur
-        size = self.sizes.get(form)
-        if size is not None:
-            cur.skip(size)
-        elif form in _LEB_FORMS:
-            cur.uleb()
-        elif form == FORM_STRING:
-            cur.cstr()
-        elif form in _BLOCK_PREFIX:
-            cur.skip(self._block_length(form))
-        else:
-            raise cur.fail(f"unknown attribute form {form:#x}")
 
 
 def unsigned_value(value) -> Optional[int]:

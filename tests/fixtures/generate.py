@@ -51,6 +51,16 @@ BUILDS = [
     ("triple2-dwarf4-64", CLANG, "triple_v2.c", ["-gdwarf-4"]),
 ]
 
+# Differential fixtures: the same source from the GCC producer
+# (data_bit_offset, implicit_const forms), compared in tests against the
+# clang build. The 64-bit DWARF ones hold the only compiler-written units
+# with 8-byte offsets, the DWARF 4 one also in .debug_types units.
+GCC_BUILDS = [
+    ("layouts-gcc-dwarf5-64", ["-gdwarf-5"]),
+    ("layouts-gcc-dwarf64-v5", ["-gdwarf-5", "-gdwarf64"]),
+    ("layouts-gcc-dwarf64-v4-types", ["-gdwarf-4", "-gdwarf64", "-fdebug-types-section"]),
+]
+
 FIELD_RE = re.compile(r"^\s*(\d+)(?::\d+-\d+)? \|( +)(.*?)\s*$")
 SIZEOF_RE = re.compile(r"\[sizeof=(\d+)")
 
@@ -164,11 +174,10 @@ def main():
         print(f"{binary.name}: {len(structures)} records, "
               f"DWARF {oracle['dwarf_versions']}")
 
-    # Differential fixture: same source, GCC producer (data_bit_offset,
-    # implicit_const forms). Compared in tests against the clang build.
-    run([GXX, "-shared", "-fPIC", "-g", "-gdwarf-5"] + PREFIX_MAP + CXXFLAGS
-        + [str(HERE / "layouts.cpp"), "-o", str(HERE / "layouts-gcc-dwarf5-64.so")])
-    print("layouts-gcc-dwarf5-64.so: built")
+    for stem, flags in GCC_BUILDS:
+        run([GXX, "-shared", "-fPIC", "-g"] + flags + PREFIX_MAP + CXXFLAGS
+            + [str(HERE / "layouts.cpp"), "-o", str(HERE / f"{stem}.so")])
+        print(f"{stem}.so: built")
 
     # Two compilation units: one identical duplicate type, one conflicting.
     run([cc, "-c", "-fPIC", "-g", "-gdwarf-4"] + PREFIX_MAP

@@ -696,16 +696,6 @@ def test_cli_and_extractor_do_not_import_dataclasses():
     assert _fresh_interpreter(script) == "False\n"
 
 
-def test_unsupported_render_format_rejected():
-    from structdrift.render import UnsupportedFormatError, render_report
-
-    report = art_profile("9")
-    with pytest.raises(UnsupportedFormatError):
-        render_report(report, "csv")  # csv only exists for matrix shapes
-    with pytest.raises(UnsupportedFormatError):
-        render_report(report, "yaml")
-
-
 def _report_of_kind(kind: str):
     import structdrift as sd
 

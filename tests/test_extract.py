@@ -75,6 +75,21 @@ def test_gcc_and_clang_builds_agree():
     assert layout_map(gcc) == layout_map(clang)
 
 
+@pytest.mark.parametrize("stem, sections", [
+    ("layouts-gcc-dwarf64-v5", ["info"]),
+    ("layouts-gcc-dwarf64-v4-types", ["info", "types"]),
+])
+def test_gcc_dwarf64_builds_agree_with_clang(stem, sections):
+    path = fixture_path(f"{stem}.so")
+    elf = load_elf(path)
+    assert [s for s in ("info", "types") if elf.debug_section(s) is not None] == sections
+    for section in sections:
+        headers = list(iter_unit_headers(elf.debug_section(section), f".debug_{section}"))
+        assert headers and {h.offset_size for h in headers} == {8}, section
+    clang = extract_profile(fixture_path("layouts-dwarf5-64.so"), platform_version="9")
+    assert layout_map(extract_profile(path, platform_version="9")) == layout_map(clang)
+
+
 def test_compressed_debug_sections_extract_identically():
     plain = extract_profile(fixture_path("layouts-dwarf4-64.so"), platform_version="9")
     # SHF_COMPRESSED sections, then legacy .zdebug_* sections with a "ZLIB" header.
@@ -301,6 +316,12 @@ HOSTILE_UNITS = {
                               b"\x01" + b"\xff" * 10 + b"\x01"),
     "oversized-uleb-skipped": (bytes(STRUCT_ABBREV + [0x3B, 0x0F, 0, 0, 0]),
                                b"\x01" + b"\xff" * 10 + b"\x01"),
+    # The same as sdata: a skipped one is read as a ULEB128, a wanted one as
+    # an SLEB128.
+    "oversized-sdata-skipped": (bytes(STRUCT_ABBREV + [0x3B, 0x0D, 0, 0, 0]),
+                                b"\x01" + b"\xff" * 10 + b"\x01"),
+    "oversized-sdata-wanted": (bytes(STRUCT_ABBREV + [0x0B, 0x0D, 0, 0, 0]),
+                               b"\x01" + b"\xff" * 10 + b"\x01"),
     # decl_line data4, decl_column data4 and sibling ref4, all skipped as one
     # 12-byte run, with 6 bytes left in the section.
     "skip-run-past-end": (bytes(STRUCT_ABBREV + [0x3B, 0x06, 0x39, 0x06, 0x01, 0x13,
@@ -319,16 +340,51 @@ HOSTILE_UNITS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_UNITS))
+# Structures named by a strp offset that .debug_str cannot resolve:
+# (.debug_str, or None for no such section; DIE bytes).
+STRP_NAME_ABBREV = bytes(STRUCT_ABBREV + [0x03, 0x0E, 0, 0, 0])
+BAD_STRP_NAMES = {
+    "strp-past-debug-str": (b"x\x00", b"\x01" + (0xFFFFFF).to_bytes(4, "little")),
+    "strp-unterminated": (b"abc", b"\x01" + bytes(4)),
+    "strp-without-debug-str": (None, b"\x01" + bytes(4)),
+}
+# The error each hostile unit ends in: its message and .debug_info offset.
+# The unit header is 11 bytes and the DIE's abbreviation code 1 byte.
+HOSTILE_ERRORS = {
+    "oversized-uleb-code": ("ULEB128 value too large", 0x15),
+    "oversized-uleb-wanted": ("ULEB128 value too large", 0x16),
+    "oversized-uleb-skipped": ("ULEB128 value too large", 0x16),
+    "oversized-sdata-skipped": ("ULEB128 value too large", 0x16),
+    "oversized-sdata-wanted": ("SLEB128 value too large", 0x16),
+    "skip-run-past-end": ("unexpected end of data reading 12 bytes", 0xC),
+    "skipped-exprloc-past-end": ("unexpected end of data reading 5 bytes", 0xD),
+    "skipped-string-unterminated": ("unterminated string", 0xC),
+    "skipped-uleb-past-end": ("unexpected end of data reading 1 bytes", 0xC),
+    "strx-without-offsets": ("strx form but .debug_str_offsets is absent", 0xD),
+    "unknown-form": ("unknown attribute form 0x7f", 0xC),
+    "strp-past-debug-str": ("strp string offset 0xffffff out of range", 0x10),
+    "strp-unterminated": ("strp string offset 0x0 out of range", 0x10),
+    "strp-without-debug-str": ("strp string reference but section is absent", 0x10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_UNITS) + sorted(BAD_STRP_NAMES))
 def test_hostile_unit_is_malformed_dwarf(case):
-    abbrev, die = HOSTILE_UNITS[case]
+    if case in HOSTILE_UNITS:
+        (abbrev, die), debug_str = HOSTILE_UNITS[case], None
+    else:
+        abbrev, (debug_str, die) = STRP_NAME_ABBREV, BAD_STRP_NAMES[case]
     info = _indirect_unit(die)
     header = next(iter_unit_headers(info))
-    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(),
+    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0),
+                        StringTables(debug_str=debug_str),
                         {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME, AT_BYTE_SIZE})})
     with pytest.raises(MalformedDwarfError) as exc_info:
         list(walker)
-    assert exc_info.value.section == ".debug_info"
+    error = exc_info.value
+    message, offset = HOSTILE_ERRORS[case]
+    assert (str(error), error.section, error.offset) == (
+        f"{message} (.debug_info offset {offset:#x})", ".debug_info", offset)
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_UNITS))
@@ -780,15 +836,26 @@ _TYPE_DEFS = st.tuples(
 
 @st.composite
 def _merge_units(draw):
+    """Two to eight units of definitions: new ones, identical repeats, and
+    repeats or equal-rank rivals (member names swapped) of the first two.
+    A forked walk's first half holds the first two, so its second half often
+    meets one of them again after a rival."""
     units, drawn = [], []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(2, 8))):
         unit = []
-        for _ in range(draw(st.integers(0, 4))):
-            if drawn and draw(st.sampled_from([False, False, True])):
-                unit.append(draw(st.sampled_from(drawn)))  # an identical repeat
-            else:
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["new", "repeat", "first", "rival"])) if drawn else "new"
+            if kind == "new":
                 drawn.append(draw(_TYPE_DEFS))
                 unit.append(drawn[-1])
+            elif kind == "repeat":
+                unit.append(draw(st.sampled_from(drawn)))
+            elif kind == "first":
+                unit.append(draw(st.sampled_from(drawn[:2])))
+            else:
+                name, size, members, decl = draw(st.sampled_from(drawn[:2]))
+                unit.append((name, size, [("y" if m == "x" else "x", o) for m, o in members],
+                             decl))
         units.append(unit)
     return units
 
