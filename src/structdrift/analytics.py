@@ -109,11 +109,7 @@ def impact_score(
     return ImpactScore(
         structure=diff.name,
         transition=transition,
-        score=combine_impact_factors(
-            factors["offset_fraction"],
-            factors["churn_ratio"],
-            factors["size_delta_fraction"],
-        ),
+        score=combine_impact_factors(**factors),
         factors=factors,
     )
 

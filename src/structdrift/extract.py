@@ -5,9 +5,10 @@ definitions together with their directly declared members, and merges
 repeated definitions of the same name during the walk: a header's types,
 defined again in every unit that includes it, cost one dict lookup per
 repeat. One canonical record per structure is left. From
-PARALLEL_EXTRACT_BYTES of DWARF on, a forked worker runs the same walk over
-the second half of the units and sends back its shape table, merged after
-the first half's; profiles and errors are the serial walk's.
+PARALLEL_EXTRACT_BYTES of DWARF on, a forked worker walks the second half of
+the units and sends back its shape table, merged after the first half's. A
+damaged unit header keeps the walk serial, and a failed worker's units are
+walked here, so profiles and errors are the serial walk's.
 """
 
 from pathlib import Path
@@ -168,20 +169,16 @@ def extract_profile_with_meta(
     if abbrev is None:
         raise NoDwarfError(f"{path} has no .debug_abbrev section")
 
-    def walk(units):
-        return _walk(units, abbrev, strings)
+    def walk(units) -> list:  # _walk's result for each run of units, in unit order
+        return [_walk(units, abbrev, strings)]
 
-    parts: list = []  # _walk's result per run of units, in unit order
-    units, half, sent = _units(sections), 0, None
+    units = _units(sections)
     if sum(len(data) for data, _ in sections) >= PARALLEL_EXTRACT_BYTES:
         try:
             units = list(units)
-        except StructDriftError:  # the serial walk raises it after the units before it
+        except StructDriftError:  # the lazy walk raises it after the units before it
             units = _units(sections)
-        else:  # the caller walks the first half, a worker the second
-            half, sent = _fork_and_collect(units, walk, lambda own: parts.append(walk(own)))
-    # The worker's units, or all of them, after the caller's.
-    parts.append(walk(units[half:] if half else units) if sent is None else sent)
+    parts = _fork_and_collect(units, walk) if type(units) is list else walk(units)
     versions, type_dies, skipped, unit_counts, part_shapes = zip(*parts)
 
     shapes: Dict[str, Dict[Tuple[int, tuple], None]] = {}

@@ -16,7 +16,7 @@ import sys
 from itertools import repeat
 from json.encoder import encode_basestring as _quote  # the C quoting json.dumps uses
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantError, SchemaError
 
@@ -398,13 +398,6 @@ def _kept(profile: Profile, names) -> Profile:
         name: profile.structures[name] for name in sorted(profile.structures.keys() & names)})
 
 
-def _read_or_none(source, names) -> Optional[Profile]:
-    try:
-        return _kept(read_profile(source), names)
-    except Exception:  # the caller reads it again and raises the error itself
-        return None
-
-
 def _cpu_quota() -> float:
     """CPUs a cgroup v2 quota allows this process; infinite without one."""
     try:
@@ -415,22 +408,21 @@ def _cpu_quota() -> float:
         return float("inf")
 
 
-def _fork_and_collect(items: list, work: Callable[[list], Any],
-                     own: Callable[[list], Any]) -> Tuple[int, Any]:
-    """Run own(items[:half]) here and work(items[half:]) in one forked worker.
+def _fork_and_collect(items: list, work: Callable[[list], list], send: Callable = list,
+                      receive: Callable = list) -> list:
+    """work(items[:half]) + work(items[half:]), the second half run in one forked worker.
 
-    Returns half (rounded up: the caller also rebuilds what the worker sends)
-    and work's result by marshal, or None where the caller must do
-    items[half:] itself: the fork or the worker failed. With fewer than two
-    items, a second thread, or one CPU by the affinity mask or a cgroup v2
-    quota, it returns (0, None) without forking or calling own. The worker
-    is reaped even if own raises.
+    The worker sends send(its list) by marshal, and the caller appends receive(what
+    came) to its own list (both default to list). If the fork or the worker fails,
+    the caller runs the second half itself. With fewer than two items, a second
+    thread, or one CPU by the affinity mask or a cgroup v2 quota, it returns
+    work(items) unforked. The worker is reaped even if the caller's half raises.
     """
     if (len(items) < 2 or not hasattr(os, "fork")
             or "threading" in sys.modules and sys.modules["threading"].active_count() > 1
             or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
             or _cpu_quota() < 2):
-        return 0, None
+        return work(items)
     half = (len(items) + 1) // 2
     reader, writer = os.pipe()
     try:
@@ -441,56 +433,69 @@ def _fork_and_collect(items: list, work: Callable[[list], Any],
         try:
             os.close(reader)  # so that a write fails, not blocks, once the caller is gone
             with open(writer, "wb") as out:
-                marshal.dump(work(items[half:]), out)
+                marshal.dump(send(work(items[half:])), out)
             os._exit(0)
         finally:
             os._exit(1)  # never return into the caller's code
     os.close(writer)
     try:
-        own(items[:half])
+        done = work(items[:half])
     finally:
         try:  # to EOF before waiting: a full pipe blocks the worker
             with open(reader, "rb") as pipe:
                 data = pipe.read()
         finally:
             status = pid and os.waitpid(pid, 0)[1]
-    return half, marshal.loads(data) if status == 0 else None
+    return done + (receive(marshal.loads(data)) if status == 0 else work(items[half:]))
 
 
-def _profile_tuples(paths: list, names) -> list:  # a worker's profiles, or None, for marshal
-    return [p and (tuple(p.meta), [(r.name, r.byte_size, list(map(tuple, r.members)))
-                                   for r in p.structures.values()])
-            for p in map(_read_or_none, paths, repeat(names))]
+def _read_one(path, names):
+    """The profile at `path`, keeping the structures in `names`, or the error reading it raised."""
+    try:
+        return _kept(read_profile(path), names)
+    except (SchemaError, InvariantError) as exc:
+        return exc
 
 
-def _prefetched(paths: list, names) -> List[Optional[Profile]]:
-    """Each path's profile as read_profiles(paths, names) reads it, or None to read here."""
-    found: List[Optional[Profile]] = []
+def _sendable(results: list) -> list:  # plain tuples; an error as (is InvariantError, message)
+    return [(type(r) is InvariantError, str(r)) if isinstance(r, Exception) else
+            (tuple(r.meta), [(s.name, s.byte_size, list(map(tuple, s.members)))
+                             for s in r.structures.values()]) for r in results]
+
+
+def _received(sent: list) -> list:
+    new = tuple.__new__
+    return [(InvariantError if head else SchemaError)(body) if type(head) is bool else
+            Profile(new(ProfileMeta, head), {
+                name: new(StructureRecord, (name, size, list(map(new, repeat(MemberRecord), m))))
+                for name, size, m in body}) for head, body in sent]
+
+
+def _read_all(paths: list, names) -> Iterable:
+    """_read_one of each path; from PARALLEL_READ_BYTES on, a worker reads the second half."""
     try:
         total = sum(os.stat(path).st_size for path in paths)
     except OSError:  # reading the files reports the error
         total = 0
-    half, sent = (0, None) if total < PARALLEL_READ_BYTES else _fork_and_collect(
-        paths, lambda part: _profile_tuples(part, names),
-        lambda part: found.extend(map(_read_or_none, part, repeat(names))))
-    if sent is None:  # the caller reads these files
-        return found + [None] * (len(paths) - half)
-    new = tuple.__new__
-    return found + [p and Profile(new(ProfileMeta, p[0]), {
-        name: new(StructureRecord, (name, size, list(map(new, repeat(MemberRecord), m))))
-        for name, size, m in p[1]}) for p in sent]
+    if total < PARALLEL_READ_BYTES:  # lazily, so that read_profiles stops at an error
+        return map(_read_one, paths, repeat(names))
+    return _fork_and_collect(paths, lambda part: list(map(_read_one, part, repeat(names))),
+                             _sendable, _received)
 
 
 def read_profiles(sources, names=None) -> List[Profile]:
     """read_profile of each source, in order: the same profiles and the same first error.
 
     Each file is validated whole; then only the structures in the collection `names`
-    are kept (all of them with None), so a worker sends back only those. From
-    PARALLEL_READ_BYTES on, a forked worker may read the second half; only a file it
-    fails on, or every file if it fails, is read twice (here, for the serial error)."""
-    paths = list(sources)
-    return [profile or _kept(read_profile(path), names)
-            for path, profile in zip(paths, _prefetched(paths, names))]
+    are kept (all of them with None), so a worker sends back only those. Each file is
+    read once: from PARALLEL_READ_BYTES on, a forked worker reads the second half, and
+    that half is read again here only if the worker fails."""
+    profiles = []
+    for profile in _read_all(list(sources), names):
+        if isinstance(profile, Exception):
+            raise profile
+        profiles.append(profile)
+    return profiles
 
 
 class RepositoryIndex(NamedTuple):
@@ -516,12 +521,10 @@ def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]], n
             raise NotADirectoryError(f"repository root {root} is not a directory")
         raise FileNotFoundError(f"repository root {root} does not exist")
     paths = sorted(root.glob(f"*/{architecture}/*{PROFILE_SUFFIX}"))
-    for path, profile in zip(paths, _prefetched(paths, names)):  # read_profiles, one error each
+    for path, profile in zip(paths, _read_all(paths, names)):
         placed = (path.parent.parent.name, path.parent.name)
-        try:
-            profile = profile or _kept(read_profile(path), names)
-        except (SchemaError, InvariantError) as exc:
-            skipped.append((path, str(exc)))
+        if isinstance(profile, Exception):
+            skipped.append((path, str(profile)))
             continue
         named = (profile.meta.platform_version, profile.meta.architecture)
         if named != placed:

@@ -136,32 +136,15 @@ def volatility_to_doc(stats: VolatilityStats) -> dict:
         "overall_rate": stats.overall_rate,
         "total_surviving": stats.total_surviving,
         "total_moved": stats.total_moved,
-        "per_structure": {
-            name: {
-                "surviving_members": v.surviving_members,
-                "members_with_offset_change": v.members_with_offset_change,
-                "rate": v.rate,
-            }
-            for name, v in stats.per_structure.items()
-        },
+        "per_structure": {name: v._asdict() for name, v in stats.per_structure.items()},
     }
 
 
 # ----------------------------------------------------------------- stats
 
 def stats_to_doc(stats: StatsReport) -> dict:
-    return {
-        "schema": STATS_SCHEMA,
-        "sources": [
-            {
-                "source": s.source,
-                "binary_size_mb": s.binary_size_mb,
-                "symbol_count": s.symbol_count,
-                "dwarf_versions": list(s.dwarf_versions),
-            }
-            for s in stats.sources
-        ],
-    }
+    # json writes each source's dwarf_versions tuple as a list.
+    return {"schema": STATS_SCHEMA, "sources": [s._asdict() for s in stats.sources]}
 
 
 # ------------------------------------------------------------- aggregate

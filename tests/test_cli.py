@@ -98,6 +98,16 @@ def test_extract_missing_file_is_input_error(capsys):
     assert "missing.so" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["score", "--repo", "{tmp}", "--arch", "x86_64"], "no x86_64 profiles found under {tmp}"),
+    (["stats", "{tmp}/missing.so"], "cannot read {tmp}/missing.so: [Errno 2] "
+                                    "No such file or directory: '{tmp}/missing.so'"),
+], ids=["empty-repository", "missing-stats-input"])
+def test_refused_input_is_named(tmp_path, capsys, argv, message):
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 3
+    assert capsys.readouterr().err == f"structdrift: {message.format(tmp=tmp_path)}\n"
+
+
 def test_extract_non_elf_is_input_error(tmp_path, capsys):
     bogus = tmp_path / "bogus.so"
     bogus.write_text("nope")

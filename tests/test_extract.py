@@ -179,6 +179,86 @@ def test_truncated_file_rejected(tmp_path):
         extract_profile(clipped)
 
 
+def _header_at(data: bytes, name: str) -> int:
+    """File offset of the 64-bit section header of section `name`."""
+    sec = ElfFile(data).sections[name]
+    (shoff,) = struct.unpack_from("<Q", data, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
+    return next(base for base in range(shoff, shoff + shnum * shentsize, shentsize)
+                if struct.unpack_from("<QQ", data, base + 24) == (sec.offset, sec.size))
+
+
+def _info_past_end(data):
+    struct.pack_into("<Q", data, _header_at(data, ".debug_info") + 0x20, 10 ** 9)
+
+
+def _info_compressed_in_4_bytes(data):
+    at = _header_at(data, ".debug_info")
+    (flags,) = struct.unpack_from("<Q", data, at + 8)
+    struct.pack_into("<Q", data, at + 8, flags | 0x800)  # SHF_COMPRESSED
+    struct.pack_into("<Q", data, at + 0x20, 4)
+
+
+def _abbrev_renamed(data):
+    at = data.index(b".debug_abbrev\x00", ElfFile(data).sections[".shstrtab"].offset)
+    data[at : at + 13] = b".debug_abbrez"
+
+
+def _reserved_unit_length(data):
+    struct.pack_into("<I", data, ElfFile(data).sections[".debug_info"].offset, 0xFFFFFFF0)
+
+
+def _xindex_past_the_table(data):
+    # e_shstrndx SHN_XINDEX: the index is section 0's sh_link, here one past the last.
+    (shoff,) = struct.unpack_from("<Q", data, 0x28)
+    struct.pack_into("<I", data, shoff + 0x28, struct.unpack_from("<H", data, 0x3C)[0])
+    struct.pack_into("<H", data, 0x3E, 0xFFFF)
+
+
+# Hostile ELF files made from layouts-dwarf5-64.so, and the error each exits 3
+# with; "{path}" is the file's path. None stands for a directory at that path.
+HOSTILE_FILES = {
+    "info-past-end": (_info_past_end, "section .debug_info extends past end of file"),
+    "info-compressed-in-4-bytes": (
+        _info_compressed_in_4_bytes,
+        "section .debug_info is too short for its compression header"),
+    "no-debug-abbrev": (_abbrev_renamed, "{path} has no .debug_abbrev section"),
+    "reserved-unit-length": (_reserved_unit_length,
+                             "reserved initial length 0xfffffff0 (.debug_info offset 0x4)"),
+    "shstrndx-xindex-past-the-table": (_xindex_past_the_table,
+                                       "section name string table index out of range"),
+    "directory": (None, "{path} is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+def test_hostile_file_exits_with_input_error(tmp_path, capsys, case):
+    from structdrift.cli import EXIT_INPUT, run
+
+    damage, message = HOSTILE_FILES[case]
+    path = tmp_path / "hostile.so"
+    if damage is None:
+        path.mkdir()
+    else:
+        data = bytearray(fixture_path("layouts-dwarf5-64.so").read_bytes())
+        damage(data)
+        path.write_bytes(bytes(data))
+    assert run(["extract", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"structdrift: {message.format(path=path)}\n"
+
+
+def test_section_name_table_index_in_section_zero_is_followed(tmp_path):
+    # e_shstrndx SHN_XINDEX with the real index in section 0's sh_link.
+    fixture = fixture_path("layouts-dwarf5-64.so")
+    data = bytearray(fixture.read_bytes())
+    (shoff,) = struct.unpack_from("<Q", data, 0x28)
+    struct.pack_into("<I", data, shoff + 0x28, struct.unpack_from("<H", data, 0x3E)[0])
+    struct.pack_into("<H", data, 0x3E, 0xFFFF)
+    path = tmp_path / "xindex.so"
+    path.write_bytes(bytes(data))
+    assert dumps_profile(extract_profile(path)) == dumps_profile(extract_profile(fixture))
+
+
 def _patch_section(tmp_path, source_name, section, patcher):
     data = bytearray(fixture_path(source_name).read_bytes())
     elf = ElfFile(bytes(data))
@@ -291,6 +371,24 @@ def test_debug_types_unit_is_read_past_its_signature(tmp_path, capsys, dwarf64, 
         assert json.loads(out)["structures"] == {"Deep": {"size": 24, "members": []}}
 
 
+@pytest.mark.parametrize("unit_type, fields", [(1, b""), (2, b"\xee" * 12), (4, b"\xee" * 8)],
+                         ids=["compile", "type", "skeleton"])
+def test_dwarf5_unit_is_read_past_its_unit_type_fields(tmp_path, capsys, unit_type, fields):
+    # A DWARF 5 unit header: version, unit type, address size and abbrev
+    # offset, then a type unit's 8-byte signature and 4-byte type offset or a
+    # skeleton unit's 8-byte dwo_id; the structure DIE comes after them.
+    from structdrift.cli import run
+
+    body = ((5).to_bytes(2, "little") + bytes([unit_type, 8]) + (0).to_bytes(4, "little")
+            + fields + b"\x01Deep\x00\x18\x00")
+    info = len(body).to_bytes(4, "little") + body
+    assert next(iter_unit_headers(info)).die_start == 12 + len(fields)
+    abbrev = bytes([1, 0x13, 0, 0x03, 0x08, 0x0B, 0x0B, 0, 0, 0])
+    assert run(["extract", str(_with_debug_sections(tmp_path, info, abbrev))]) == 0
+    assert json.loads(capsys.readouterr().out)["structures"] == {
+        "Deep": {"size": 24, "members": []}}
+
+
 def test_endless_indirect_chain_exits_with_input_error(tmp_path, capsys):
     from structdrift.cli import EXIT_INPUT, run
 
@@ -340,13 +438,19 @@ HOSTILE_UNITS = {
 }
 
 
-# Structures named by a strp offset that .debug_str cannot resolve:
-# (.debug_str, or None for no such section; DIE bytes).
+# Structures named by a string form that the string sections cannot resolve:
+# (abbreviation table, StringTables arguments, DIE bytes).
 STRP_NAME_ABBREV = bytes(STRUCT_ABBREV + [0x03, 0x0E, 0, 0, 0])
-BAD_STRP_NAMES = {
-    "strp-past-debug-str": (b"x\x00", b"\x01" + (0xFFFFFF).to_bytes(4, "little")),
-    "strp-unterminated": (b"abc", b"\x01" + bytes(4)),
-    "strp-without-debug-str": (None, b"\x01" + bytes(4)),
+BAD_STRING_NAMES = {
+    "strp-past-debug-str": (STRP_NAME_ABBREV, {"debug_str": b"x\x00"},
+                            b"\x01" + (0xFFFFFF).to_bytes(4, "little")),
+    "strp-unterminated": (STRP_NAME_ABBREV, {"debug_str": b"abc"}, b"\x01" + bytes(4)),
+    "strp-without-debug-str": (STRP_NAME_ABBREV, {}, b"\x01" + bytes(4)),
+    # A strx1 index of 1, where .debug_str_offsets holds its 8-byte header
+    # and one entry.
+    "strx-index-past-offsets": (bytes(STRUCT_ABBREV + [0x03, 0x25, 0, 0, 0]),
+                                {"debug_str": b"x\x00", "str_offsets": bytes(12)},
+                                b"\x01\x01"),
 }
 # The error each hostile unit ends in: its message and .debug_info offset.
 # The unit header is 11 bytes and the DIE's abbreviation code 1 byte.
@@ -365,19 +469,19 @@ HOSTILE_ERRORS = {
     "strp-past-debug-str": ("strp string offset 0xffffff out of range", 0x10),
     "strp-unterminated": ("strp string offset 0x0 out of range", 0x10),
     "strp-without-debug-str": ("strp string reference but section is absent", 0x10),
+    "strx-index-past-offsets": ("string index 1 out of range", 0xD),
 }
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_UNITS) + sorted(BAD_STRP_NAMES))
+@pytest.mark.parametrize("case", sorted(HOSTILE_UNITS) + sorted(BAD_STRING_NAMES))
 def test_hostile_unit_is_malformed_dwarf(case):
     if case in HOSTILE_UNITS:
-        (abbrev, die), debug_str = HOSTILE_UNITS[case], None
+        (abbrev, die), strings = HOSTILE_UNITS[case], {}
     else:
-        abbrev, (debug_str, die) = STRP_NAME_ABBREV, BAD_STRP_NAMES[case]
+        abbrev, strings, die = BAD_STRING_NAMES[case]
     info = _indirect_unit(die)
     header = next(iter_unit_headers(info))
-    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0),
-                        StringTables(debug_str=debug_str),
+    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(**strings),
                         {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME, AT_BYTE_SIZE})})
     with pytest.raises(MalformedDwarfError) as exc_info:
         list(walker)
@@ -463,6 +567,14 @@ def _extract_crafted(tmp_path, capsys, abbrev: bytes, dies: bytes):
         return code, None
     return code, {name: (body["size"], [(m["name"], m["offset"]) for m in body["members"]])
                   for name, body in json.loads(out)["structures"].items()}
+
+
+def test_wanted_implicit_const_is_the_abbreviations_value(tmp_path, capsys):
+    # DW_AT_byte_size in DW_FORM_implicit_const: the value 24 is in the
+    # abbreviation, and the DIE holds only the name.
+    abbrev = bytes(STRUCT_ABBREV + [0x03, 0x08, 0x0B, 0x21]) + _sleb(24) + bytes([0, 0, 0])
+    assert _extract_crafted(tmp_path, capsys, abbrev, b"\x01Deep\x00") == (
+        0, {"Deep": (24, [])})
 
 
 # A name that cannot be read: a strp offset past .debug_str, or a strx1

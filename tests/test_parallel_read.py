@@ -304,10 +304,12 @@ def test_threaded_caller_never_forks(tmp_path, monkeypatch):
     assert not thread.is_alive()
 
 
-def test_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch, forks):
+def _assert_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch, forks,
+                                                   damage):
     for profile in art_sequence():
         tmp_repo(profile)
     art_repo = tmp_repo.root
+    damage(art_repo)
     log = tmp_path / "reads.log"
     fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     read_text = profile_module.read_text
@@ -316,16 +318,19 @@ def test_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch,
         os.write(fd, f"{os.getpid()} {source}\n".encode())
         return read_text(source)
 
-    monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", 0)
     monkeypatch.setattr(profile_module, "read_text", logging_read_text)
     repo = ["--repo", str(art_repo), "--arch", "x86_64"]
     files = sorted(str(p) for p in art_repo.rglob("*.profile.json"))
     try:
         for argv in (["index", "--repo", str(art_repo)], ["score", *repo], ["volatility", *repo],
                      ["chains", *files], ["diff", files[0], files[1]]):
+            monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", SERIAL)
+            serial = run(argv)
+            assert serial == 0 or damage is not _break_nothing, argv
+            monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", 0)
             log.write_bytes(b"")
             del forks[:]
-            assert run(argv) == 0
+            assert run(argv) == serial, argv
             reads = [line.split(" ", 1) for line in log.read_text().splitlines()]
             paths = sorted(Path(path) for _, path in reads)
             want = sorted(map(Path, files[:2] if argv[0] == "diff" else files))
@@ -335,6 +340,18 @@ def test_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch,
     finally:
         os.close(fd)
     assert_no_child_left()
+
+
+def test_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch, forks):
+    _assert_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch, forks,
+                                                   _break_nothing)
+
+
+@pytest.mark.parametrize("damage", REPOSITORIES[1:], ids=lambda f: f.__name__.lstrip("_"))
+def test_forked_commands_read_each_damaged_profile_once(tmp_repo, tmp_path, monkeypatch, forks,
+                                                        damage):
+    # A file that fails is read once too, by whichever process reads its half.
+    _assert_forked_commands_read_each_profile_once(tmp_repo, tmp_path, monkeypatch, forks, damage)
 
 
 NAMES = {

@@ -120,6 +120,23 @@ def test_invariant_error_messages(members, message):
     assert str(exc_info.value) == message
 
 
+@pytest.mark.parametrize("meta, structures, message", [
+    ({"binary_size_bytes": -1}, {}, "negative size or count in metadata"),
+    ({"raw_type_die_count": -1}, {}, "negative size or count in metadata"),
+    ({"dwarf_versions_seen": (5, 4)}, {},
+     "dwarf_versions_seen must be sorted and duplicate-free"),
+    ({"dwarf_versions_seen": (4, 4)}, {},
+     "dwarf_versions_seen must be sorted and duplicate-free"),
+    ({}, {"A": StructureRecord("B", 8, [])}, "catalog key 'A' != record name 'B'"),
+    ({}, {"": StructureRecord("", 8, [])}, "empty structure name"),
+    ({}, {"S": StructureRecord("S", -1, [])}, "S: negative byte size"),
+])
+def test_meta_and_catalog_invariant_error_messages(meta, structures, message):
+    with pytest.raises(InvariantError) as exc_info:
+        validate_profile(Profile(make_meta(**meta), structures))
+    assert str(exc_info.value) == message
+
+
 def test_unknown_architecture_rejected():
     profile = Profile(make_meta(arch="mips"), {})
     with pytest.raises(InvariantError):

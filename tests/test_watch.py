@@ -238,14 +238,16 @@ def test_watchlist_reader_names_the_field_path(body, message):
 
 
 @pytest.mark.parametrize("chain, message", [
-    ({"id": 7}, "chains[0].id has wrong type int"),
-    ({"steps": {}}, "chains[0].steps has wrong type dict"),
-    ({"steps": [{"structure": "S", "member": "m"}, {"structure": "S", "member": False}]},
+    ([{"id": 7}], "chains[0].id has wrong type int"),
+    ([{"steps": {}}], "chains[0].steps has wrong type dict"),
+    ([{"steps": [{"structure": "S", "member": "m"}, {"structure": "S", "member": False}]}],
      "chains[0].steps[1].member has wrong type bool"),
+    ([{"id": ""}], "chain id missing"),
+    ([{"id": "x"}, {"id": "x"}], "duplicate chain id 'x'"),
 ])
 def test_chains_reader_names_the_field_path(chain, message):
     with pytest.raises(SchemaError) as exc_info:
-        parse_chains(_chain_doc(**chain))
+        parse_chains(_chain_doc(*chain))
     assert str(exc_info.value) == message
 
 
@@ -273,10 +275,12 @@ def test_chain_version_bounds_must_be_strings(versions):
         parse_chains(json.dumps(doc))
 
 
-def _chain_doc(**extra) -> str:
-    return json.dumps({"schema": "structdrift-chains/1", "chains": [dict(
-        {"id": "a", "capability": "heap_analysis",
-         "steps": [{"structure": "S", "member": "m"}]}, **extra)]})
+def _chain_doc(*changes, **extra) -> str:
+    """A chains document of one valid chain updated by each of `changes`, or by `extra`."""
+    chain = {"id": "a", "capability": "heap_analysis",
+             "steps": [{"structure": "S", "member": "m"}]}
+    return json.dumps({"schema": "structdrift-chains/1",
+                       "chains": [dict(chain, **change) for change in changes or [extra]]})
 
 
 @pytest.mark.parametrize("versions", [[], 0, False, "", [1]])
