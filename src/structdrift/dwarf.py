@@ -27,11 +27,17 @@ size table and gives the bytes their meaning from _MEANINGS, the same
 table the plan compiler reads. A strp name is read from .debug_str once
 per StringTables and then looked up by its offset.
 
+A ref1/2/4/8 or ref_udata reference decodes to its .debug_info offset, the
+unit's start plus the value; ref_addr to the value as written; ref_sig8 is
+not resolved. A DIE with children and a wanted DW_AT_sibling is jumped
+over: the walker moves to the sibling, which must lie past the DIE's
+attributes and no further than the unit's end, and yields no child.
+
 Every skip is bounds-checked, so a read past the section end raises
 MalformedDwarfError wherever it happens. An attribute that is not wanted
-is never decoded, so a bad string reference on, say, a subprogram goes
-unnoticed; the same reference on a wanted attribute raises
-MalformedDwarfError.
+is never decoded, and a DIE jumped over is never read, so a bad string
+reference on, say, a parameter goes unnoticed; the same reference on a
+wanted attribute raises MalformedDwarfError.
 """
 
 import struct
@@ -44,8 +50,10 @@ TAG_CLASS_TYPE = 0x02
 TAG_MEMBER = 0x0D
 TAG_COMPILE_UNIT = 0x11
 TAG_STRUCTURE_TYPE = 0x13
+TAG_SUBPROGRAM = 0x2E
 
 # Attributes of interest.
+AT_SIBLING = 0x01
 AT_NAME = 0x03
 AT_BYTE_SIZE = 0x0B
 AT_DATA_MEMBER_LOCATION = 0x38
@@ -127,13 +135,16 @@ _LEB_FORMS = frozenset([FORM_UDATA, FORM_SDATA, FORM_REF_UDATA, FORM_STRX, FORM_
 _BLOCK_PREFIX = {FORM_BLOCK1: 1, FORM_BLOCK2: 2, FORM_BLOCK4: 4, FORM_BLOCK: 0,
                  FORM_EXPRLOC: 0}
 # What the number read for a fixed-size or unsigned LEB128 form means:
-# itself ("int"), a flag, a .debug_str or .debug_line_str offset, or an
-# index into .debug_str_offsets. "present" is DW_FORM_flag_present, true
-# with no bytes. A form missing here carries a value never interpreted
-# and decodes to None.
+# itself ("int"), a flag, a .debug_str or .debug_line_str offset, an
+# index into .debug_str_offsets, or a reference relative to the unit's
+# start ("ref"), which decodes to its .debug_info offset. "present" is
+# DW_FORM_flag_present, true with no bytes. A form missing here, ref_sig8
+# among them, carries a value never interpreted and decodes to None.
 _MEANINGS = {
     FORM_DATA1: "int", FORM_DATA2: "int", FORM_DATA4: "int", FORM_DATA8: "int",
-    FORM_SEC_OFFSET: "int", FORM_UDATA: "int",
+    FORM_SEC_OFFSET: "int", FORM_UDATA: "int", FORM_REF_ADDR: "int",
+    FORM_REF1: "ref", FORM_REF2: "ref", FORM_REF4: "ref", FORM_REF8: "ref",
+    FORM_REF_UDATA: "ref",
     FORM_FLAG: "flag", FORM_FLAG_PRESENT: "present",
     FORM_STRP: "strp", FORM_LINE_STRP: "line_strp",
     FORM_STRX: "strx", FORM_GNU_STR_INDEX: "strx", FORM_STRX1: "strx",
@@ -142,20 +153,22 @@ _MEANINGS = {
 _UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
 
 # Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
-# the attribute is None for a step that only skips. The kinds up to _STRP
+# the attribute is None for a step that only skips. The kinds up to _REF
 # read `size` bytes at the current position and share one bounds check;
 # the three variable-size skips fall back to UnitWalker._value(form, False).
 _SKIP = 0         # advance over `size` bytes of attributes that are not wanted
 _UNPACK = 1       # unsigned integer of `size` bytes; argument: its unpack_from
 _STRP = 2         # .debug_str offset of `size` bytes; argument: its unpack_from
-_SKIP_LEB = 3     # LEB128 not wanted: in place when it is one byte
-_SKIP_BLOCK = 4   # ULEB128-length block or exprloc not wanted: in place when
+_REF = 3          # unit-relative reference of `size` bytes; argument: as _UNPACK
+_SKIP_LEB = 4     # LEB128 not wanted: in place when it is one byte
+_SKIP_BLOCK = 5   # ULEB128-length block or exprloc not wanted: in place when
                   # its length is one byte and its data is in the section
-_SKIP_STRING = 5  # inline string not wanted: in place when it is terminated
-_CONST = 6        # value held by the abbreviation; argument: the value
-_GENERAL = 7      # any other form, through UnitWalker._value; argument: None
+_SKIP_STRING = 6  # inline string not wanted: in place when it is terminated
+_CONST = 7        # value held by the abbreviation; argument: the value
+_GENERAL = 8      # any other form, through UnitWalker._value; argument: None
 _INLINE_SKIPS = {**dict.fromkeys(_LEB_FORMS, _SKIP_LEB), FORM_BLOCK: _SKIP_BLOCK,
                  FORM_EXPRLOC: _SKIP_BLOCK, FORM_STRING: _SKIP_STRING}
+_UNPACKED = {"int": _UNPACK, "ref": _REF, "strp": _STRP}  # wanted fixed-size kinds
 
 
 class Cursor:
@@ -225,6 +238,7 @@ class Cursor:
 
 
 class UnitHeader(NamedTuple):
+    start: int           # .debug_info offset of the unit's first byte
     version: int
     address_size: int
     abbrev_offset: int
@@ -237,6 +251,7 @@ def iter_unit_headers(data: bytes, section: str = ".debug_info") -> Iterator[Uni
     """Yield unit headers in order; raises MalformedDwarfError on damage."""
     cur = Cursor(data, section)
     while cur.pos < len(data):
+        start = cur.pos
         offset_size = 4
         length = cur.uint(4)
         if length == 0xFFFFFFFF:
@@ -265,7 +280,7 @@ def iter_unit_headers(data: bytes, section: str = ".debug_info") -> Iterator[Uni
                 cur.skip(8 + offset_size)  # type signature + type offset
         if address_size not in (2, 4, 8):
             raise cur.fail(f"implausible address size {address_size}")
-        yield UnitHeader(version, address_size, abbrev_offset, offset_size, cur.pos, end)
+        yield UnitHeader(start, version, address_size, abbrev_offset, offset_size, cur.pos, end)
         cur.pos = end
 
 
@@ -346,10 +361,8 @@ def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int],
         meaning = _MEANINGS.get(form) if size is not None else None
         if not keep:
             steps.append((_INLINE_SKIPS.get(form, _GENERAL), form, None, None))
-        elif meaning == "int":
-            steps.append((_UNPACK, size, attr, _UNSIGNED[size].unpack_from))
-        elif meaning == "strp":
-            steps.append((_STRP, size, attr, _UNSIGNED[size].unpack_from))
+        elif meaning in _UNPACKED:
+            steps.append((_UNPACKED[meaning], size, attr, _UNSIGNED[size].unpack_from))
         elif meaning == "present":
             steps.append((_CONST, 0, attr, True))
         elif form == FORM_IMPLICIT_CONST:
@@ -391,6 +404,7 @@ class UnitWalker:
         limit = len(data)
         end = self.header.end
         plans = self.plans
+        unit_start = self.header.start
         debug_str = self.strings.debug_str
         names = self.strings.names
         pos = cur.pos
@@ -414,7 +428,7 @@ class UnitWalker:
             tag, has_children, steps = plan
             attrs: dict = {}
             for kind, n, attr, arg in steps:
-                if kind <= _STRP:
+                if kind <= _REF:
                     if pos + n > limit:
                         cur.pos = pos
                         cur.skip(n)  # raises
@@ -428,6 +442,8 @@ class UnitWalker:
                             name = names[offset] = _read_cstr_at(debug_str, offset, cur,
                                                                  "strp string")
                         attrs[attr] = name
+                    elif kind == _REF:
+                        attrs[attr] = arg(data, pos)[0] + unit_start
                     pos += n
                     continue
                 if kind == _SKIP_LEB:
@@ -457,12 +473,20 @@ class UnitWalker:
                 if attr is not None:
                     attrs[attr] = value
                 pos = cur.pos
-            cur.pos = pos
             if tag == TAG_COMPILE_UNIT and AT_STR_OFFSETS_BASE in attrs:
                 self.str_offsets_base = attrs[AT_STR_OFFSETS_BASE]
             yield depth, tag, attrs
             if has_children:
-                depth += 1
+                # Every jump goes forward, so a hostile sibling cannot loop.
+                sibling = attrs.get(AT_SIBLING)
+                if type(sibling) is not int:
+                    depth += 1
+                elif pos < sibling <= end:
+                    pos = sibling
+                else:
+                    cur.pos = pos
+                    raise cur.fail(f"DW_AT_sibling {sibling:#x} is not past its DIE "
+                                   f"and inside its unit")
         cur.pos = pos
 
     def _plan(self, code: int) -> tuple:
@@ -516,6 +540,8 @@ class UnitWalker:
             return None
         if meaning == "int":
             return number
+        if meaning == "ref":
+            return self.header.start + number
         if meaning == "flag":
             return number != 0
         if meaning == "present":

@@ -1,8 +1,8 @@
 """Structure-layout extraction from ELF shared libraries.
 
 Walks every compilation unit's DIE tree, keeps class- and structure-type
-definitions together with their directly declared members, and merges
-repeated definitions of the same name during the walk: a header's types,
+definitions outside function bodies together with their directly declared
+members, and merges repeated definitions of the same name: a header's types,
 defined again in every unit that includes it, cost one dict lookup per
 repeat. One canonical record per structure is left. From
 PARALLEL_EXTRACT_BYTES of DWARF on, a forked worker walks the second half of
@@ -21,11 +21,13 @@ from .dwarf import (
     AT_DATA_MEMBER_LOCATION,
     AT_DECLARATION,
     AT_NAME,
+    AT_SIBLING,
     AT_STR_OFFSETS_BASE,
     TAG_CLASS_TYPE,
     TAG_COMPILE_UNIT,
     TAG_MEMBER,
     TAG_STRUCTURE_TYPE,
+    TAG_SUBPROGRAM,
     StringTables,
     UnitWalker,
     iter_unit_headers,
@@ -58,6 +60,7 @@ _WANTED = {
     TAG_STRUCTURE_TYPE: _TYPE_ATTRS,
     TAG_MEMBER: frozenset([AT_NAME, AT_DATA_MEMBER_LOCATION, AT_DATA_BIT_OFFSET]),
     TAG_COMPILE_UNIT: frozenset([AT_STR_OFFSETS_BASE]),
+    TAG_SUBPROGRAM: frozenset([AT_SIBLING]),  # to jump over the body
 }
 
 
@@ -100,38 +103,47 @@ def _walk(units, abbrev, strings) -> tuple:
             table = parse_abbrev_table(abbrev, header.abbrev_offset)
             abbrev_cache[header.abbrev_offset] = table
         walker = UnitWalker(data, header, table, strings, _WANTED, section_name)
-        # Stack of (depth, byte size, members) for open class/structure
-        # DIEs so that only direct member children attach to each type.
-        open_types: List[Tuple[int, Optional[int], list]] = []
+        # The innermost open class/structure DIE or subprogram as (depth, byte
+        # size, members), (-2, None, ()) while none is open; the stack holds
+        # the ones around it. Only direct member children attach to a type. A
+        # subprogram's members are None: no type in its body is kept or counted.
+        top_depth, top_size, top_members = -2, None, ()
+        open_types: List[Tuple[int, Optional[int], Optional[list]]] = []
         # (shapes of the name, byte size, members) per complete definition.
         complete: List[Tuple[dict, int, list]] = []
         for depth, tag, attrs in walker:
-            while open_types and depth <= open_types[-1][0]:
-                open_types.pop()
+            while depth <= top_depth:
+                top_depth, top_size, top_members = open_types.pop()
             if tag == TAG_MEMBER:
-                if not open_types or depth != open_types[-1][0] + 1:
+                if depth != top_depth + 1 or top_members is None:
                     continue
-                _, parent_size, members = open_types[-1]
                 # A plain non-negative constant location is the offset.
                 offset = attrs.get(AT_DATA_MEMBER_LOCATION)
                 if type(offset) is not int or offset < 0:
                     offset = member_byte_offset(attrs)
-                if offset is None or offset >= OFFSET_SANITY_BOUND:
-                    if AT_DATA_MEMBER_LOCATION in attrs or AT_DATA_BIT_OFFSET in attrs:
-                        skipped_members += 1
-                    continue
-                if parent_size and offset >= parent_size:
+                    if offset is None:
+                        if AT_DATA_MEMBER_LOCATION in attrs or AT_DATA_BIT_OFFSET in attrs:
+                            skipped_members += 1
+                        continue
+                if offset >= OFFSET_SANITY_BOUND or top_size and offset >= top_size:
                     skipped_members += 1
                     continue
-                members.append((_clean_name(attrs.get(AT_NAME)), offset))
+                name = attrs.get(AT_NAME)  # cleaned as _clean_name does
+                top_members.append((name if name.__class__ is str and name else UNNAMED,
+                                    offset))
+            elif top_members is None:  # inside a function body
+                continue
             elif tag in _TYPE_TAGS:
                 type_die_count += 1
                 name_shapes = shapes.setdefault(_clean_name(attrs.get(AT_NAME)), {})
-                byte_size = unsigned_value(attrs.get(AT_BYTE_SIZE))
-                members = []
-                open_types.append((depth, byte_size, members))
-                if byte_size is not None and not attrs.get(AT_DECLARATION):
-                    complete.append((name_shapes, byte_size, members))
+                open_types.append((top_depth, top_size, top_members))
+                top_depth, top_size, top_members = \
+                    depth, unsigned_value(attrs.get(AT_BYTE_SIZE)), []
+                if top_size is not None and not attrs.get(AT_DECLARATION):
+                    complete.append((name_shapes, top_size, top_members))
+            elif tag == TAG_SUBPROGRAM:
+                open_types.append((top_depth, top_size, top_members))
+                top_depth, top_size, top_members = depth, None, None
         for name_shapes, byte_size, members in complete:
             name_shapes[byte_size, tuple(members)] = None
     return versions, type_die_count, skipped_members, unit_count, shapes

@@ -18,6 +18,9 @@ ORACLE_FIXTURES = [
     "triple-dwarf4-64",
     "triple-dwarf5-32",
     "triple2-dwarf4-64",
+    "functions-dwarf4-64",
+    "functions-dwarf5-64",
+    "functions-O2-dwarf5-64",
 ]
 
 

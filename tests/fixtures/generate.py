@@ -16,6 +16,15 @@ binaries with gcc/g++ and leaves every *.oracle.json untouched (the
 oracles need clang's record-layout dump, which gcc cannot produce):
 
     python tests/fixtures/generate.py --binaries-only --cc gcc
+
+The functions-* fixtures hold function bodies for the DIE walker to jump
+over. Their oracle is g++'s own: class sizes from -fdump-lang-class and
+member offsets from the static_asserts in functions.cpp, which the compile
+has checked. A full run rebuilds them too; `--binaries-only` leaves them
+alone, and `--functions-only` rebuilds just them and their oracles, with
+g++ alone:
+
+    python tests/fixtures/generate.py --functions-only
 """
 
 import argparse
@@ -61,8 +70,18 @@ GCC_BUILDS = [
     ("layouts-gcc-dwarf64-v4-types", ["-gdwarf-4", "-gdwarf64", "-fdebug-types-section"]),
 ]
 
+# (output stem, flags) of the g++ builds of functions.cpp; -O2 adds inlined
+# subroutines and call sites to the function bodies.
+FUNCTION_BUILDS = [
+    ("functions-dwarf4-64", ["-gdwarf-4"]),
+    ("functions-dwarf5-64", ["-gdwarf-5"]),
+    ("functions-O2-dwarf5-64", ["-O2", "-gdwarf-5"]),
+]
+
 FIELD_RE = re.compile(r"^\s*(\d+)(?::\d+-\d+)? \|( +)(.*?)\s*$")
 SIZEOF_RE = re.compile(r"\[sizeof=(\d+)")
+CLASS_DUMP_RE = re.compile(r"^Class (.*)\n\s+size=(\d+)", re.M)
+OFFSETOF_RE = re.compile(r"static_assert\(offsetof\((\w+), (\w+)\) == (\d+)")
 
 
 def run(cmd):
@@ -133,6 +152,42 @@ def parse_layout_dump(text):
     return structures
 
 
+def functions_oracle():
+    """Structures of functions.cpp from g++'s class dump and static_asserts.
+
+    The dump qualifies a type defined in a function body by its function,
+    as in "f(int)::Entry", and writes a nameless one in angle brackets;
+    neither is a layout.
+    """
+    source = HERE / "functions.cpp"
+    dump = HERE / "functions.class"
+    run([GXX] + CXXFLAGS + [f"-fdump-lang-class={dump}", "-c", str(source),
+                            "-o", "/dev/null"])
+    sizes = {name: int(size) for name, size in CLASS_DUMP_RE.findall(dump.read_text())
+             if "::" not in name and not name.startswith("<")}
+    dump.unlink()
+    members = {}
+    for name, member, offset in OFFSETOF_RE.findall(source.read_text()):
+        members.setdefault(name, []).append({"name": member, "offset": int(offset)})
+    return {name: {"size": size, "members": members[name]}
+            for name, size in sorted(sizes.items())}
+
+
+def build_functions():
+    structures = functions_oracle()
+    for stem, flags in FUNCTION_BUILDS:
+        binary = compile_fixture(stem, GXX, "functions.cpp", flags)
+        oracle = {
+            "binary": binary.name,
+            "dwarf_versions": dwarf_versions(binary),
+            "structures": structures,
+        }
+        oracle_path = HERE / f"{stem}.oracle.json"
+        oracle_path.write_text(json.dumps(oracle, indent=2) + "\n", encoding="utf-8")
+        print(f"{binary.name}: {len(structures)} records, "
+              f"DWARF {oracle['dwarf_versions']}")
+
+
 def dwarf_versions(binary):
     result = run(["readelf", "--debug-dump=info", str(binary)])
     versions = sorted(
@@ -150,7 +205,12 @@ def main():
     parser.add_argument("--cc", choices=sorted(COMPILERS), default="clang",
                         help="compiler family for the clang-built fixtures "
                              "(gcc needs --binaries-only)")
+    parser.add_argument("--functions-only", action="store_true",
+                        help="rebuild only the functions-* fixtures and their oracles")
     args = parser.parse_args()
+    if args.functions_only:
+        build_functions()
+        return
     if args.cc != "clang" and not args.binaries_only:
         parser.error("oracles need clang's record-layout dump; "
                      "use --binaries-only with --cc gcc")
@@ -173,6 +233,9 @@ def main():
         oracle_path.write_text(json.dumps(oracle, indent=2) + "\n", encoding="utf-8")
         print(f"{binary.name}: {len(structures)} records, "
               f"DWARF {oracle['dwarf_versions']}")
+
+    if not args.binaries_only:
+        build_functions()
 
     for stem, flags in GCC_BUILDS:
         run([GXX, "-shared", "-fPIC", "-g"] + flags + PREFIX_MAP + CXXFLAGS

@@ -313,6 +313,30 @@ def test_endless_indirect_chain_is_malformed_dwarf():
     assert exc_info.value.section == ".debug_info"
 
 
+# A structure DIE with DW_AT_type (0x49) in `form`, in a unit that follows
+# one of 11 header bytes and 5 null entries, so the unit starts at 0x10.
+@pytest.mark.parametrize("form, encoded, value", [
+    (dwarf.FORM_REF1, b"\x05", 0x15),
+    (dwarf.FORM_REF2, b"\x05\x01", 0x115),
+    (dwarf.FORM_REF4, b"\x05\x00\x01\x00", 0x10015),
+    (dwarf.FORM_REF8, b"\x05" + bytes(6) + b"\x01", 0x100000000000015),
+    (dwarf.FORM_REF_UDATA, b"\x85\x02", 0x115),
+    (dwarf.FORM_REF_ADDR, b"\x05\x01\x00\x00", 0x105),  # a section offset as written
+    (dwarf.FORM_REF_SIG8, bytes(8), None),  # a type signature, not resolved
+], ids=["ref1", "ref2", "ref4", "ref8", "ref_udata", "ref_addr", "ref_sig8"])
+@pytest.mark.parametrize("indirect", [False, True], ids=["plan", "general"])
+def test_reference_forms_decode_to_section_offsets(form, encoded, value, indirect):
+    # Through DW_FORM_indirect every form goes through the general decoder.
+    abbrev = bytes([1, 0x13, 0, 0x49, 0x16 if indirect else form, 0, 0, 0])
+    die = b"\x01" + (bytes([form]) if indirect else b"") + encoded
+    info = _indirect_unit(bytes(5)) + _indirect_unit(die)
+    *_, header = iter_unit_headers(info)
+    assert header.start == 0x10
+    walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(),
+                        {dwarf.TAG_STRUCTURE_TYPE: frozenset({0x49})})
+    assert list(walker) == [(0, 0x13, {0x49: value})]
+
+
 def _with_debug_sections(tmp_path, info: bytes, abbrev: bytes, types: bytes = b""):
     """Copy a 64-bit fixture, pointing its info/abbrev headers at new bytes.
 
@@ -438,6 +462,24 @@ HOSTILE_UNITS = {
 }
 
 
+def _sibling_die(sibling: int) -> bytes:
+    """A subprogram at 0xb whose attributes end at 0x10, then its child, a
+    parameter named "\\x7f", and the null entry ending its children at 0x13."""
+    return b"\x01" + sibling.to_bytes(4, "little") + b"\x02\x7f\x00" + b"\x00"
+
+
+# 1 subprogram (sibling ref4) with children, 2 parameter (name string).
+SIBLING_ABBREV = bytes([1, 0x2E, 1, 0x01, 0x13, 0, 0, 2, 0x05, 0, 0x03, 0x08, 0, 0, 0])
+HOSTILE_UNITS.update({
+    "sibling-backward": (SIBLING_ABBREV, _sibling_die(0x5)),
+    "sibling-at-itself": (SIBLING_ABBREV, _sibling_die(0xB)),
+    "sibling-at-first-child": (SIBLING_ABBREV, _sibling_die(0x10)),
+    "sibling-past-unit-end": (SIBLING_ABBREV, _sibling_die(0x15)),
+    # Into the parameter's name: its first byte reads as abbreviation code 0x7f.
+    "sibling-mid-die": (SIBLING_ABBREV, _sibling_die(0x11)),
+})
+
+
 # Structures named by a string form that the string sections cannot resolve:
 # (abbreviation table, StringTables arguments, DIE bytes).
 STRP_NAME_ABBREV = bytes(STRUCT_ABBREV + [0x03, 0x0E, 0, 0, 0])
@@ -470,6 +512,13 @@ HOSTILE_ERRORS = {
     "strp-unterminated": ("strp string offset 0x0 out of range", 0x10),
     "strp-without-debug-str": ("strp string reference but section is absent", 0x10),
     "strx-index-past-offsets": ("string index 1 out of range", 0xD),
+    "sibling-backward": ("DW_AT_sibling 0x5 is not past its DIE and inside its unit", 0x10),
+    "sibling-at-itself": ("DW_AT_sibling 0xb is not past its DIE and inside its unit", 0x10),
+    "sibling-at-first-child": ("DW_AT_sibling 0x10 is not past its DIE and inside its unit",
+                               0x10),
+    "sibling-past-unit-end": ("DW_AT_sibling 0x15 is not past its DIE and inside its unit",
+                              0x10),
+    "sibling-mid-die": ("reference to unknown abbreviation code 127", 0x12),
 }
 
 
@@ -482,7 +531,8 @@ def test_hostile_unit_is_malformed_dwarf(case):
     info = _indirect_unit(die)
     header = next(iter_unit_headers(info))
     walker = UnitWalker(info, header, parse_abbrev_table(abbrev, 0), StringTables(**strings),
-                        {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME, AT_BYTE_SIZE})})
+                        {dwarf.TAG_STRUCTURE_TYPE: frozenset({AT_NAME, AT_BYTE_SIZE}),
+                         dwarf.TAG_SUBPROGRAM: frozenset({dwarf.AT_SIBLING})})
     with pytest.raises(MalformedDwarfError) as exc_info:
         list(walker)
     error = exc_info.value
@@ -609,6 +659,94 @@ LAYOUT_ABBREV = bytes([1, 0x13, 1, 0x03, 0x08, 0x0B, 0x0B, 0, 0,
                        3, 0x17, 1, 0, 0,
                        4, 0x0D, 0, 0x03, 0x08, 0x38, 0x18, 0, 0,
                        5, 0x0D, 0, 0x03, 0x08, 0x6B, 0x05, 0, 0, 0])
+
+
+# Function abbreviations after the layout ones: 6 subprogram (name string,
+# sibling ref4) with children; 7 the same without a sibling; 8 parameter
+# (name string); 9 lexical block with children.
+FUNCTION_ABBREV = LAYOUT_ABBREV[:-1] + bytes([6, 0x2E, 1, 0x03, 0x08, 0x01, 0x13, 0, 0,
+                                              7, 0x2E, 1, 0x03, 0x08, 0, 0,
+                                              8, 0x05, 0, 0x03, 0x08, 0, 0,
+                                              9, 0x0B, 1, 0, 0, 0])
+FILE_ENTRY = b"\x01Entry\x00\x10" + b"\x02a\x00\x00" + b"\x02b\x00\x08" + b"\x00"
+# f's parameter x, then its own struct Entry { char c; } and, in a block,
+# struct Inner { int i; }.
+F_BODY = (b"\x08x\x00" + b"\x01Entry\x00\x01" + b"\x02c\x00\x00" + b"\x00"
+          + b"\x09" + b"\x01Inner\x00\x04" + b"\x02i\x00\x00" + b"\x00" + b"\x00" + b"\x00")
+TAIL = b"\x01Tail\x00\x04" + b"\x02t\x00\x00" + b"\x00"
+
+
+def _function_dies(sibling: Optional[int]) -> bytes:
+    """File-scope Entry, then f with its body, with or without a sibling
+    (unit-relative; None for none), then Tail."""
+    if sibling is None:
+        return FILE_ENTRY + b"\x07f\x00" + F_BODY + TAIL
+    return FILE_ENTRY + b"\x06f\x00" + sibling.to_bytes(4, "little") + F_BODY + TAIL
+
+
+# The unit-relative offset of Tail, f's sibling: the unit header is 11 bytes.
+TAIL_AT = 11 + len(_function_dies(0)) - len(TAIL)
+
+
+@pytest.mark.parametrize("sibling", [None, TAIL_AT], ids=["walked", "jumped"])
+def test_types_in_a_function_body_are_not_extracted(tmp_path, sibling):
+    # The same profile whether the walker jumps over f's body or walks it.
+    path = _with_debug_sections(tmp_path, _indirect_unit(_function_dies(sibling)),
+                                FUNCTION_ABBREV)
+    profile, meta = extract_profile_with_meta(path, "9")
+    assert layout_map(profile) == {"Entry": (16, [(0, "a"), (8, "b")]),
+                                   "Tail": (4, [(0, "t")])}
+    assert meta.merge_conflicts == [] and meta.raw_type_die_count == 2
+    assert meta.members_skipped == 0
+
+
+def test_a_sibling_in_another_form_is_not_followed(tmp_path):
+    # f's DW_AT_sibling as an inline string: the walker walks f's body.
+    abbrev = FUNCTION_ABBREV[:-1] + bytes([10, 0x2E, 1, 0x03, 0x08, 0x01, 0x08, 0, 0, 0])
+    dies = FILE_ENTRY + b"\x0af\x00x\x00" + F_BODY + TAIL
+    profile = extract_profile(_with_debug_sections(tmp_path, _indirect_unit(dies), abbrev))
+    assert layout_map(profile) == {"Entry": (16, [(0, "a"), (8, "b")]), "Tail": (4, [(0, "t")])}
+
+
+def test_the_jump_skips_the_function_body():
+    # f's 6 descendants are never yielded; a walk without the sibling yields them.
+    table = parse_abbrev_table(FUNCTION_ABBREV, 0)
+    wanted = {dwarf.TAG_SUBPROGRAM: frozenset({dwarf.AT_SIBLING})}
+    tags = []
+    for sibling in (TAIL_AT, None):
+        info = _indirect_unit(_function_dies(sibling))
+        walker = UnitWalker(info, next(iter_unit_headers(info)), table, StringTables(), wanted)
+        tags.append([tag for _, tag, _ in walker])
+    assert tags[0] == [0x13, 0x0D, 0x0D, 0x2E, 0x13, 0x0D]
+    assert len(tags[1]) == len(tags[0]) + 6
+
+
+@pytest.mark.parametrize("stem", [s for s in ORACLE_FIXTURES if s.startswith("functions")])
+def test_function_local_types_leave_the_file_scope_one_alone(stem):
+    # f(int) and Counter::get define their own Entry, of 1 and 8 bytes.
+    _, meta = extract_profile_with_meta(fixture_path(f"{stem}.so"))
+    assert meta.merge_conflicts == []
+    assert meta.raw_type_die_count == 3  # Entry, Counter and Pair
+
+
+@pytest.fixture(scope="module")
+def sibling_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sibling")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, TAIL_AT + len(TAIL) + 2), st.integers(0, (1 << 32) - 1)))
+def test_any_sibling_ends_in_a_profile_or_malformed_dwarf(sibling_dir, sibling):
+    # Every jump goes forward, so no value can make the walk loop. Half the
+    # draws land in the unit: before f, in its body or after it.
+    path = _with_debug_sections(sibling_dir, _indirect_unit(_function_dies(sibling)),
+                                FUNCTION_ABBREV)
+    try:
+        profile = extract_profile(path, "9")
+    except MalformedDwarfError as exc:
+        assert exc.section == ".debug_info"
+    else:
+        assert "Entry" in profile.structures
 
 
 def test_union_after_structure_keeps_its_members(tmp_path, capsys):
@@ -1038,8 +1176,11 @@ FUZZ_CASES = 300
     # headers (sh_type, sh_info) the RELA refusal reads.
     ("thread-rela-64.o", "header"),
     ("thread-rela-64.o", "section headers"),
+    # Function bodies: the mutations hit the sibling references jumped along.
+    ("functions-O2-dwarf5-64.so", ".debug_info"),
 ], ids=["header", ".debug_info", ".debug_abbrev", ".debug_str", "zlib-.debug_info",
-        "zlibgnu-.zdebug_info", "rela-object-header", "rela-object-section-headers"])
+        "zlibgnu-.zdebug_info", "rela-object-header", "rela-object-section-headers",
+        "functions-.debug_info"])
 def test_mutated_fixture_never_escapes(tmp_path, capsys, fixture, region):
     # Seeded, bounded byte mutation: every case must end in success or a
     # clean input error, never a traceback or exit code 1.
@@ -1107,11 +1248,14 @@ ALL_FORMS = sorted(getattr(dwarf, name) for name in dir(dwarf) if name.startswit
 _NOT_INDIRECT = {dwarf.FORM_INDIRECT, dwarf.FORM_IMPLICIT_CONST}
 _INT_FORMS = {dwarf.FORM_DATA1: 1, dwarf.FORM_DATA2: 2, dwarf.FORM_DATA4: 4,
               dwarf.FORM_DATA8: 8}
-_OPAQUE_FORMS = {dwarf.FORM_REF1: 1, dwarf.FORM_REF2: 2, dwarf.FORM_REF4: 4,
-                 dwarf.FORM_REF8: 8, dwarf.FORM_REF_SIG8: 8, dwarf.FORM_REF_SUP4: 4,
+# Unit-relative references, which decode to their .debug_info offset.
+_REF_FORMS = {dwarf.FORM_REF1: 1, dwarf.FORM_REF2: 2, dwarf.FORM_REF4: 4,
+              dwarf.FORM_REF8: 8}
+# ref_sig8 names a type unit by its signature, which is not resolved.
+_OPAQUE_FORMS = {dwarf.FORM_REF_SIG8: 8, dwarf.FORM_REF_SUP4: 4,
                  dwarf.FORM_REF_SUP8: 8, dwarf.FORM_DATA16: 16, dwarf.FORM_ADDRX1: 1,
                  dwarf.FORM_ADDRX2: 2, dwarf.FORM_ADDRX3: 3, dwarf.FORM_ADDRX4: 4}
-_OPAQUE_LEB_FORMS = {dwarf.FORM_REF_UDATA, dwarf.FORM_ADDRX, dwarf.FORM_LOCLISTX,
+_OPAQUE_LEB_FORMS = {dwarf.FORM_ADDRX, dwarf.FORM_LOCLISTX,
                      dwarf.FORM_RNGLISTX, dwarf.FORM_GNU_ADDR_INDEX}
 _OFFSET_OPAQUE_FORMS = {dwarf.FORM_STRP_SUP, dwarf.FORM_GNU_REF_ALT,
                         dwarf.FORM_GNU_STRP_ALT}
@@ -1130,6 +1274,7 @@ _FORMS = st.one_of(st.sampled_from(ALL_FORMS), st.sampled_from(_TRICKY_FORMS))
 
 @dataclasses.dataclass(frozen=True)
 class _Shape:
+    start: int  # .debug_info offset of the unit
     version: int
     dwarf64: bool
     address_size: int
@@ -1157,17 +1302,23 @@ def _encode_value(draw, form, const, shape):
         size = _INT_FORMS[form]
         value = draw(st.integers(0, (1 << 8 * size) - 1))
         return value.to_bytes(size, "little"), value
-    if form == dwarf.FORM_SEC_OFFSET:
-        value = draw(st.integers(0, (1 << 8 * osize) - 1))
-        return value.to_bytes(osize, "little"), value
-    if form in _OPAQUE_FORMS or form in _OFFSET_OPAQUE_FORMS \
-            or form in (dwarf.FORM_ADDR, dwarf.FORM_REF_ADDR):
-        if form == dwarf.FORM_ADDR:
-            size = shape.address_size
-        elif form == dwarf.FORM_REF_ADDR:
-            size = shape.address_size if shape.version == 2 else osize
-        else:
-            size = _OPAQUE_FORMS.get(form, osize)
+    if form in (dwarf.FORM_SEC_OFFSET, dwarf.FORM_REF_ADDR):
+        # ref_addr is a .debug_info offset as written, sized like an address
+        # in DWARF 2.
+        size = shape.address_size if form == dwarf.FORM_REF_ADDR \
+            and shape.version == 2 else osize
+        value = draw(st.integers(0, (1 << 8 * size) - 1))
+        return value.to_bytes(size, "little"), value
+    if form in _REF_FORMS:
+        size = _REF_FORMS[form]
+        value = draw(st.integers(0, (1 << 8 * size) - 1))
+        return value.to_bytes(size, "little"), shape.start + value
+    if form == dwarf.FORM_REF_UDATA:
+        value = draw(st.integers(0, (1 << 64) - 1))
+        return _uleb(value), shape.start + value
+    if form in _OPAQUE_FORMS or form in _OFFSET_OPAQUE_FORMS or form == dwarf.FORM_ADDR:
+        size = shape.address_size if form == dwarf.FORM_ADDR \
+            else _OPAQUE_FORMS.get(form, osize)
         return draw(st.binary(min_size=size, max_size=size)), None
     if form == dwarf.FORM_FLAG:
         byte = draw(st.integers(0, 255))
@@ -1212,7 +1363,12 @@ def _encode_value(draw, form, const, shape):
 
 @st.composite
 def _encoded_units(draw):
+    # The unit follows a DWARF 4 unit of 11 header bytes and `padding` null
+    # entries, or starts the section, so references resolve against its start.
+    padding = draw(st.one_of(st.none(), st.integers(0, 300)))
+    before = b"" if padding is None else _indirect_unit(bytes(padding))
     shape = _Shape(
+        start=len(before),
         version=draw(st.sampled_from([2, 3, 4, 5])),
         dwarf64=draw(st.booleans()),
         address_size=draw(st.sampled_from([2, 4, 8])),
@@ -1220,8 +1376,8 @@ def _encoded_units(draw):
         line_str=draw(st.lists(_TEXT, min_size=1, max_size=2)),
     )
     # Attribute numbers include two-byte ULEBs; 0x72 would set the string
-    # offsets base, which is tested on its own.
-    attr_ids = st.integers(1, 0x3FFF).filter(lambda a: a != dwarf.AT_STR_OFFSETS_BASE)
+    # offsets base and 0x01 jump over the children, which are tested on their own.
+    attr_ids = st.integers(2, 0x3FFF).filter(lambda a: a != dwarf.AT_STR_OFFSETS_BASE)
     codes = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True))
     abbrev = bytearray()
     decls = {}
@@ -1273,9 +1429,9 @@ def _encoded_units(draw):
             + bytes([shape.address_size])
     body = fields + bytes(dies)
     if shape.dwarf64:
-        info = b"\xff\xff\xff\xff" + len(body).to_bytes(8, "little") + body
+        info = before + b"\xff\xff\xff\xff" + len(body).to_bytes(8, "little") + body
     else:
-        info = len(body).to_bytes(4, "little") + body
+        info = before + len(body).to_bytes(4, "little") + body
     debug_str, str_offsets = _table(shape.debug_str)
     offsets_header = bytes(16 if shape.dwarf64 else 8)
     strings = StringTables(
@@ -1297,7 +1453,7 @@ def _typed(dies):
 @given(_encoded_units())
 def test_walker_round_trips_every_form(unit):
     info, abbrev, strings, wanted, expected = unit
-    header = next(iter_unit_headers(info))
+    *_, header = iter_unit_headers(info)
     table = parse_abbrev_table(abbrev, 0)
     by_tag = dict.fromkeys((decl.tag for decl in table.values()), wanted)
     walker = UnitWalker(info, header, table, strings, by_tag)

@@ -22,9 +22,12 @@ from structdrift.profile import dumps_profile
 
 from conftest import FIXTURES, SERIAL, assert_no_child_left, open_fds
 from test_extract import (
+    FUNCTION_ABBREV,
     FUZZ_CASES,
     HOSTILE_UNITS,
     MERGE_ABBREV,
+    TAIL_AT,
+    _function_dies,
     _merge_units,
     _type_die,
     _with_debug_sections,
@@ -106,6 +109,19 @@ def test_crafted_units_extract_identically_forked(tmp_path, monkeypatch, forks, 
     serial, forked = serial_and_forked(monkeypatch, lambda: _extract(path))
     assert forked == serial
     assert serial[1].compilation_unit_count == len(CRAFTED[case])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("sibling", [None, TAIL_AT], ids=["walked", "jumped"])
+def test_function_local_types_stay_out_forked(tmp_path, monkeypatch, forks, sibling):
+    # Two units, each with a file-scope Entry of 16 bytes and f's own Entry.
+    unit = _unit(_function_dies(sibling))
+    path = _crafted(tmp_path, [unit, unit], FUNCTION_ABBREV)
+    serial, forked = serial_and_forked(monkeypatch, lambda: _extract(path))
+    assert forked == serial
+    assert '"Entry": {\n      "size": 16,' in serial[0]
+    assert serial[1].merge_conflicts == [] and serial[1].raw_type_die_count == 4
     assert len(forks) == 1
     assert_no_child_left()
 
