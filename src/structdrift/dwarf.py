@@ -153,22 +153,21 @@ _MEANINGS = {
 _UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
 
 # Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
-# the attribute is None for a step that only skips. The kinds up to _REF
+# the attribute is None for a step that only skips. The kinds up to _STRP
 # read `size` bytes at the current position and share one bounds check;
 # the three variable-size skips fall back to UnitWalker._value(form, False).
 _SKIP = 0         # advance over `size` bytes of attributes that are not wanted
 _UNPACK = 1       # unsigned integer of `size` bytes; argument: its unpack_from
 _STRP = 2         # .debug_str offset of `size` bytes; argument: its unpack_from
-_REF = 3          # unit-relative reference of `size` bytes; argument: as _UNPACK
-_SKIP_LEB = 4     # LEB128 not wanted: in place when it is one byte
-_SKIP_BLOCK = 5   # ULEB128-length block or exprloc not wanted: in place when
+_SKIP_LEB = 3     # LEB128 not wanted: in place when it is one byte
+_SKIP_BLOCK = 4   # ULEB128-length block or exprloc not wanted: in place when
                   # its length is one byte and its data is in the section
-_SKIP_STRING = 6  # inline string not wanted: in place when it is terminated
-_CONST = 7        # value held by the abbreviation; argument: the value
-_GENERAL = 8      # any other form, through UnitWalker._value; argument: None
+_SKIP_STRING = 5  # inline string not wanted: in place when it is terminated
+_CONST = 6        # value held by the abbreviation; argument: the value
+_GENERAL = 7      # any other form, through UnitWalker._value; argument: None
 _INLINE_SKIPS = {**dict.fromkeys(_LEB_FORMS, _SKIP_LEB), FORM_BLOCK: _SKIP_BLOCK,
                  FORM_EXPRLOC: _SKIP_BLOCK, FORM_STRING: _SKIP_STRING}
-_UNPACKED = {"int": _UNPACK, "ref": _REF, "strp": _STRP}  # wanted fixed-size kinds
+_UNPACKED = {"int": _UNPACK, "strp": _STRP}  # wanted fixed-size kinds
 
 
 class Cursor:
@@ -404,7 +403,6 @@ class UnitWalker:
         limit = len(data)
         end = self.header.end
         plans = self.plans
-        unit_start = self.header.start
         debug_str = self.strings.debug_str
         names = self.strings.names
         pos = cur.pos
@@ -428,7 +426,7 @@ class UnitWalker:
             tag, has_children, steps = plan
             attrs: dict = {}
             for kind, n, attr, arg in steps:
-                if kind <= _REF:
+                if kind <= _STRP:
                     if pos + n > limit:
                         cur.pos = pos
                         cur.skip(n)  # raises
@@ -442,8 +440,6 @@ class UnitWalker:
                             name = names[offset] = _read_cstr_at(debug_str, offset, cur,
                                                                  "strp string")
                         attrs[attr] = name
-                    elif kind == _REF:
-                        attrs[attr] = arg(data, pos)[0] + unit_start
                     pos += n
                     continue
                 if kind == _SKIP_LEB:

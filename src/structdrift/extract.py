@@ -128,9 +128,7 @@ def _walk(units, abbrev, strings) -> tuple:
                 if offset >= OFFSET_SANITY_BOUND or top_size and offset >= top_size:
                     skipped_members += 1
                     continue
-                name = attrs.get(AT_NAME)  # cleaned as _clean_name does
-                top_members.append((name if name.__class__ is str and name else UNNAMED,
-                                    offset))
+                top_members.append((_clean_name(attrs.get(AT_NAME)), offset))
             elif top_members is None:  # inside a function body
                 continue
             elif tag in _TYPE_TAGS:
