@@ -26,8 +26,6 @@ SIZE_WEIGHT = 0.2
 
 
 class ImpactScore(NamedTuple):
-    structure: str
-    transition: Tuple[str, str]
     score: float
     factors: Dict[str, float]
 
@@ -102,16 +100,9 @@ def impact_factors(diff: StructureDiff) -> Dict[str, float]:
     }
 
 
-def impact_score(
-    diff: StructureDiff, transition: Tuple[str, str] = ("old", "new")
-) -> ImpactScore:
+def impact_score(diff: StructureDiff) -> ImpactScore:
     factors = impact_factors(diff)
-    return ImpactScore(
-        structure=diff.name,
-        transition=transition,
-        score=combine_impact_factors(**factors),
-        factors=factors,
-    )
+    return ImpactScore(score=combine_impact_factors(**factors), factors=factors)
 
 
 def _structure_names(
@@ -143,8 +134,7 @@ def impact_matrix(
             if old_rec is None or new_rec is None:
                 row.append(None)
                 continue
-            transition = (old.meta.platform_version, new.meta.platform_version)
-            row.append(impact_score(diff_structure(old_rec, new_rec), transition))
+            row.append(impact_score(diff_structure(old_rec, new_rec)))
         scores[name] = row
     return ImpactMatrix(names, transitions, watchlist_name, scores)
 

@@ -65,15 +65,13 @@ _WANTED = {
 
 
 class ExtractionMeta(NamedTuple):
-    binary_path: str
-    binary_size_bytes: int
-    dwarf_versions_seen: Set[int]
+    """The extraction counts no profile records: units walked, distinct class and
+    structure names, members skipped, and the names whose definitions differed
+    (in name order). The binary's size, DWARF versions and type DIEs are in profile.meta."""
     compilation_unit_count: int
-    raw_type_die_count: int
     unique_type_name_count: int
     members_skipped: int
     merge_conflicts: List[str]
-    architecture: Optional[str] = None  # from the ELF header; None if unsupported
 
 
 def _clean_name(value) -> str:
@@ -202,19 +200,8 @@ def extract_profile_with_meta(
             catalog[name] = StructureRecord.canonical(
                 name, byte_size, map(MemberRecord._make, members))
 
-    meta = ExtractionMeta(
-        binary_path=str(path),
-        binary_size_bytes=path.stat().st_size,
-        dwarf_versions_seen=set().union(*versions),
-        compilation_unit_count=sum(unit_counts),
-        raw_type_die_count=sum(type_dies),
-        unique_type_name_count=len(shapes),
-        members_skipped=sum(skipped),
-        merge_conflicts=[name for name in catalog if len(shapes[name]) > 1],
-        architecture=elf.architecture_label(),
-    )
     if architecture is None:
-        architecture = meta.architecture
+        architecture = elf.architecture_label()
         if architecture is None:
             raise StructDriftError(
                 f"cannot map ELF machine type of {binary} to a supported "
@@ -226,13 +213,15 @@ def extract_profile_with_meta(
             platform_version=platform_version,
             architecture=architecture,
             build_variant=build_variant,
-            binary_size_bytes=meta.binary_size_bytes,
-            dwarf_versions_seen=tuple(sorted(meta.dwarf_versions_seen)),
-            raw_type_die_count=meta.raw_type_die_count,
+            binary_size_bytes=path.stat().st_size,
+            dwarf_versions_seen=tuple(sorted(set().union(*versions))),
+            raw_type_die_count=sum(type_dies),
             extraction_tool_version=__version__,
         ),
         structures=catalog,
     )
+    meta = ExtractionMeta(sum(unit_counts), len(shapes), sum(skipped),
+                          [name for name in catalog if len(shapes[name]) > 1])
     return profile, meta
 
 

@@ -186,11 +186,12 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
-def _number(value, what: str) -> str:
-    """Decimal text of an exact int; anything else would not read back."""
-    if type(value) is not int:
-        raise InvariantError(f"{what} must be an integer, got {type(value).__name__}")
-    return int.__repr__(value)
+def _json_text(value, kind, what: str) -> str:
+    """JSON text of an exact int or str; anything else would not read back."""
+    if type(value) is not kind:
+        article = "an integer" if kind is int else "a string"
+        raise InvariantError(f"{what} must be {article}, got {type(value).__name__}")
+    return int.__repr__(value) if kind is int else _quote(value)
 
 
 def _block(ends: str, items: List[str], indent: str) -> str:
@@ -198,16 +199,17 @@ def _block(ends: str, items: List[str], indent: str) -> str:
     return "\n".join([ends[0], ",\n".join(items), indent + ends[1]]) if items else ends
 
 
-def _structure_text(record: StructureRecord) -> str:
+def _structure_text(name: str, record: StructureRecord) -> str:
     members = record.members
-    items = [f'        {{\n          "name": {_quote(name)},\n'
+    items = [f'        {{\n          "name": {_quote(member)},\n'
              f'          "offset": {offset}\n        }}'
-             for name, offset in members if type(offset) is int]
+             for member, offset in members if type(member) is str and type(offset) is int]
     if len(items) != len(members):
-        bad = next(m for m in members if type(m.offset) is not int)
-        _number(bad.offset, f"{record.name}.{bad.name}: offset")
-    size = _number(record.byte_size, f"{record.name}: size")
-    return (f'    {_quote(record.name)}: {{\n      "size": {size},\n'
+        bad = next(m for m in members if type(m.name) is not str or type(m.offset) is not int)
+        _json_text(bad.name, str, f"{name}: member name")
+        _json_text(bad.offset, int, f"{name}.{bad.name}: offset")
+    size = _json_text(record.byte_size, int, f"{name}: size")
+    return (f'    {_json_text(name, str, "structure name")}: {{\n      "size": {size},\n'
             f'      "members": {_block("[]", items, "      ")}\n    }}')
 
 
@@ -215,18 +217,19 @@ def dumps_profile(profile: Profile) -> str:
     """Canonical text of a profile: dumps_document of its document, byte for byte.
 
     Built from the records, without json.dumps's pure-Python indenting encoder.
-    Rejects non-canonical profiles, and a number that is not exactly an int.
+    Rejects a value not exactly of its JSON type (an int, not a bool or float),
+    then a non-canonical profile.
     """
-    validate_profile(profile)
     meta = []
     for key, kind in _META_FIELDS.items():
-        value = getattr(profile.meta, key)
+        value, what = getattr(profile.meta, key), f"meta.{key}"
         if kind is list:
-            text = _block("[]", [f"      {_number(v, f'meta.{key}')}" for v in value], "    ")
+            text = _block("[]", [f"      {_json_text(v, int, what)}" for v in value], "    ")
         else:
-            text = _quote(value) if kind is str else _number(value, f"meta.{key}")
+            text = _json_text(value, kind, what)
         meta.append(f'    "{key}": {text}')
-    structures = [_structure_text(record) for record in profile.structures.values()]
+    structures = [_structure_text(name, record) for name, record in profile.structures.items()]
+    validate_profile(profile)
     return (f'{{\n  "schema": {_quote(PROFILE_SCHEMA)},\n'
             f'  "meta": {_block("{}", meta, "  ")},\n'
             f'  "structures": {_block("{}", structures, "  ")}\n}}\n')
@@ -279,8 +282,23 @@ def _reject_duplicate_keys(pairs):
     return result
 
 
+def _refuse_surrogates(text: str, doc) -> None:
+    """SchemaError if a key or string parsed from `text` holds a surrogate: json reads an
+    escaped pair as one character, so one left is unpaired and no UTF-8 output holds it."""
+    # Only an escape or the text itself brings one in.
+    stack = [doc] if "\\" in text or not text.isascii() else []
+    while stack:
+        value = stack.pop()
+        if type(value) is dict:
+            stack += (*value, *value.values())
+        elif type(value) is list:
+            stack += value
+        elif type(value) is str and not value.isascii() and re.search("[\ud800-\udfff]", value):
+            raise SchemaError(f"string {value!r} holds an unpaired surrogate")
+
+
 def parse_json_document(text: str, expected_schema: str) -> dict:
-    """Parse JSON and check the schema marker; duplicate keys are rejected."""
+    """Parse JSON and check the schema marker; refuses duplicate keys and lone surrogates."""
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
@@ -292,6 +310,7 @@ def parse_json_document(text: str, expected_schema: str) -> dict:
     schema = doc.get("schema")
     if schema != expected_schema:
         raise SchemaError(f"expected schema {expected_schema!r}, found {schema!r}")
+    _refuse_surrogates(text, doc)
     return doc
 
 
@@ -355,10 +374,10 @@ def loads_profile(text: str) -> Profile:
 
     The text is parsed by a plain json.loads, without the per-object
     duplicate-key hook, and its document read by doc_to_profile. That
-    profile is returned only when the text provably has no duplicate key;
-    anything else is read by parse_json_document and doc_to_profile, the
-    reference whose errors every rejected document gets (a duplicate key
-    before any other).
+    profile is returned only when the text provably has no duplicate key
+    and no unpaired surrogate; anything else is read by parse_json_document
+    and doc_to_profile, the reference whose errors every rejected document
+    gets (a duplicate key before any other).
 
     The proof: the schema, meta and structures keys, the seven meta keys,
     and size and members in each structure and name and offset in each
@@ -374,6 +393,7 @@ def loads_profile(text: str) -> Profile:
     try:
         doc = json.loads(text)
         if type(doc) is dict and doc.get("schema") == PROFILE_SCHEMA:
+            _refuse_surrogates(text, doc)
             profile = doc_to_profile(doc)
             records = profile.structures.values()
             expected = 3 + len(_META_FIELDS) + sum(3 + 2 * len(r.members) for r in records)

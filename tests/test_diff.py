@@ -300,12 +300,15 @@ def test_diff_reader_rejects_malformed_fields(mutate):
      "modified[0].member_removals[0].name has wrong type int"),
     (lambda d: d["added_structures"].append(3), "added_structures[1] has wrong type int"),
     (lambda d: d.update(to=None), "to has wrong type NoneType"),
+    (lambda d: _entry(d).update(name="A\udbff"), "string 'A\\udbff' holds an unpaired surrogate"),
 ])
-def test_diff_reader_names_the_field_path(mutate, message):
+def test_diff_reader_names_the_field_path(tmp_path, mutate, message):
     doc = _diff_doc()
     mutate(doc)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
     with pytest.raises(SchemaError) as exc_info:
-        doc_to_diff(doc)
+        read_diff(path)
     assert str(exc_info.value) == message
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structdrift import (
-    ExtractionMeta,
     MalformedDwarfError,
     NoDwarfError,
     NotElfError,
@@ -55,8 +54,8 @@ def test_layouts_match_compiler_dump(stem):
 @pytest.mark.parametrize("stem", ORACLE_FIXTURES)
 def test_detected_versions_match_header_dump(stem):
     oracle = load_oracle(stem)
-    _, meta = extract_profile_with_meta(fixture_path(oracle["binary"]))
-    assert sorted(meta.dwarf_versions_seen) == oracle["dwarf_versions"]
+    profile = extract_profile(fixture_path(oracle["binary"]))
+    assert list(profile.meta.dwarf_versions_seen) == oracle["dwarf_versions"]
 
 
 def test_extraction_is_deterministic():
@@ -696,7 +695,7 @@ def test_types_in_a_function_body_are_not_extracted(tmp_path, sibling):
     profile, meta = extract_profile_with_meta(path, "9")
     assert layout_map(profile) == {"Entry": (16, [(0, "a"), (8, "b")]),
                                    "Tail": (4, [(0, "t")])}
-    assert meta.merge_conflicts == [] and meta.raw_type_die_count == 2
+    assert meta.merge_conflicts == [] and profile.meta.raw_type_die_count == 2
     assert meta.members_skipped == 0
 
 
@@ -724,9 +723,9 @@ def test_the_jump_skips_the_function_body():
 @pytest.mark.parametrize("stem", [s for s in ORACLE_FIXTURES if s.startswith("functions")])
 def test_function_local_types_leave_the_file_scope_one_alone(stem):
     # f(int) and Counter::get define their own Entry, of 1 and 8 bytes.
-    _, meta = extract_profile_with_meta(fixture_path(f"{stem}.so"))
+    profile, meta = extract_profile_with_meta(fixture_path(f"{stem}.so"))
     assert meta.merge_conflicts == []
-    assert meta.raw_type_die_count == 3  # Entry, Counter and Pair
+    assert profile.meta.raw_type_die_count == 3  # Entry, Counter and Pair
 
 
 @pytest.fixture(scope="module")
@@ -845,15 +844,6 @@ def test_extraction_loads_the_elf_once(monkeypatch):
     assert profile.meta.architecture == "x86_32"
 
 
-def test_extraction_meta_keeps_its_positional_fields():
-    # `architecture` was added last, with a default, so callers that build
-    # ExtractionMeta positionally keep every earlier field where it was.
-    meta = ExtractionMeta("a.so", 10, {4}, 1, 2, 2, 0, [])
-    assert meta.dwarf_versions_seen == {4}
-    assert meta.merge_conflicts == []
-    assert meta.architecture is None
-
-
 def test_malformed_abbrev_reference(tmp_path):
     def zero_abbrev(data, offset, size):
         data[offset : offset + size] = b"\x00" * size
@@ -914,9 +904,8 @@ def test_counts_are_consistent():
     profile, meta = extract_profile_with_meta(
         fixture_path("layouts-dwarf4-64.so"), platform_version="9"
     )
-    assert meta.raw_type_die_count >= len(profile.structures)
+    assert profile.meta.raw_type_die_count >= len(profile.structures)
     assert meta.unique_type_name_count >= len(profile.structures)
-    assert profile.meta.raw_type_die_count == meta.raw_type_die_count
 
 
 def test_parallel_extractions_match_serial():
@@ -976,12 +965,16 @@ def _type_die(name, size, members, decl=False):
     return die + b"\x00"
 
 
-def _extract_units(directory, units):
-    """(structures, meta) of a binary whose units hold the given _type_die args."""
+def _extract_binary(directory, units):
+    """(profile, meta) of a binary whose units hold the given _type_die args."""
     info = b"".join(_indirect_unit(b"".join(_type_die(*t) for t in unit))
                     for unit in units)
-    profile, meta = extract_profile_with_meta(
-        _with_debug_sections(directory, info, MERGE_ABBREV))
+    return extract_profile_with_meta(_with_debug_sections(directory, info, MERGE_ABBREV))
+
+
+def _extract_units(directory, units):
+    """(structures, meta) of _extract_binary."""
+    profile, meta = _extract_binary(directory, units)
     return profile.structures, meta
 
 
@@ -1012,10 +1005,10 @@ def test_merge_declaration_never_wins(tmp_path):
 
 
 def test_merge_declaration_only_names_dropped(tmp_path):
-    catalog, meta = _extract_units(tmp_path, [[("Ghost", None, [], True)]])
-    assert catalog == {}
+    profile, meta = _extract_binary(tmp_path, [[("Ghost", None, [], True)]])
+    assert profile.structures == {}
     assert meta.merge_conflicts == []
-    assert (meta.raw_type_die_count, meta.unique_type_name_count) == (1, 1)
+    assert (profile.meta.raw_type_die_count, meta.unique_type_name_count) == (1, 1)
 
 
 def test_merge_tie_breaks_by_size_then_unit(tmp_path):
@@ -1125,10 +1118,10 @@ def check_merge_against_oracle(directory, units):
             skipped += len(members) - len(kept)
             entries.append(_RawType(name, size, kept, unit_index, size is None or decl))
     catalog, conflicts = _merge_oracle(entries)
-    structures, meta = _extract_units(directory, units)
-    assert structures == catalog
+    profile, meta = _extract_binary(directory, units)
+    assert profile.structures == catalog
     assert meta.merge_conflicts == conflicts
-    assert meta.raw_type_die_count == len(entries)
+    assert profile.meta.raw_type_die_count == len(entries)
     assert meta.unique_type_name_count == len({e.name for e in entries})
     assert meta.members_skipped == skipped
     assert meta.compilation_unit_count == len(units)

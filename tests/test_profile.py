@@ -335,6 +335,9 @@ _BASE_TEXT = dumps_profile(_BASE)
 # text that is no key, so these names send the text to the reference path.
 _QUOTED = make_profile("9", {"T": (8, [('q":r', 0), (":lead", 4)])})
 _QUOTED_TEXT = dumps_profile(_QUOTED)
+# json reads an escaped UTF-16 pair as one character; the writer writes it as itself.
+_ASTRAL = make_profile("9", {"ns::S": (16, [("a\U0001f600", 0), ("b", 8)]),
+                             "T": (8, [("x::y", 0)])})
 
 
 def _rewritten(edit):
@@ -416,6 +419,12 @@ READER_CASES = {
     "duplicate-then-syntax-error": _replace(_BASE_TEXT, _DUP_MEMBER)[:-3],
     "array": "[]",
     "string": '"structdrift-profile/1"',
+    "escaped-surrogate-pair": _replace(_BASE_TEXT, ('"name": "a"', '"name": "a\\ud83d\\ude00"')),
+    "lone-surrogate-structure": _replace(_BASE_TEXT, ('"T": {', '"\\ud800T": {')),
+    "lone-surrogate-member": _replace(_BASE_TEXT, ('"name": "a"', '"name": "a\\udc00"')),
+    "lone-surrogate-meta": _replace(
+        _BASE_TEXT, ('"build_variant": "eng"', '"build_variant": "\\ud83d"')),
+    "raw-lone-surrogate": _replace(_BASE_TEXT, ('"T": {', '"\ud800T": {')),
 }
 
 
@@ -474,6 +483,11 @@ READER_OUTCOMES = {
     "duplicate-then-syntax-error": (SchemaError, "duplicate key 'name'"),
     "array": (SchemaError, "document is not a JSON object"),
     "string": (SchemaError, "document is not a JSON object"),
+    "escaped-surrogate-pair": _ASTRAL,
+    "lone-surrogate-structure": (SchemaError, "string '\\ud800T' holds an unpaired surrogate"),
+    "lone-surrogate-member": (SchemaError, "string 'a\\udc00' holds an unpaired surrogate"),
+    "lone-surrogate-meta": (SchemaError, "string '\\ud83d' holds an unpaired surrogate"),
+    "raw-lone-surrogate": (SchemaError, "string '\\ud800T' holds an unpaired surrogate"),
 }
 
 
@@ -644,6 +658,13 @@ def test_canonical_text_fixed_point(profile):
     assert dumps_profile(loads_profile(text)) == text
 
 
+def test_surrogate_pair_round_trips():
+    # The character and its escaped UTF-16 pair read as one name, written as the character.
+    text = dumps_profile(_ASTRAL)
+    assert "\U0001f600" in text and loads_profile(text) == _ASTRAL
+    assert dumps_profile(loads_profile(READER_CASES["escaped-surrogate-pair"])) == text
+
+
 # ------------------------------------------------------------------- writer
 
 def reference_doc(profile):
@@ -697,13 +718,16 @@ def test_writer_matches_json_dumps_of_the_document(profile):
     assert dumps_profile(profile) == expected
 
 
-@pytest.mark.parametrize("size, offset, message", [
-    (16, 8.0, "S.a: offset must be an integer, got float"),
-    (16, True, "S.a: offset must be an integer, got bool"),
-    (16.0, 8, "S: size must be an integer, got float"),
-], ids=["offset-float", "offset-bool", "size-float"])
-def test_writer_refuses_numbers_the_reader_refuses(tmp_path, size, offset, message):
-    profile = Profile(make_meta(), {"S": StructureRecord("S", size, [MemberRecord("a", offset)])})
+@pytest.mark.parametrize("size, name, offset, message", [
+    (16, "a", 8.0, "S.a: offset must be an integer, got float"),
+    (16, "a", True, "S.a: offset must be an integer, got bool"),
+    (16.0, "a", 8, "S: size must be an integer, got float"),
+    (16, "a", "8", "S.a: offset must be an integer, got str"),
+    ("16", "a", 8, "S: size must be an integer, got str"),
+    (16, 5, 8, "S: member name must be a string, got int"),
+], ids=["offset-float", "offset-bool", "size-float", "offset-str", "size-str", "name-int"])
+def test_writer_refuses_numbers_the_reader_refuses(tmp_path, size, name, offset, message):
+    profile = Profile(make_meta(), {"S": StructureRecord("S", size, [MemberRecord(name, offset)])})
     with pytest.raises(SchemaError):  # json.dumps would write a file the reader refuses
         loads_profile(json.dumps(reference_doc(profile), indent=2))
     path = tmp_path / "s.profile.json"
@@ -716,7 +740,10 @@ def test_writer_refuses_numbers_the_reader_refuses(tmp_path, size, offset, messa
 @pytest.mark.parametrize("meta", [
     make_meta(binary_size_bytes=1000.0),
     make_meta(dwarf_versions_seen=(True,)),
-], ids=["meta-float", "version-bool"])
+    make_meta(raw_type_die_count="50"),
+    make_meta(dwarf_versions_seen=(4, "5")),
+    make_meta(build_variant=5),
+], ids=["meta-float", "version-bool", "meta-str", "version-str", "meta-string-int"])
 def test_writer_refuses_meta_values_the_reader_refuses(meta):
     with pytest.raises(InvariantError):
         dumps_profile(Profile(meta, {}))

@@ -230,6 +230,7 @@ def test_watchlist_file_validation():
     ({"name": 1, "structures": ["A"]}, "name has wrong type int"),
     ({"name": "x", "structures": "A"}, "structures has wrong type str"),
     ({"name": "x", "structures": ["A", None]}, "structures[1] has wrong type NoneType"),
+    ({"name": "w\ud800", "structures": ["A"]}, "string 'w\\ud800' holds an unpaired surrogate"),
 ])
 def test_watchlist_reader_names_the_field_path(body, message):
     with pytest.raises(SchemaError) as exc_info:
@@ -244,6 +245,8 @@ def test_watchlist_reader_names_the_field_path(body, message):
      "chains[0].steps[1].member has wrong type bool"),
     ([{"id": ""}], "chain id missing"),
     ([{"id": "x"}, {"id": "x"}], "duplicate chain id 'x'"),
+    ([{"steps": [{"structure": "S", "member": "m\udfff"}]}],
+     "string 'm\\udfff' holds an unpaired surrogate"),
 ])
 def test_chains_reader_names_the_field_path(chain, message):
     with pytest.raises(SchemaError) as exc_info:
