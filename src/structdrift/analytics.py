@@ -31,11 +31,10 @@ class ImpactScore(NamedTuple):
 
 
 class ImpactMatrix(NamedTuple):
-    structures: List[str]
     transitions: List[Tuple[str, str]]
     watchlist_name: Optional[str]
     # scores[structure][transition index] is None when the structure is
-    # absent on either side of that transition.
+    # absent on either side of that transition; rows in report order.
     scores: Dict[str, List[Optional[ImpactScore]]]
 
 
@@ -136,7 +135,7 @@ def impact_matrix(
                 continue
             row.append(impact_score(diff_structure(old_rec, new_rec)))
         scores[name] = row
-    return ImpactMatrix(names, transitions, watchlist_name, scores)
+    return ImpactMatrix(transitions, watchlist_name, scores)
 
 
 def _timeline(

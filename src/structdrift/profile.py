@@ -191,6 +191,8 @@ def _json_text(value, kind, what: str) -> str:
     if type(value) is not kind:
         article = "an integer" if kind is int else "a string"
         raise InvariantError(f"{what} must be {article}, got {type(value).__name__}")
+    if kind is str and _unpaired_surrogate(value):  # no UTF-8 text holds one
+        raise InvariantError(f"{what} {value!r} holds an unpaired surrogate")
     return int.__repr__(value) if kind is int else _quote(value)
 
 
@@ -203,11 +205,12 @@ def _structure_text(name: str, record: StructureRecord) -> str:
     members = record.members
     items = [f'        {{\n          "name": {_quote(member)},\n'
              f'          "offset": {offset}\n        }}'
-             for member, offset in members if type(member) is str and type(offset) is int]
-    if len(items) != len(members):
-        bad = next(m for m in members if type(m.name) is not str or type(m.offset) is not int)
-        _json_text(bad.name, str, f"{name}: member name")
-        _json_text(bad.offset, int, f"{name}.{bad.name}: offset")
+             for member, offset in members if type(member) is str and type(offset) is int
+             and (member.isascii() or not _unpaired_surrogate(member))]
+    if len(items) != len(members):  # the first member that cannot be written raises
+        for member, offset in members:
+            _json_text(member, str, f"{name}: member name")
+            _json_text(offset, int, f"{name}.{member}: offset")
     size = _json_text(record.byte_size, int, f"{name}: size")
     return (f'    {_json_text(name, str, "structure name")}: {{\n      "size": {size},\n'
             f'      "members": {_block("[]", items, "      ")}\n    }}')
@@ -282,9 +285,14 @@ def _reject_duplicate_keys(pairs):
     return result
 
 
+def _unpaired_surrogate(value: str) -> bool:
+    """Whether the string holds a surrogate: json reads an escaped pair as one character,
+    so one left is unpaired, and no UTF-8 text holds it."""
+    return not value.isascii() and re.search("[\ud800-\udfff]", value) is not None
+
+
 def _refuse_surrogates(text: str, doc) -> None:
-    """SchemaError if a key or string parsed from `text` holds a surrogate: json reads an
-    escaped pair as one character, so one left is unpaired and no UTF-8 output holds it."""
+    """SchemaError if a key or string parsed from `text` holds an unpaired surrogate."""
     # Only an escape or the text itself brings one in.
     stack = [doc] if "\\" in text or not text.isascii() else []
     while stack:
@@ -293,7 +301,7 @@ def _refuse_surrogates(text: str, doc) -> None:
             stack += (*value, *value.values())
         elif type(value) is list:
             stack += value
-        elif type(value) is str and not value.isascii() and re.search("[\ud800-\udfff]", value):
+        elif type(value) is str and _unpaired_surrogate(value):
             raise SchemaError(f"string {value!r} holds an unpaired surrogate")
 
 
@@ -331,8 +339,7 @@ def _member_record(doc, where: str) -> MemberRecord:
 
 
 def doc_to_profile(doc: dict) -> Profile:
-    """Profile of a parsed document, validated. Fields are tested by exact JSON
-    type; one that fails is checked again by the helper whose error names it."""
+    """Profile of a parsed document, validated; a wrong field is named by its path."""
     meta_doc = _check_type(doc.get("meta"), dict, "meta")
     structures_doc = _check_type(doc.get("structures"), dict, "structures")
     missing = set(_META_FIELDS) - set(meta_doc)
@@ -342,80 +349,94 @@ def doc_to_profile(doc: dict) -> Profile:
     meta = meta._replace(dwarf_versions_seen=tuple(
         _check_type(v, int, "meta.dwarf_versions_seen entry")
         for v in meta.dwarf_versions_seen))
-    new_member = tuple.__new__  # skips MemberRecord's Python-level __new__
     structures: Dict[str, StructureRecord] = {}
     for name, body in structures_doc.items():
-        if type(body) is not dict:
-            _check_type(body, dict, f"structures.{name}")
-        size, members_doc = body.get("size"), body.get("members")
-        if type(size) is not int:
-            size = _check_type(size, int, f"{name}.size")
-        if type(members_doc) is not list:
-            members_doc = _check_type(members_doc, list, f"{name}.members")
-        members = []
-        for m in members_doc:
-            if type(m) is dict:
-                member_name, offset = m.get("name"), m.get("offset")
-                if type(member_name) is str and type(offset) is int:
-                    members.append(new_member(MemberRecord, (member_name, offset)))
-                    continue
-            members.append(_member_record(m, f"{name}.members[{len(members)}]"))
+        _check_type(body, dict, f"structures.{name}")
+        size = _check_type(body.get("size"), int, f"{name}.size")
+        members = _check_list(body.get("members"), f"{name}.members", _member_record)
         structures[name] = StructureRecord(name, size, members)
     profile = Profile(meta, structures)
     validate_profile(profile)
     return profile
 
 
-_SPACE_BEFORE_COLON = re.compile(r'"[ \t\n\r]+:')
-
-
-def loads_profile(text: str) -> Profile:
-    """Profile from canonical JSON text, validated.
-
-    The text is parsed by a plain json.loads, without the per-object
-    duplicate-key hook, and its document read by doc_to_profile. That
-    profile is returned only when the text provably has no duplicate key
-    and no unpaired surrogate; anything else is read by parse_json_document
-    and doc_to_profile, the reference whose errors every rejected document
-    gets (a duplicate key before any other).
-
-    The proof: the schema, meta and structures keys, the seven meta keys,
-    and size and members in each structure and name and offset in each
-    member total `expected`, and doc_to_profile accepts a document only if
-    every parsed object holds at least its expected keys. A key in the
-    text is a string, optional whitespace and ':', so when no '"' is
-    followed by whitespace and ':', each key in the text adds one '":';
-    one inside a string (an escaped quote, a leading colon) only adds
-    more. Hence '":' count >= keys in the text >= parsed keys >= expected,
-    and a count equal to `expected` proves the text has no extra key and
-    no duplicate key.
-    """
-    try:
-        doc = json.loads(text)
-        if type(doc) is dict and doc.get("schema") == PROFILE_SCHEMA:
-            _refuse_surrogates(text, doc)
-            profile = doc_to_profile(doc)
-            records = profile.structures.values()
-            expected = 3 + len(_META_FIELDS) + sum(3 + 2 * len(r.members) for r in records)
-            if text.count('":') == expected and not _SPACE_BEFORE_COLON.search(text):
-                return profile
-    except (ValueError, RecursionError, SchemaError, InvariantError):
-        pass
-    return doc_to_profile(parse_json_document(text, PROFILE_SCHEMA))
-
-
-def read_profile(source) -> Profile:
-    return loads_profile(read_text(source))
-
-
-# Measured on two CPUs: a fresh command breaks even at 1-1.5 MB and gains 5% at 2.7 MB.
-PARALLEL_READ_BYTES = 2_000_000
+def _pairs_profile(doc, names) -> Optional[Profile]:
+    """The profile of a document parsed with object_pairs_hook=tuple, with the structures
+    in `names` (all with None); None unless every object (a tuple of its key/value pairs)
+    has exactly its canonical keys in order, every value its exact JSON type, structure
+    names strictly increase and every validate_profile rule holds."""
+    if type(doc) is not tuple or tuple(key for key, _ in doc) != ("schema", "meta", "structures"):
+        return None
+    (_, schema), (_, meta_doc), (_, structures_doc) = doc
+    if (schema != PROFILE_SCHEMA or type(meta_doc) is not tuple
+            or type(structures_doc) is not tuple
+            or tuple(key for key, _ in meta_doc) != tuple(_META_FIELDS)):
+        return None
+    meta = ProfileMeta._make(value for _, value in meta_doc)
+    if (list(map(type, meta)) != list(_META_FIELDS.values())
+            or any(type(v) is not int for v in meta.dwarf_versions_seen)):
+        return None
+    meta = meta._replace(dwarf_versions_seen=tuple(meta.dwarf_versions_seen))
+    validate_profile(Profile(meta, {}))  # the meta rules
+    wanted, structures, previous = None if names is None else set(names), {}, ""
+    new = tuple.__new__  # skips MemberRecord's Python-level __new__
+    for name, body in structures_doc:
+        if name <= previous or type(body) is not tuple:
+            return None
+        (size_key, size), (members_key, members) = body
+        if (size_key != "size" or members_key != "members" or type(size) is not int
+                or size < 0 or type(members) is not list):
+            return None
+        bound, prev_offset, prev_name = size or float("inf"), -1, ""
+        keep, records = wanted is None or name in wanted, []
+        for member in members:
+            if type(member) is not tuple:
+                return None
+            (name_key, member_name), (offset_key, offset) = member
+            if (name_key != "name" or offset_key != "offset" or type(member_name) is not str
+                    or type(offset) is not int or not member_name or not 0 <= offset < bound
+                    or offset <= prev_offset
+                    and (offset < prev_offset or member_name < prev_name)):
+                return None
+            prev_offset, prev_name = offset, member_name
+            if keep:
+                records.append(new(MemberRecord, (member_name, offset)))
+        if keep:
+            structures[name] = StructureRecord(name, size, records)
+        previous = name
+    return Profile(meta, structures)
 
 
 def _kept(profile: Profile, names) -> Profile:
     """`profile` with only the structures in `names`, in canonical order; None keeps all."""
     return profile if names is None else profile._replace(structures={
         name: profile.structures[name] for name in sorted(profile.structures.keys() & names)})
+
+
+def loads_profile(text: str, names=None) -> Profile:
+    """Profile from JSON text, validated, with the structures in `names` (all with None).
+
+    ASCII text with no backslash is parsed once into key/value pairs and read by
+    _pairs_profile. Any text it refuses, and any other text, is read in full by
+    parse_json_document and doc_to_profile, the reference whose errors every rejected
+    document gets (a duplicate key before any other), in a structure kept or not.
+    """
+    if text.isascii() and "\\" not in text:
+        try:
+            profile = _pairs_profile(json.loads(text, object_pairs_hook=tuple), names)
+            if profile is not None:
+                return profile
+        except (ValueError, RecursionError, InvariantError):
+            pass
+    return _kept(doc_to_profile(parse_json_document(text, PROFILE_SCHEMA)), names)
+
+
+def read_profile(source, names=None) -> Profile:
+    return loads_profile(read_text(source), names)
+
+
+# Measured on two CPUs: a fresh command breaks even at 1-1.5 MB and gains 5% at 2.7 MB.
+PARALLEL_READ_BYTES = 2_000_000
 
 
 def _cpu_quota() -> float:
@@ -472,7 +493,7 @@ def _fork_and_collect(items: list, work: Callable[[list], list], send: Callable 
 def _read_one(path, names):
     """The profile at `path`, keeping the structures in `names`, or the error reading it raised."""
     try:
-        return _kept(read_profile(path), names)
+        return read_profile(path, names)
     except (SchemaError, InvariantError) as exc:
         return exc
 
@@ -506,8 +527,8 @@ def _read_all(paths: list, names) -> Iterable:
 def read_profiles(sources, names=None) -> List[Profile]:
     """read_profile of each source, in order: the same profiles and the same first error.
 
-    Each file is validated whole; then only the structures in the collection `names`
-    are kept (all of them with None), so a worker sends back only those. Each file is
+    Each file is validated whole, but records are built only for the structures in the
+    collection `names` (all of them with None), so a worker sends back only those. Each file is
     read once: from PARALLEL_READ_BYTES on, a forked worker reads the second half, and
     that half is read again here only if the worker fails."""
     profiles = []

@@ -79,9 +79,7 @@ def diff_to_doc(report: DiffReport) -> dict:
 # ---------------------------------------------------------------- impact
 
 def _score_to_doc(score: Optional[ImpactScore]):
-    if score is None:
-        return None
-    return {"score": score.score, "factors": dict(score.factors)}
+    return None if score is None else {"score": score.score, "factors": dict(score.factors)}
 
 
 def matrix_to_doc(matrix: ImpactMatrix) -> dict:
@@ -89,7 +87,7 @@ def matrix_to_doc(matrix: ImpactMatrix) -> dict:
         "schema": IMPACT_SCHEMA,
         "watchlist": matrix.watchlist_name,
         "transitions": [{"from": a, "to": b} for a, b in matrix.transitions],
-        "structures": list(matrix.structures),
+        "structures": list(matrix.scores),
         "scores": {
             name: [_score_to_doc(s) for s in row]
             for name, row in matrix.scores.items()
@@ -100,8 +98,8 @@ def matrix_to_doc(matrix: ImpactMatrix) -> dict:
 def _matrix_rows(matrix: ImpactMatrix, absent: str):
     headers = ["structure"] + [transition_label(a, b) for a, b in matrix.transitions]
     rows = [
-        [name] + [absent if s is None else f"{s.score:.3f}" for s in matrix.scores[name]]
-        for name in matrix.structures
+        [name] + [absent if s is None else f"{s.score:.3f}" for s in row]
+        for name, row in matrix.scores.items()
     ]
     return headers, rows
 
@@ -113,17 +111,12 @@ def timeline_to_doc(report: TimelineReport) -> dict:
         "schema": TIMELINE_SCHEMA,
         "structure": report.structure,
         "member": report.member,
-        "points": [
-            {"version": version, "value": value} for version, value in report.points
-        ],
+        "points": [{"version": version, "value": value} for version, value in report.points],
     }
 
 
 def _timeline_rows(report: TimelineReport, absent: str):
-    rows = [
-        [version, absent if value is None else str(value)]
-        for version, value in report.points
-    ]
+    rows = [[version, absent if value is None else str(value)] for version, value in report.points]
     return ["version", "value"], rows
 
 
@@ -197,9 +190,7 @@ def capabilities_to_doc(assessment: CapabilityAssessment) -> dict:
     return {
         "schema": CAPABILITIES_SCHEMA,
         "versions": list(assessment.versions),
-        "capabilities": {
-            cap: list(statuses) for cap, statuses in assessment.statuses.items()
-        },
+        "capabilities": {cap: list(statuses) for cap, statuses in assessment.statuses.items()},
         "annotations": [
             {
                 "from": n.from_version,
@@ -222,9 +213,7 @@ def index_to_doc(index: RepositoryIndex) -> dict:
             {"platform_version": v, "architecture": a, "path": str(p)}
             for (v, a, _), p in sorted(index.entries.items())
         ],
-        "skipped": [
-            {"path": str(p), "reason": reason} for p, reason in index.skipped
-        ],
+        "skipped": [{"path": str(p), "reason": reason} for p, reason in index.skipped],
     }
 
 
@@ -245,10 +234,7 @@ def _csv(headers: List[str], rows: List[List[str]]) -> str:
 
 
 def _fixed_table(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
     out.append("  ".join("-" * w for w in widths))
     for row in rows:
@@ -277,18 +263,11 @@ def _diff_table(report: DiffReport) -> str:
         f"removed:   {', '.join(report.removed_structures) or '(none)'}",
         f"modified:  {len(report.modified)}    unchanged: {report.unchanged_count}",
     ]
-    rows = []
-    for d in report.modified:
-        rows.append(
-            [d.name, str(d.old_size), str(d.new_size), str(len(d.offset_changes)),
-             str(len(d.member_additions)), str(len(d.member_removals))]
-        )
+    rows = [[d.name, str(d.old_size), str(d.new_size), str(len(d.offset_changes)),
+             str(len(d.member_additions)), str(len(d.member_removals))] for d in report.modified]
     if rows:
-        lines.append(
-            _fixed_table(
-                ["structure", "old_size", "new_size", "moves", "adds", "removes"], rows
-            ).rstrip("\n")
-        )
+        headers = ["structure", "old_size", "new_size", "moves", "adds", "removes"]
+        lines.append(_fixed_table(headers, rows).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -335,9 +314,7 @@ def _chain_reports_table(chains: ChainReports) -> str:
 
 def _capabilities_table(assessment: CapabilityAssessment) -> str:
     headers = ["capability"] + list(assessment.versions)
-    rows = [
-        [cap] + list(statuses) for cap, statuses in assessment.statuses.items()
-    ]
+    rows = [[cap] + list(statuses) for cap, statuses in assessment.statuses.items()]
     body = _fixed_table(headers, rows)
     if assessment.annotations:
         notes = "\n".join(
@@ -350,9 +327,7 @@ def _capabilities_table(assessment: CapabilityAssessment) -> str:
 
 
 def _index_table(index: RepositoryIndex) -> str:
-    rows = [
-        [v, a, str(p)] for (v, a, _), p in sorted(index.entries.items())
-    ]
+    rows = [[v, a, str(p)] for (v, a, _), p in sorted(index.entries.items())]
     body = _fixed_table(["version", "architecture", "path"], rows)
     if index.skipped:
         body += "skipped:\n" + "\n".join(

@@ -183,10 +183,10 @@ def _in_worker(parent: int, action):
     """Wrap read_profile so that `action` runs in place of it in a forked worker."""
     read = profile_module.read_profile
 
-    def wrapped(source):
+    def wrapped(source, names=None):
         if os.getpid() != parent:
             action()
-        return read(source)
+        return read(source, names)
 
     return wrapped
 
@@ -268,10 +268,10 @@ def test_interrupted_caller_still_waits_for_the_worker(tmp_path, monkeypatch, fo
     paths = _profile_files(tmp_path)
     parent, read, fds = os.getpid(), profile_module.read_profile, open_fds()
 
-    def interrupted_read(source):
+    def interrupted_read(source, names=None):
         if os.getpid() == parent:
             _interrupt()
-        return read(source)
+        return read(source, names)
 
     monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", 0)
     if step == "own reads":

@@ -321,18 +321,20 @@ def _reference(text):
     return doc_to_profile(parse_json_document(text, PROFILE_SCHEMA))
 
 
-def assert_reads_like_reference(text):
-    assert _outcome(loads_profile, text) == _outcome(_reference, text)
+def assert_reads_like_reference(text, names=None):
+    """loads_profile(text, names) gives the reference's profile, kept to `names`, or its error."""
+    assert (_outcome(lambda t: loads_profile(t, names), text)
+            == _outcome(lambda t: profile_module._kept(_reference(t), names), text))
 
 
-# C++ scopes put bare colons into names; the plain json.loads path takes them.
+# C++ scopes put bare colons into names; the one-pass reader takes them.
 _BASE = make_profile("9", {
     "ns::S": (16, [("a", 0), ("b", 8)]),
     "T": (8, [("x::y", 0)]),
 })
 _BASE_TEXT = dumps_profile(_BASE)
-# An escaped quote before a colon, or a leading colon, adds a '":' to the
-# text that is no key, so these names send the text to the reference path.
+# An escaped quote puts a backslash into the text, which sends it to the
+# reference path; a leading colon looks like the end of a key.
 _QUOTED = make_profile("9", {"T": (8, [('q":r', 0), (":lead", 4)])})
 _QUOTED_TEXT = dumps_profile(_QUOTED)
 # json reads an escaped UTF-16 pair as one character; the writer writes it as itself.
@@ -362,6 +364,16 @@ def _set_member(key, value):
     return lambda doc: doc["structures"]["ns::S"]["members"][1].__setitem__(key, value)
 
 
+def _as_pairs(obj):
+    """A JSON object written as an array of [key, value] pairs."""
+    return [[key, value] for key, value in obj.items()]
+
+
+def _pairs_member(doc):
+    members = doc["structures"]["T"]["members"]
+    members[0] = _as_pairs(members[0])
+
+
 def _replace(text, *pairs):
     for old, new in pairs:
         assert old in text
@@ -387,11 +399,9 @@ READER_CASES = {
     "tab-before-colon": _replace(_BASE_TEXT, ('"members": [', '"members"\t: [')),
     "newline-before-colon": _replace(_BASE_TEXT, ('"schema":', '"schema"\n:')),
     "carriage-return-before-colon": _replace(_BASE_TEXT, ('"offset": 8', '"offset"\r\n  : 8')),
-    # The duplicate adds a '":' and the spaced key takes one away, so the
-    # count balances; only the whitespace check rejects this text.
+    # A duplicate key beside a key spaced from its colon.
     "duplicate-hidden-by-whitespace": _replace(
         _BASE_TEXT, _DUP_MEMBER, ('"size": 8', '"size" : 8')),
-    # The quoted name adds a '":' and the spaced key takes one away.
     "quoted-name-and-whitespace": _replace(_QUOTED_TEXT, ('"size": 8', '"size" : 8')),
     "extra-top-level-key": _rewritten(lambda doc: doc.update(extra=1)),
     "extra-meta-key": _rewritten(_set_meta("extra", "x")),
@@ -425,6 +435,12 @@ READER_CASES = {
     "lone-surrogate-meta": _replace(
         _BASE_TEXT, ('"build_variant": "eng"', '"build_variant": "\\ud83d"')),
     "raw-lone-surrogate": _replace(_BASE_TEXT, ('"T": {', '"\ud800T": {')),
+    # Arrays of pairs in place of objects: the pairs parse must tell them apart.
+    "pairs-document": json.dumps(_as_pairs(json.loads(_BASE_TEXT)), indent=2),
+    "pairs-meta": _rewritten(lambda doc: doc.update(meta=_as_pairs(doc["meta"]))),
+    "pairs-body": _rewritten(
+        lambda doc: doc["structures"].update(T=_as_pairs(doc["structures"]["T"]))),
+    "pairs-member": _rewritten(_pairs_member),
 }
 
 
@@ -488,6 +504,10 @@ READER_OUTCOMES = {
     "lone-surrogate-member": (SchemaError, "string 'a\\udc00' holds an unpaired surrogate"),
     "lone-surrogate-meta": (SchemaError, "string '\\ud83d' holds an unpaired surrogate"),
     "raw-lone-surrogate": (SchemaError, "string '\\ud800T' holds an unpaired surrogate"),
+    "pairs-document": (SchemaError, "document is not a JSON object"),
+    "pairs-meta": (SchemaError, "meta has wrong type list"),
+    "pairs-body": (SchemaError, "structures.T has wrong type list"),
+    "pairs-member": (SchemaError, "T.members[0] has wrong type list"),
 }
 
 
@@ -500,6 +520,34 @@ def test_reader_outcome_is_pinned(case):
         with pytest.raises(expected[0]) as exc_info:
             loads_profile(READER_CASES[case])
         assert (type(exc_info.value), str(exc_info.value)) == expected
+
+
+# A fault in T, the structure a read of {"ns::S"} leaves out, still fails that read.
+_FAULT_IN_T = {
+    "duplicate-key": (_replace(_BASE_TEXT, ('"size": 8', '"size": 8, "size": 8')),
+                      SchemaError, "duplicate key 'size'"),
+    "invariant": (_rewritten(lambda doc: doc["structures"]["T"].update(size=-1)),
+                  InvariantError, "T: negative byte size"),
+    "wrong-type": (_rewritten(lambda doc: doc["structures"]["T"]["members"][0].update(
+        offset="0")), SchemaError, "T.members[0].offset has wrong type str"),
+}
+
+
+@pytest.mark.parametrize("case", _FAULT_IN_T)
+@pytest.mark.parametrize("names", [None, {"ns::S"}, set()], ids=["all", "other", "none"])
+def test_reader_checks_structures_it_does_not_keep(case, names):
+    text, error, message = _FAULT_IN_T[case]
+    with pytest.raises(error) as exc_info:
+        loads_profile(text, names)
+    assert (type(exc_info.value), str(exc_info.value)) == (error, message)
+    assert_reads_like_reference(text, names)
+
+
+@pytest.mark.parametrize("names", [set(), {"T"}, ["T", "absent"], {"ns::S", "T"}])
+def test_reader_keeps_the_named_structures(names):
+    profile = loads_profile(_BASE_TEXT, names)
+    assert profile == profile_module._kept(_BASE, names)
+    assert list(profile.structures) == sorted(set(_BASE.structures) & set(names))
 
 
 def _refuse_hook(pairs):
@@ -518,6 +566,16 @@ def test_one_pass_reader_takes_canonical_text_only(monkeypatch):
                         lambda pairs: calls.append(pairs) or hook(pairs))
     assert loads_profile(_QUOTED_TEXT) == _QUOTED
     assert calls
+
+
+def _refuse_walker(doc):
+    raise AssertionError("canonical text reached the reference walker")
+
+
+def test_canonical_text_is_read_in_one_pass(monkeypatch):
+    monkeypatch.setattr(profile_module, "doc_to_profile", _refuse_walker)
+    assert loads_profile(_BASE_TEXT) == _BASE
+    assert loads_profile(_BASE_TEXT, {"T"}) == profile_module._kept(_BASE, {"T"})
 
 
 class _Object(list):
@@ -591,13 +649,14 @@ def _mutated_profile_texts(draw):
     text = _render(tree)
     if draw(st.booleans()):
         text = text[: draw(st.integers(0, len(text)))]
-    return text
+    kept = st.sets(st.sampled_from(names + ["absent"]), max_size=len(names) + 1)
+    return text, draw(st.none() | kept)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_mutated_profile_texts())
-def test_reader_matches_reference_on_mutated_texts(text):
-    assert_reads_like_reference(text)
+def test_reader_matches_reference_on_mutated_texts(case):
+    assert_reads_like_reference(*case)
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,7 +774,31 @@ def _awkward_profiles(draw):
 @given(_awkward_profiles())
 def test_writer_matches_json_dumps_of_the_document(profile):
     expected = json.dumps(reference_doc(profile), ensure_ascii=False, indent=2) + "\n"
-    assert dumps_profile(profile) == expected
+    try:
+        expected.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: no file could hold the text
+        with pytest.raises(InvariantError, match="holds an unpaired surrogate"):
+            dumps_profile(profile)
+    else:
+        assert dumps_profile(profile) == expected
+
+
+@pytest.mark.parametrize("profile, message", [
+    (make_profile("9", {"\ud800S": (8, [])}),
+     "structure name '\\ud800S' holds an unpaired surrogate"),
+    (make_profile("9", {"S": (8, [("a", 0), ("b\udfff", 4)])}),
+     "S: member name 'b\\udfff' holds an unpaired surrogate"),
+    (Profile(make_meta(build_variant="\ud83d"), {}),
+     "meta.build_variant '\\ud83d' holds an unpaired surrogate"),
+], ids=["structure", "member", "meta"])
+def test_writer_refuses_a_lone_surrogate(tmp_path, profile, message):
+    path = tmp_path / "s.profile.json"
+    with pytest.raises(InvariantError) as exc_info:
+        write_profile(profile, path)
+    assert str(exc_info.value) == message
+    assert not path.exists()
+    with pytest.raises(SchemaError):  # json.dumps would write text the reader refuses
+        loads_profile(json.dumps(reference_doc(profile)))
 
 
 @pytest.mark.parametrize("size, name, offset, message", [
