@@ -13,19 +13,16 @@ decode plan for that unit's shape (address size, offset size, version)
 and for the attributes wanted of the declaration's tag: a tuple of steps
 run for every DIE of the unit that uses its code. A tag with no wanted
 attributes compiles to skips only. A run of adjacent fixed-size
-attributes that are not wanted is one bounds-checked skip; an unwanted
-LEB128 of one byte, ULEB128-length block or exprloc with a one-byte
-length, or inline string is skipped in place; any other attribute that is
-not wanted, a longer or cut-off one included, goes through the general
-decoder told not to decode it, so every error keeps its message and
-offset. Wanted fixed-size integers and .debug_str offsets are unpacked in
-place with a precompiled struct; every other wanted form (LEB128, inline
-strings, blocks, strx, DW_FORM_indirect) goes through the general
-decoder. That decoder sorts a form once into fixed size, LEB128, inline
-string or block, reads a fixed-size form by its size from the unit's
-size table and gives the bytes their meaning from _MEANINGS, the same
-table the plan compiler reads. A strp name is read from .debug_str once
-per StringTables and then looked up by its offset.
+attributes that are not wanted is one bounds-checked skip. Wanted
+fixed-size integers and .debug_str offsets are unpacked in place with a
+precompiled struct. Every other attribute, wanted or not (LEB128, inline
+strings, blocks, strx, DW_FORM_indirect), goes through the general
+decoder, which reads past one not wanted with the bounds checks, messages
+and offsets of a decode. That decoder sorts a form once into fixed size,
+LEB128, inline string or block, reads a fixed-size form by its size from
+the unit's size table and gives the bytes their meaning from _MEANINGS,
+the same table the plan compiler reads. A strp name is read from
+.debug_str once per StringTables and then looked up by its offset.
 
 A ref1/2/4/8 or ref_udata reference decodes to its .debug_info offset, the
 unit's start plus the value; ref_addr to the value as written; ref_sig8 is
@@ -154,19 +151,12 @@ _UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"
 
 # Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
 # the attribute is None for a step that only skips. The kinds up to _STRP
-# read `size` bytes at the current position and share one bounds check;
-# the three variable-size skips fall back to UnitWalker._value(form, False).
-_SKIP = 0         # advance over `size` bytes of attributes that are not wanted
-_UNPACK = 1       # unsigned integer of `size` bytes; argument: its unpack_from
-_STRP = 2         # .debug_str offset of `size` bytes; argument: its unpack_from
-_SKIP_LEB = 3     # LEB128 not wanted: in place when it is one byte
-_SKIP_BLOCK = 4   # ULEB128-length block or exprloc not wanted: in place when
-                  # its length is one byte and its data is in the section
-_SKIP_STRING = 5  # inline string not wanted: in place when it is terminated
-_CONST = 6        # value held by the abbreviation; argument: the value
-_GENERAL = 7      # any other form, through UnitWalker._value; argument: None
-_INLINE_SKIPS = {**dict.fromkeys(_LEB_FORMS, _SKIP_LEB), FORM_BLOCK: _SKIP_BLOCK,
-                 FORM_EXPRLOC: _SKIP_BLOCK, FORM_STRING: _SKIP_STRING}
+# read `size` bytes at the current position and share one bounds check.
+_SKIP = 0     # advance over `size` bytes of attributes that are not wanted
+_UNPACK = 1   # unsigned integer of `size` bytes; argument: its unpack_from
+_STRP = 2     # .debug_str offset of `size` bytes; argument: its unpack_from
+_CONST = 3    # value held by the abbreviation; argument: the value
+_GENERAL = 4  # any other form, wanted or not, through UnitWalker._value; argument: None
 _UNPACKED = {"int": _UNPACK, "strp": _STRP}  # wanted fixed-size kinds
 
 
@@ -357,17 +347,16 @@ def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int],
         if run:
             steps.append((_SKIP, run, None, None))
             run = 0
+        # An attribute not wanted gets here only without a fixed size: _GENERAL.
         meaning = _MEANINGS.get(form) if size is not None else None
-        if not keep:
-            steps.append((_INLINE_SKIPS.get(form, _GENERAL), form, None, None))
-        elif meaning in _UNPACKED:
+        if meaning in _UNPACKED:
             steps.append((_UNPACKED[meaning], size, attr, _UNSIGNED[size].unpack_from))
         elif meaning == "present":
             steps.append((_CONST, 0, attr, True))
         elif form == FORM_IMPLICIT_CONST:
             steps.append((_CONST, 0, attr, const))
         else:
-            steps.append((_GENERAL, form, attr, None))
+            steps.append((_GENERAL, form, attr if keep else None, None))
     if run:
         steps.append((_SKIP, run, None, None))
     return decl.tag, decl.has_children, tuple(steps)
@@ -442,23 +431,10 @@ class UnitWalker:
                         attrs[attr] = name
                     pos += n
                     continue
-                if kind == _SKIP_LEB:
-                    if pos < limit and data[pos] < 0x80:
-                        pos += 1
-                        continue
-                elif kind == _SKIP_BLOCK:
-                    if pos < limit and data[pos] < 0x80 and pos + 1 + data[pos] <= limit:
-                        pos += 1 + data[pos]
-                        continue
-                elif kind == _SKIP_STRING:
-                    stop = data.find(b"\x00", pos)
-                    if stop >= 0:
-                        pos = stop + 1
-                        continue
-                elif kind == _CONST:
+                if kind == _CONST:
                     attrs[attr] = arg
                     continue
-                # _GENERAL, or an in-place skip that does not apply here.
+                # _GENERAL: decoded if wanted, else only read past.
                 cur.pos = pos
                 form = n
                 # A loop rather than recursion: every DW_FORM_indirect step

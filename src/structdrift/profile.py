@@ -309,7 +309,7 @@ def parse_json_document(text: str, expected_schema: str) -> dict:
     """Parse JSON and check the schema marker; refuses duplicate keys and lone surrogates."""
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("JSON nesting is too deep") from exc

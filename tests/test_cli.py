@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -12,13 +13,14 @@ from pathlib import Path
 import pytest
 
 import structdrift.cli as cli
+import structdrift.profile as profile_module
 from structdrift import read_diff, read_profile, write_profile
 from structdrift.cli import run
 from structdrift.errors import UnsupportedFormatError
 from structdrift.profile import ARCHITECTURES
 from structdrift.render import _RENDERERS, render_report
 
-from conftest import FIXTURES, art_profile, art_sequence, fixture_path, make_profile
+from conftest import FIXTURES, SERIAL, art_profile, art_sequence, fixture_path, make_profile
 
 
 @pytest.fixture
@@ -820,3 +822,119 @@ def test_malformed_inputs_never_crash(tmp_path, capsys):
             code = run(argv)
             capsys.readouterr()
             assert code == 3, (argv, code)
+
+
+# ----------------------------------------------------- JSON mutation gate
+#
+# Every JSON input a command reads, mutated byte by byte and token by token:
+# each run must end in exit 0 or 3, with at most its one `structdrift:` line on
+# stderr. The JSON twin of test_extract.test_mutated_fixture_never_escapes.
+
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|\w+|\s+|.')
+_JSON_POOL = ['"', "{", "}", "[", "]", ",", ":", "0", "-1", "1.5", "1e400", "1" + "0" * 30,
+              "true", "false", "null", '""', '"\\ud800"', '"\\u0000"', '"é"', "[]", "{}"]
+
+
+def _json_mutations(text: str, seed: str, cases: int):
+    """Seeded copies of `text` as bytes: odd cases with 1-4 bytes changed, even cases
+    with 1-3 tokens deleted, repeated, swapped or replaced from _JSON_POOL."""
+    rng = random.Random(seed)
+    tokens = _JSON_TOKEN.findall(text)
+    for case in range(cases):
+        if case % 2:
+            data = bytearray(text.encode())
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            yield bytes(data)
+            continue
+        mutated = list(tokens)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(len(mutated)), rng.randrange(len(mutated))
+            operation = rng.randrange(4)
+            if operation == 0:
+                del mutated[i]
+            elif operation == 1:
+                mutated.insert(i, mutated[j])
+            elif operation == 2:
+                mutated[i], mutated[j] = mutated[j], mutated[i]
+            else:
+                mutated[i] = rng.choice(_JSON_POOL)
+        yield "".join(mutated).encode()
+
+
+_WATCHLIST = json.dumps({"schema": "structdrift-watchlist/1", "name": "mine",
+                         "structures": ["Runtime", "Thread"]})
+_CHAIN_SPEC = json.dumps({"schema": "structdrift-chains/1", "chains": [{
+    "id": "heap", "capability": "heap_analysis",
+    "applicable_versions": {"min": "9", "max": "14"},
+    "steps": [{"structure": "Runtime", "member": "heap_"}]}]})
+_DEEP = "[" * 200000 + "]" * 200000
+_DIGITS = "9" * 5000  # past the digit limit of Python's int from text
+
+
+def _json_input(tmp_repo, kind):
+    """(text, a value site, the input's path, the command lines reading it) of `kind`."""
+    p9, p10 = (str(tmp_repo(art_profile(version))) for version in ("9", "10"))
+    root, other = str(tmp_repo.root), str(tmp_repo.root / "input.json")
+    return {
+        "profile": (Path(p10).read_text(), '"size": 2048', p10, [
+            ["diff", p9, p10],
+            ["index", "--repo", root],
+            ["score", "--repo", root, "--arch", "x86_64"]]),
+        # Two versions: one profile twice is a usage error (exit 2) of its own.
+        "watchlist": (_WATCHLIST, '"name": "mine"', other,
+                      [["score", p9, p10, "--scope", other]]),
+        "chain-spec": (_CHAIN_SPEC, '"min": "9"', other, [["chains", p9, "--chains", other]]),
+    }[kind]
+
+
+def _named_json_cases(text: str, site: str):
+    key = site.split(":")[0]
+    return {
+        "digit-limit": text.replace(site, f"{key}: {_DIGITS}", 1).encode(),
+        "deep-nesting": text.replace(site, f"{key}: {_DEEP}", 1).encode(),
+        "lone-surrogate": text.replace('"Runtime"', '"\\ud800"', 1).encode(),
+        "utf8-bom": b"\xef\xbb\xbf" + text.encode(),
+        "invalid-utf8": text.replace('"Runtime"', '"Run\udcfftime"', 1).encode(
+            "utf-8", "surrogateescape"),
+    }
+
+
+def _assert_exit_0_or_3(argv, capsys, case):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 3), (case, argv, code, err)
+    if code == 0:
+        assert err == "", (case, argv, err)
+    else:
+        assert err.startswith("structdrift: ") and err.count("\n") == 1, (case, argv, err)
+        assert "internal error" not in err, (case, argv, err)
+    return code, out, err
+
+
+@pytest.mark.parametrize("kind", ["profile", "watchlist", "chain-spec"])
+def test_mutated_json_inputs_exit_0_or_3(tmp_repo, capsys, kind):
+    text, _, target, commands = _json_input(tmp_repo, kind)
+    for case, data in enumerate(_json_mutations(text, f"{kind}-2024", 120)):
+        Path(target).write_bytes(data)
+        for argv in commands:
+            _assert_exit_0_or_3(argv, capsys, case)
+
+
+@pytest.mark.parametrize("threshold", [SERIAL, 0], ids=["serial", "forked"])
+@pytest.mark.parametrize("name", ["digit-limit", "deep-nesting", "lone-surrogate", "utf8-bom",
+                                  "invalid-utf8"])
+@pytest.mark.parametrize("kind", ["profile", "watchlist", "chain-spec"])
+def test_named_json_damage_exits_3(tmp_repo, capsys, monkeypatch, two_cpus, kind, name,
+                                   threshold):
+    # A repository lists the damaged profile under skipped; every other command refuses it.
+    monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", threshold)
+    text, site, target, commands = _json_input(tmp_repo, kind)
+    Path(target).write_bytes(_named_json_cases(text, site)[name])
+    for argv in commands:
+        code, out, _ = _assert_exit_0_or_3(argv, capsys, name)
+        if argv[0] == "index":
+            assert code == 0
+            assert [entry["path"] for entry in json.loads(out)["skipped"]] == [target]
+        else:
+            assert code == 3, argv

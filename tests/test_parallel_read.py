@@ -67,6 +67,13 @@ def _too_deep(root: Path) -> None:
         _path(root, version).write_text("[" * 200000)
 
 
+def _digit_limit(root: Path) -> None:
+    # An integer longer than Python's int-from-text digit limit.
+    for version in ("10", "14"):
+        path = _path(root, version)
+        path.write_text(path.read_text().replace('"size": 128', '"size": ' + "9" * 5000, 1))
+
+
 # A structure that no command reports on, which is still validated: 10 is read by
 # the calling process and 14 by the worker, in version order and in path order alike.
 UNREPORTED = "Unreported"
@@ -84,7 +91,7 @@ def _invalid_unreported(root: Path) -> None:
 
 
 REPOSITORIES = [_break_nothing, _break_json, _misplace, _add_stem, _not_utf8,
-                _not_canonical, _too_deep, _invalid_unreported]
+                _not_canonical, _too_deep, _digit_limit, _invalid_unreported]
 
 
 def _commands(root: Path):
