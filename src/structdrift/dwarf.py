@@ -9,20 +9,25 @@ supported, as are the GCC and Clang encodings of member positions.
 
 A walker is told which attributes it wants of which tag. Each unit's
 walker compiles an abbreviation declaration, on its first use, into a
-decode plan for that unit's shape (address size, offset size, version)
-and for the attributes wanted of the declaration's tag: a tuple of steps
-run for every DIE of the unit that uses its code. A tag with no wanted
-attributes compiles to skips only. A run of adjacent fixed-size
-attributes that are not wanted is one bounds-checked skip. Wanted
-fixed-size integers and .debug_str offsets are unpacked in place with a
-precompiled struct. Every other attribute, wanted or not (LEB128, inline
-strings, blocks, strx, DW_FORM_indirect), goes through the general
-decoder, which reads past one not wanted with the bounds checks, messages
-and offsets of a decode. That decoder sorts a form once into fixed size,
-LEB128, inline string or block, reads a fixed-size form by its size from
-the unit's size table and gives the bytes their meaning from _MEANINGS,
-the same table the plan compiler reads. A strp name is read from
-.debug_str once per StringTables and then looked up by its offset.
+decode plan for the unit's address size, offset size and version and for
+the attributes wanted of the declaration's tag: a tuple of steps run for
+every DIE that uses its code. Adjacent fixed-size attributes that are not
+wanted are one bounds-checked skip. Wanted fixed-size integers and
+.debug_str offsets are unpacked in place with a precompiled struct. Every
+other attribute, wanted or not (LEB128, inline strings, blocks, strx,
+DW_FORM_indirect), goes through the general decoder, which reads past one
+not wanted with the bounds checks, messages and offsets of a decode. That
+decoder sorts a form into fixed size, LEB128, inline string or block and
+gives the bytes their meaning from _MEANINGS, the table the plan compiler
+reads too. A strp name is read from .debug_str once per StringTables.
+
+A childless member DIE whose attributes all have fixed sizes, and whose
+wanted ones are an integer DW_AT_data_member_location and at most a strp
+DW_AT_name, has a run form too: one struct over the whole DIE, with pad
+bytes for the attributes not wanted. The DIE and those after it that
+repeat its one-byte code, start in the unit and fit in the section are
+decoded in one loop and yielded as one item. A DIE that does not fit
+takes the steps and raises their error.
 
 A ref1/2/4/8 or ref_udata reference decodes to its .debug_info offset, the
 unit's start plus the value; ref_addr to the value as written; ref_sig8 is
@@ -38,7 +43,7 @@ wanted attribute raises MalformedDwarfError.
 """
 
 import struct
-from typing import Collection, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .errors import MalformedDwarfError
 
@@ -48,6 +53,7 @@ TAG_MEMBER = 0x0D
 TAG_COMPILE_UNIT = 0x11
 TAG_STRUCTURE_TYPE = 0x13
 TAG_SUBPROGRAM = 0x2E
+MEMBER_RUN = -1  # the tag of a walker item that stands for a run of member DIEs
 
 # Attributes of interest.
 AT_SIBLING = 0x01
@@ -147,7 +153,8 @@ _MEANINGS = {
     FORM_STRX: "strx", FORM_GNU_STR_INDEX: "strx", FORM_STRX1: "strx",
     FORM_STRX2: "strx", FORM_STRX3: "strx", FORM_STRX4: "strx",
 }
-_UNSIGNED = {n: struct.Struct(fmt) for n, fmt in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
+_LETTERS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct format of each unsigned size
+_UNSIGNED = {n: struct.Struct("<" + letter) for n, letter in _LETTERS.items()}
 
 # Decode-plan step kinds. A step is (kind, size or form, attribute, argument);
 # the attribute is None for a step that only skips. The kinds up to _STRP
@@ -335,7 +342,8 @@ def _form_sizes(header: UnitHeader) -> Dict[int, int]:
 
 def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int],
                   wanted: Collection[int]) -> tuple:
-    """Turn one abbreviation into (tag, has_children, steps); see the module doc."""
+    """Turn one abbreviation into (tag, has_children, steps, run form or None); see
+    the module doc."""
     steps = []
     run = 0
     for attr, form, const in decl.specs:
@@ -359,12 +367,34 @@ def _compile_plan(decl: AbbrevDecl, sizes: Dict[int, int],
             steps.append((_GENERAL, form, attr if keep else None, None))
     if run:
         steps.append((_SKIP, run, None, None))
-    return decl.tag, decl.has_children, tuple(steps)
+    member = decl.tag == TAG_MEMBER and not decl.has_children
+    return decl.tag, decl.has_children, tuple(steps), _member_run(steps) if member else None
+
+
+def _member_run(steps: list) -> Optional[tuple]:
+    """(unpack_from over the whole DIE, its size, location index, name index or
+    None, end of the name) of a childless member's steps, or None; see the module doc."""
+    fmt, fields, size = "<", {}, 0
+    for kind, n, attr, _ in steps:
+        if kind > _STRP or attr in fields:
+            return None
+        fmt += f"{n}x" if kind == _SKIP else _LETTERS[n]
+        size += n
+        if kind != _SKIP:
+            fields[attr] = kind, len(fields), size
+    location = fields.pop(AT_DATA_MEMBER_LOCATION, (None,))
+    name = fields.pop(AT_NAME, (_STRP, None, None))
+    if fields or location[0] != _UNPACK or name[0] != _STRP:
+        return None
+    return struct.Struct(fmt).unpack_from, size, location[1], name[1], name[2]
 
 
 class UnitWalker:
     """Iterates one unit's DIEs, decoding only the attributes that `wanted`,
-    a mapping from tag to attribute numbers, lists for each DIE's tag."""
+    a mapping from tag to attribute numbers, lists for each DIE's tag.
+
+    Each item is (depth, tag, {attribute: value}), or for a run of sibling
+    member DIEs (depth, MEMBER_RUN, [(name or None, location), ...])."""
 
     def __init__(
         self,
@@ -386,7 +416,7 @@ class UnitWalker:
         # a 4- or 12-byte length, a 2-byte version and 2 bytes of padding.
         self.str_offsets_base = 2 * header.offset_size
 
-    def __iter__(self) -> Iterator[Tuple[int, int, dict]]:
+    def __iter__(self) -> Iterator[Tuple[int, int, Union[dict, list]]]:
         cur = self.cur
         data = cur.data
         limit = len(data)
@@ -412,7 +442,28 @@ class UnitWalker:
             if plan is None:
                 cur.pos = pos
                 plan = self._plan(code)
-            tag, has_children, steps = plan
+            tag, has_children, steps, run = plan
+            if run is not None and pos + run[1] <= limit:
+                unpack, size, at_location, at_name, name_end = run
+                # A run goes on while a DIE starts before `last`; a multi-byte code ends it.
+                last = min(end, limit - size) if code < 0x80 else pos
+                members = []
+                while True:
+                    fields = unpack(data, pos)
+                    name = None
+                    if at_name is not None:
+                        name = names.get(fields[at_name])
+                        if name is None:
+                            cur.pos = pos + name_end
+                            name = names[fields[at_name]] = _read_cstr_at(
+                                debug_str, fields[at_name], cur, "strp string")
+                    members.append((name, fields[at_location]))
+                    pos += size
+                    if pos >= last or data[pos] != code:
+                        break
+                    pos += 1
+                yield depth, MEMBER_RUN, members
+                continue
             attrs: dict = {}
             for kind, n, attr, arg in steps:
                 if kind <= _STRP:

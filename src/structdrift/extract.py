@@ -23,6 +23,7 @@ from .dwarf import (
     AT_NAME,
     AT_SIBLING,
     AT_STR_OFFSETS_BASE,
+    MEMBER_RUN,
     TAG_CLASS_TYPE,
     TAG_COMPILE_UNIT,
     TAG_MEMBER,
@@ -48,8 +49,8 @@ from .profile import (
 
 UNNAMED = "UnNamed"
 
-# Measured on two CPUs, forked against serial `extract` processes: no steady
-# gain at 100-300 KB of .debug_info, -6% at 310 KB, -11% at 440 KB, -30% at 1.5 MB.
+# Measured before member runs, on two CPUs, forked against serial `extract` processes:
+# no steady gain at 100-300 KB of .debug_info, -6% at 310 KB, -11% at 440 KB, -30% at 1.5 MB.
 PARALLEL_EXTRACT_BYTES = 400_000
 
 _TYPE_TAGS = (TAG_CLASS_TYPE, TAG_STRUCTURE_TYPE)
@@ -103,8 +104,8 @@ def _walk(units, abbrev, strings) -> tuple:
         walker = UnitWalker(data, header, table, strings, _WANTED, section_name)
         # The innermost open class/structure DIE or subprogram as (depth, byte
         # size, members), (-2, None, ()) while none is open; the stack holds
-        # the ones around it. Only direct member children attach to a type. A
-        # subprogram's members are None: no type in its body is kept or counted.
+        # the ones around it. Only direct member DIEs and runs attach to a type.
+        # A subprogram's members are None: no type in its body is kept or counted.
         top_depth, top_size, top_members = -2, None, ()
         open_types: List[Tuple[int, Optional[int], Optional[list]]] = []
         # (shapes of the name, byte size, members) per complete definition.
@@ -112,7 +113,13 @@ def _walk(units, abbrev, strings) -> tuple:
         for depth, tag, attrs in walker:
             while depth <= top_depth:
                 top_depth, top_size, top_members = open_types.pop()
-            if tag == TAG_MEMBER:
+            if tag == MEMBER_RUN:  # attrs: [(name or None, offset)] of sibling members
+                if depth == top_depth + 1 and top_members is not None:
+                    bound = min(top_size or OFFSET_SANITY_BOUND, OFFSET_SANITY_BOUND)
+                    kept = [(name or UNNAMED, offset) for name, offset in attrs if offset < bound]
+                    skipped_members += len(attrs) - len(kept)
+                    top_members += kept
+            elif tag == TAG_MEMBER:
                 if depth != top_depth + 1 or top_members is None:
                     continue
                 # A plain non-negative constant location is the offset.

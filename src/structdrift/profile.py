@@ -96,10 +96,12 @@ class Profile(NamedTuple):
 
 
 def version_key(label: str):
-    """Numeric-aware ordering key so "9" sorts before "10"."""
-    parts = re.split(r"(\d+)", label)
+    """Numeric-aware ordering key so "9" sorts before "10". A run of decimal digits (any
+    script's, as \\d matches them) orders by value: by length, then digits, less leading zeros."""
+    from unicodedata import decimal  # here, so that no command pays for it at start-up
     return tuple(
-        (0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p != ""
+        (0, len(d := "".join(str(decimal(c)) for c in p).lstrip("0")), d)
+        if p.isdecimal() else (1, 0, p) for p in re.split(r"(\d+)", label) if p != ""
     )
 
 
@@ -334,6 +336,15 @@ def read_text(source) -> str:
         raise SchemaError(f"{source} is not valid UTF-8: {exc}") from exc
 
 
+def read_named(source, parse: Callable[[str], object]):
+    """parse(the text of `source`); its errors name the file first, as read_text's do."""
+    text = read_text(source)
+    try:
+        return parse(text)
+    except (SchemaError, InvariantError) as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
+
+
 def _member_record(doc, where: str) -> MemberRecord:
     return MemberRecord(*_check_fields(doc, (("name", str), ("offset", int)), where))
 
@@ -432,7 +443,7 @@ def loads_profile(text: str, names=None) -> Profile:
 
 
 def read_profile(source, names=None) -> Profile:
-    return loads_profile(read_text(source), names)
+    return read_named(source, lambda text: loads_profile(text, names))
 
 
 # Measured on two CPUs: a fresh command breaks even at 1-1.5 MB and gains 5% at 2.7 MB.
@@ -490,10 +501,10 @@ def _fork_and_collect(items: list, work: Callable[[list], list], send: Callable 
     return done + (receive(marshal.loads(data)) if status == 0 else work(items[half:]))
 
 
-def _read_one(path, names):
-    """The profile at `path`, keeping the structures in `names`, or the error reading it raised."""
+def _read_one(path, names, named):
+    """The profile at `path`, keeping `names`, or its error, naming the file if `named`."""
     try:
-        return read_profile(path, names)
+        return read_profile(path, names) if named else loads_profile(read_text(path), names)
     except (SchemaError, InvariantError) as exc:
         return exc
 
@@ -512,16 +523,17 @@ def _received(sent: list) -> list:
                 for name, size, m in body}) for head, body in sent]
 
 
-def _read_all(paths: list, names) -> Iterable:
+def _read_all(paths: list, names, named: bool) -> Iterable:
     """_read_one of each path; from PARALLEL_READ_BYTES on, a worker reads the second half."""
     try:
         total = sum(os.stat(path).st_size for path in paths)
     except OSError:  # reading the files reports the error
         total = 0
     if total < PARALLEL_READ_BYTES:  # lazily, so that read_profiles stops at an error
-        return map(_read_one, paths, repeat(names))
-    return _fork_and_collect(paths, lambda part: list(map(_read_one, part, repeat(names))),
-                             _sendable, _received)
+        return map(_read_one, paths, repeat(names), repeat(named))
+    return _fork_and_collect(
+        paths, lambda part: list(map(_read_one, part, repeat(names), repeat(named))),
+        _sendable, _received)
 
 
 def read_profiles(sources, names=None) -> List[Profile]:
@@ -532,7 +544,7 @@ def read_profiles(sources, names=None) -> List[Profile]:
     read once: from PARALLEL_READ_BYTES on, a forked worker reads the second half, and
     that half is read again here only if the worker fails."""
     profiles = []
-    for profile in _read_all(list(sources), names):
+    for profile in _read_all(list(sources), names, True):
         if isinstance(profile, Exception):
             raise profile
         profiles.append(profile)
@@ -562,7 +574,7 @@ def _placed_profiles(root, architecture: str, skipped: List[Tuple[Path, str]], n
             raise NotADirectoryError(f"repository root {root} is not a directory")
         raise FileNotFoundError(f"repository root {root} does not exist")
     paths = sorted(root.glob(f"*/{architecture}/*{PROFILE_SUFFIX}"))
-    for path, profile in zip(paths, _read_all(paths, names)):
+    for path, profile in zip(paths, _read_all(paths, names, False)):
         placed = (path.parent.parent.name, path.parent.name)
         if isinstance(profile, Exception):
             skipped.append((path, str(profile)))

@@ -19,7 +19,7 @@ from .profile import (
     _check_type,
     check_sequence,
     parse_json_document,
-    read_text,
+    read_named,
     version_key,
 )
 
@@ -115,7 +115,7 @@ def parse_watchlist(text: str) -> WatchlistSpec:
 
 
 def load_watchlist(path) -> WatchlistSpec:
-    return parse_watchlist(read_text(path))
+    return read_named(path, parse_watchlist)
 
 
 def default_watchlist() -> WatchlistSpec:
@@ -164,7 +164,7 @@ def parse_chains(text: str) -> List[ChainSpec]:
 
 
 def load_chains(path) -> List[ChainSpec]:
-    return parse_chains(read_text(path))
+    return read_named(path, parse_chains)
 
 
 def default_chains() -> List[ChainSpec]:

@@ -938,3 +938,46 @@ def test_named_json_damage_exits_3(tmp_repo, capsys, monkeypatch, two_cpus, kind
             assert [entry["path"] for entry in json.loads(out)["skipped"]] == [target]
         else:
             assert code == 3, argv
+
+
+_LABELS = {"superscript": "²", "digit-run": _DIGITS, "arabic-indic": "١٠"}
+_LABEL_KEYS = {"profile": '"platform_version": "10"', "chain-spec": '"min": "9"'}
+
+
+@pytest.mark.parametrize("threshold", [SERIAL, 0], ids=["serial", "forked"])
+@pytest.mark.parametrize("label", sorted(_LABELS))
+@pytest.mark.parametrize("kind", sorted(_LABEL_KEYS))
+def test_any_version_label_exits_0_or_3(tmp_repo, capsys, monkeypatch, two_cpus, kind, label,
+                                        threshold):
+    # A version is a label: "²" is a digit but not a decimal one, and a run of
+    # 5,000 digits is past int()'s limit; neither may end in a usage error.
+    monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", threshold)
+    text, _, target, commands = _json_input(tmp_repo, kind)
+    site = _LABEL_KEYS[kind]
+    Path(target).write_text(text.replace(site, f'{site.split(":")[0]}: "{_LABELS[label]}"'))
+    if kind == "profile":  # explicitly named profiles are sorted by version
+        commands.append(["score", commands[0][1], target])
+    for argv in commands:
+        _assert_exit_0_or_3(argv, capsys, label)
+
+
+@pytest.mark.parametrize("threshold", [SERIAL, 0], ids=["serial", "forked"])
+@pytest.mark.parametrize("kind", ["profile", "watchlist", "chain-spec"])
+def test_json_error_in_a_named_file_names_it_first(tmp_repo, capsys, monkeypatch, two_cpus,
+                                                   kind, threshold):
+    monkeypatch.setattr(profile_module, "PARALLEL_READ_BYTES", threshold)
+    _, _, target, commands = _json_input(tmp_repo, kind)
+    Path(target).write_text("{broken")
+    reason = ("not valid JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)")
+    if kind == "profile":
+        commands.append(["stats", target])
+    for argv in commands:
+        code, out, err = _assert_exit_0_or_3(argv, capsys, kind)
+        if argv[0] == "index":  # the entry names the path; its reason does not again
+            assert json.loads(out)["skipped"] == [{"path": target, "reason": reason}]
+        elif "--repo" in argv:
+            assert err == f"structdrift: x86_64 sequence under {tmp_repo.root} has unusable " \
+                          f"profiles: {target}: {reason}\n"
+        else:
+            assert err == f"structdrift: {target}: {reason}\n", argv

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structdrift.extract as extract_module
 from structdrift import (
     MalformedDwarfError,
     NoDwarfError,
@@ -288,8 +289,9 @@ INDIRECT_ABBREV = bytes([1, 0x13, 0, 0x03, 0x16, 0x3B, 0x16, 0, 0, 0])
 CHAIN = 5000  # well past the interpreter's recursion limit
 
 
-def _indirect_unit(die: bytes) -> bytes:
-    body = (4).to_bytes(2, "little") + (0).to_bytes(4, "little") + bytes([8]) + die
+def _indirect_unit(die: bytes, version: int = 4) -> bytes:
+    """One unit of 8-byte addresses, DWARF 2, 3 or 4, holding `die`."""
+    body = version.to_bytes(2, "little") + (0).to_bytes(4, "little") + bytes([8]) + die
     return len(body).to_bytes(4, "little") + body
 
 
@@ -336,17 +338,20 @@ def test_reference_forms_decode_to_section_offsets(form, encoded, value, indirec
     assert list(walker) == [(0, 0x13, {0x49: value})]
 
 
-def _with_debug_sections(tmp_path, info: bytes, abbrev: bytes, types: bytes = b""):
+def _with_debug_sections(tmp_path, info: bytes, abbrev: bytes, types: bytes = b"",
+                         debug_str: bytes = b""):
     """Copy a 64-bit fixture, pointing its info/abbrev headers at new bytes.
 
     Given `types`, its .debug_aranges section is renamed .debug_types and
-    holds them.
+    holds them; given `debug_str`, its .debug_str holds those bytes.
     """
     data = bytearray(fixture_path("layouts-dwarf4-64.so").read_bytes())
     elf = ElfFile(bytes(data))
     (shoff,) = struct.unpack_from("<Q", data, 0x28)
     shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
     patches = [(".debug_info", info), (".debug_abbrev", abbrev)]
+    if debug_str:
+        patches.append((".debug_str", debug_str))
     if types:
         at = data.index(b".debug_aranges\x00", elf.sections[".shstrtab"].offset)
         data[at : at + 15] = b".debug_types\x00\x00\x00"
@@ -953,23 +958,35 @@ MERGE_ABBREV = LAYOUT_ABBREV[:-1] + bytes([6, 0x13, 1, 0x03, 0x08, 0x3C, 0x19, 0
                                            8, 0x13, 1, 0x03, 0x08, 0, 0, 0])
 # (has a byte size, is a declaration) -> abbreviation code
 _TYPE_CODES = {(True, False): 1, (False, True): 6, (True, True): 7, (False, False): 8}
+# MERGE_ABBREV plus 9, a member named by a strp offset, as gcc names most:
+# its DIEs in a row are decoded as member runs.
+RUNS_ABBREV = MERGE_ABBREV[:-1] + bytes([9, 0x0D, 0, 0x03, 0x0E, 0x38, 0x0B, 0, 0, 0])
 
 
-def _type_die(name, size, members, decl=False):
-    """One structure DIE with its member children, in MERGE_ABBREV's codes."""
+def _type_die(name, size, members, decl=False, strp=None):
+    """One structure DIE with its member children, in MERGE_ABBREV's codes, or
+    in RUNS_ABBREV's given `strp`, each member name's .debug_str offset."""
     die = bytes([_TYPE_CODES[size is not None, decl]]) + name.encode() + b"\x00"
     if size is not None:
         die += bytes([size])
     for member, offset in members:
-        die += b"\x02" + member.encode() + b"\x00" + bytes([offset])
+        if strp is None:
+            die += b"\x02" + member.encode() + b"\x00" + bytes([offset])
+        else:
+            die += b"\x09" + strp[member].to_bytes(4, "little") + bytes([offset])
     return die + b"\x00"
 
 
-def _extract_binary(directory, units):
-    """(profile, meta) of a binary whose units hold the given _type_die args."""
-    info = b"".join(_indirect_unit(b"".join(_type_die(*t) for t in unit))
+def _extract_binary(directory, units, runs=False):
+    """(profile, meta) of a binary whose units hold the given _type_die args,
+    with strp member names if `runs`."""
+    names = sorted({member for unit in units for t in unit for member, _ in t[2]})
+    debug_str, offsets = _table(names) if runs else (b"", [])
+    strp = dict(zip(names, offsets)) if runs else None
+    info = b"".join(_indirect_unit(b"".join(_type_die(*t, strp=strp) for t in unit))
                     for unit in units)
-    return extract_profile_with_meta(_with_debug_sections(directory, info, MERGE_ABBREV))
+    return extract_profile_with_meta(_with_debug_sections(
+        directory, info, RUNS_ABBREV if runs else MERGE_ABBREV, debug_str=debug_str))
 
 
 def _extract_units(directory, units):
@@ -1108,8 +1125,9 @@ def merge_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("merge")
 
 
-def check_merge_against_oracle(directory, units):
-    """Extract the units' definitions and compare with _merge_oracle over all of them."""
+def check_merge_against_oracle(directory, units, runs=False):
+    """Extract the units' definitions and compare with _merge_oracle over all of them;
+    with `runs`, the members are named by strp and decoded as member runs."""
     entries, skipped = [], 0
     for unit_index, unit in enumerate(units):
         for name, size, members, decl in unit:
@@ -1118,7 +1136,7 @@ def check_merge_against_oracle(directory, units):
             skipped += len(members) - len(kept)
             entries.append(_RawType(name, size, kept, unit_index, size is None or decl))
     catalog, conflicts = _merge_oracle(entries)
-    profile, meta = _extract_binary(directory, units)
+    profile, meta = _extract_binary(directory, units, runs)
     assert profile.structures == catalog
     assert meta.merge_conflicts == conflicts
     assert profile.meta.raw_type_die_count == len(entries)
@@ -1131,6 +1149,12 @@ def check_merge_against_oracle(directory, units):
 @given(_merge_units())
 def test_merge_while_walking_matches_merging_every_definition(merge_dir, units):
     check_merge_against_oracle(merge_dir, units)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merge_units())
+def test_merge_of_member_runs_matches_merging_every_definition(merge_dir, units):
+    check_merge_against_oracle(merge_dir, units, runs=True)
 
 
 def test_relocatable_object_with_rela_debug_relocations_is_refused(capsys):
@@ -1436,10 +1460,22 @@ def _encoded_units(draw):
     return info, bytes(abbrev), strings, frozenset(wanted), expected
 
 
+def _member_dies(items):
+    """Walker items with each run of members spelled out as the member DIEs it
+    stands for: a run's name is None only where no name was decoded."""
+    for depth, tag, attrs in items:
+        if tag != dwarf.MEMBER_RUN:
+            yield depth, tag, attrs
+            continue
+        for name, location in attrs:
+            member = {} if name is None else {AT_NAME: name}
+            yield depth, dwarf.TAG_MEMBER, {**member, dwarf.AT_DATA_MEMBER_LOCATION: location}
+
+
 def _typed(dies):
     # True == 1 in Python, so compare the value types too.
     return [(depth, tag, {a: (type(v), v) for a, v in attrs.items()})
-            for depth, tag, attrs in dies]
+            for depth, tag, attrs in _member_dies(dies)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1462,4 +1498,189 @@ def test_walker_round_trips_every_form(unit):
                 got.append(die)
         except MalformedDwarfError as exc:
             assert exc.section == ".debug_info"
-        assert _typed(got) == _typed(expected[: len(got)])
+        got = _typed(got)
+        assert got == _typed(expected)[: len(got)]
+
+
+# ------------------------------------------------------------- member runs
+#
+# Crafted runs of member DIEs, each walked as extraction walks it and again
+# with no run form compiled, on the step path alone: the same layouts and
+# counts, or the same error message and offset.
+
+def _abbrev(*decls):
+    """A .debug_abbrev table of (code, tag, has children, [(attribute, form)])."""
+    table = b""
+    for code, tag, children, specs in decls:
+        table += _uleb(code) + _uleb(tag) + bytes([children])
+        table += b"".join(_uleb(attr) + _uleb(form) for attr, form in specs) + b"\x00\x00"
+    return table + b"\x00"
+
+
+NAME_STRP, LOCATION = (AT_NAME, dwarf.FORM_STRP), (dwarf.AT_DATA_MEMBER_LOCATION, 0x0B)
+DECL_LINE = (0x3B, 0x0B)  # DW_AT_decl_line data1, never wanted
+# 1 structure with children (name string, byte size data1); 2 member (name
+# strp, decl_line data1, location data1); 3 class with children, as 1.
+RUN_DECLS = [(1, dwarf.TAG_STRUCTURE_TYPE, 1, [(AT_NAME, 0x08), (AT_BYTE_SIZE, 0x0B)]),
+             (2, dwarf.TAG_MEMBER, 0, [NAME_STRP, DECL_LINE, LOCATION]),
+             (3, dwarf.TAG_CLASS_TYPE, 1, [(AT_NAME, 0x08), (AT_BYTE_SIZE, 0x0B)])]
+RUN_STR = b"\x00a\x00b\x00c\x00d\x00"  # "a" at 1, "b" at 3, "c" at 5, "d" at 7
+
+
+def _member2(name_at: int, location: int) -> bytes:
+    """A member DIE of abbreviation 2."""
+    return b"\x02" + name_at.to_bytes(4, "little") + b"\x07" + bytes([location])
+
+
+def _walk_outcome(info: bytes, abbrev: bytes):
+    """(extract._walk's result over every unit of `info`, or its error's
+    (message, offset); the length of each run yielded; the codes compiled
+    with a run form)."""
+    units = list(extract_module._units([(info, ".debug_info")]))
+    table = parse_abbrev_table(abbrev, 0)
+    runs, forms = [], set()
+    try:
+        for data, _, header in units:
+            walker = UnitWalker(data, header, table, StringTables(debug_str=RUN_STR),
+                                extract_module._WANTED)
+            try:
+                for _, tag, members in walker:
+                    if tag == dwarf.MEMBER_RUN:
+                        runs.append(len(members))
+            finally:
+                forms |= {code for code, plan in walker.plans.items() if plan[3]}
+        result = extract_module._walk(units, abbrev, StringTables(debug_str=RUN_STR))
+    except MalformedDwarfError as exc:
+        result = (str(exc), exc.offset)
+    return result, runs, forms
+
+
+def _runs_and_steps(monkeypatch, info: bytes, abbrev: bytes):
+    """_walk_outcome with member runs, then on the step path alone."""
+    with_runs = _walk_outcome(info, abbrev)
+    monkeypatch.setattr(dwarf, "_member_run", lambda steps: None)
+    steps = _walk_outcome(info, abbrev)
+    assert steps[1:] == ([], set())
+    assert with_runs[0] == steps[0]
+    return with_runs
+
+
+def _shapes(**types):
+    """extract._walk's result for one DWARF 4 unit of these complete types."""
+    return ({4}, len(types), 0, 1,
+            {name: {(size, tuple(members)): None} for name, (size, members) in types.items()})
+
+
+def test_multi_byte_codes_never_continue_a_run(monkeypatch):
+    # Codes 133 and 261 (ULEB128 85 01 and 85 02) share their first byte,
+    # which is 133; their DIEs differ in size, so a misread one shows.
+    abbrev = _abbrev(RUN_DECLS[0], (133, dwarf.TAG_MEMBER, 0, [NAME_STRP, LOCATION]),
+                     (261, dwarf.TAG_MEMBER, 0, [(0x3B, 0x05), NAME_STRP, (0x38, 0x05)]))
+    die = b"\x01S\x00\x40"
+    for i, name_at in enumerate((1, 3, 5, 7)):
+        if i % 2:
+            die += b"\x85\x02\x07\x00" + name_at.to_bytes(4, "little") + bytes([8 * i, 0])
+        else:
+            die += b"\x85\x01" + name_at.to_bytes(4, "little") + bytes([8 * i])
+    result, runs, forms = _runs_and_steps(monkeypatch, _indirect_unit(die + b"\x00"), abbrev)
+    assert result == _shapes(S=(64, [("a", 0), ("b", 8), ("c", 16), ("d", 24)]))
+    assert (runs, forms) == ([1, 1, 1, 1], {133, 261})
+
+
+@pytest.mark.parametrize("cut", range(6))
+def test_run_cut_by_the_section_end_fails_as_the_step_path(monkeypatch, cut):
+    # The third member keeps `cut` of its 6 attribute bytes: strp 4, decl_line 1,
+    # location 1. The unit ends where the section does.
+    die = b"\x01S\x00\x40" + _member2(1, 0) + _member2(3, 8) + _member2(5, 16)[: 1 + cut]
+    result, runs, forms = _runs_and_steps(monkeypatch, _indirect_unit(die),
+                                          _abbrev(*RUN_DECLS))
+    where = 11 + 4 + 2 * 7 + 1 + (0 if cut < 4 else cut)
+    reading = 4 if cut < 4 else 1
+    assert result == (f"unexpected end of data reading {reading} bytes "
+                      f"(.debug_info offset {where:#x})", where)
+    assert (runs, forms) == ([2], {2})
+
+
+def test_bad_strp_name_in_a_run_fails_as_the_step_path(monkeypatch):
+    die = b"\x01S\x00\x40" + _member2(1, 0) + _member2(3, 8) + _member2(0xFFFF, 16) + b"\x00"
+    result, runs, forms = _runs_and_steps(monkeypatch, _indirect_unit(die),
+                                          _abbrev(*RUN_DECLS))
+    where = 11 + 4 + 2 * 7 + 1 + 4  # the end of the third member's name
+    assert result == (f"strp string offset 0xffff out of range (.debug_info offset "
+                      f"{where:#x})", where)
+    assert (runs, forms) == ([], {2})
+
+
+def test_run_ends_at_its_units_end(monkeypatch):
+    # The first unit ends right after its second member, and the second
+    # unit's first byte, the low byte of its length, is the member's code.
+    second = b"\x01T\x00\x08" + _member2(7, 0) + b"\x00"
+    code = len(_indirect_unit(second)) - 4
+    decls = [RUN_DECLS[0], (code, dwarf.TAG_MEMBER, 0, [NAME_STRP, DECL_LINE, LOCATION])]
+    first = b"\x01S\x00\x40" + (_member2(1, 0) + _member2(3, 8)).replace(b"\x02", bytes([code]))
+    info = _indirect_unit(first) + _indirect_unit(second.replace(b"\x02", bytes([code])))
+    assert info[len(_indirect_unit(first))] == code
+    result, runs, forms = _runs_and_steps(monkeypatch, info, _abbrev(*decls))
+    assert result == ({4}, 2, 0, 2, {"S": {(64, (("a", 0), ("b", 8))): None},
+                                     "T": {(8, (("d", 0),)): None}})
+    assert (runs, forms) == ([2, 1], {code})
+
+
+def test_run_followed_by_a_nested_class(monkeypatch):
+    die = (b"\x01S\x00\x40" + _member2(1, 0) + _member2(3, 8)
+           + b"\x03N\x00\x08" + _member2(7, 0) + b"\x00"
+           + _member2(5, 16) + b"\x00")
+    result, runs, forms = _runs_and_steps(monkeypatch, _indirect_unit(die),
+                                          _abbrev(*RUN_DECLS))
+    assert result == _shapes(N=(8, [("d", 0)]), S=(64, [("a", 0), ("b", 8), ("c", 16)]))
+    assert (runs, forms) == ([2, 1, 1], {2})
+
+
+def test_member_runs_keep_the_bounds_of_a_member(monkeypatch):
+    # Offsets 8 and 200 of a 16-byte structure: the second is skipped.
+    die = b"\x01S\x00\x10" + _member2(1, 8) + _member2(3, 200) + b"\x00"
+    result, runs, _ = _runs_and_steps(monkeypatch, _indirect_unit(die), _abbrev(*RUN_DECLS))
+    assert result == ({4}, 1, 1, 1, {"S": {(16, (("a", 8),)): None}})
+    assert runs == [2]
+
+
+@pytest.mark.parametrize("version, specs, attributes, offset", [
+    # DW_AT_name twice: the step path keeps the second.
+    (4, [NAME_STRP, NAME_STRP, LOCATION], (1).to_bytes(4, "little") + b"\x03\x00\x00\x00\x08", 8),
+    # DW_AT_data_bit_offset data2, 65 bits: byte 8.
+    (4, [NAME_STRP, (dwarf.AT_DATA_BIT_OFFSET, 0x05)], b"\x03\x00\x00\x00\x41\x00", 8),
+    # A DWARF 2 block1 location: DW_OP_plus_uconst 8.
+    (2, [NAME_STRP, (dwarf.AT_DATA_MEMBER_LOCATION, dwarf.FORM_BLOCK1)],
+     b"\x03\x00\x00\x00\x02\x23\x08", 8),
+], ids=["name-twice", "data-bit-offset", "dwarf2-block"])
+def test_other_member_shapes_stay_on_the_step_path(monkeypatch, version, specs, attributes,
+                                                   offset):
+    abbrev = _abbrev(RUN_DECLS[0], (4, dwarf.TAG_MEMBER, 0, specs))
+    die = b"\x01S\x00\x40" + (b"\x04" + attributes) * 2 + b"\x00"
+    result, runs, forms = _runs_and_steps(monkeypatch, _indirect_unit(die, version), abbrev)
+    assert result[4] == {"S": {(64, (("b", offset), ("b", offset))): None}}
+    assert (runs, forms) == ([], set())
+
+
+def test_union_and_unnamed_members_in_runs(monkeypatch):
+    # 4 a union with children and no attributes; 5 a member with no name.
+    # The union's members stay out of S; a missing or empty name is UnNamed.
+    abbrev = _abbrev(*RUN_DECLS, (4, 0x17, 1, []),
+                     (5, dwarf.TAG_MEMBER, 0, [DECL_LINE, LOCATION]))
+    die = (b"\x01S\x00\x40" + _member2(1, 0) + b"\x04" + _member2(3, 8) + _member2(5, 8)
+           + b"\x00" + b"\x05\x07\x10" + _member2(0, 24) + b"\x00")
+    result, runs, forms = _runs_and_steps(monkeypatch, _indirect_unit(die), abbrev)
+    assert result == _shapes(S=(64, [("a", 0), ("UnNamed", 16), ("UnNamed", 24)]))
+    assert (runs, forms) == ([1, 2, 1, 1], {2, 5})
+
+
+def test_a_member_with_another_wanted_attribute_has_no_run_form():
+    # A walker that wants DW_AT_decl_line of members too gets it in each DIE's attributes.
+    info = _indirect_unit(_member2(1, 0) + _member2(3, 8))
+    walker = UnitWalker(info, next(iter_unit_headers(info)), parse_abbrev_table(
+        _abbrev(*RUN_DECLS), 0), StringTables(debug_str=RUN_STR),
+        {dwarf.TAG_MEMBER: frozenset({AT_NAME, dwarf.AT_DATA_MEMBER_LOCATION, 0x3B})})
+    assert list(walker) == [(0, dwarf.TAG_MEMBER, {AT_NAME: name, 0x3B: 7,
+                                                   dwarf.AT_DATA_MEMBER_LOCATION: offset})
+                            for name, offset in (("a", 0), ("b", 8))]
+    assert walker.plans[2][3] is None

@@ -342,6 +342,14 @@ def test_forked_merge_matches_merging_every_definition(merge_dir, forked, units)
     check_merge_against_oracle(merge_dir, units)
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(units=_merge_units())
+def test_forked_merge_of_member_runs_matches_merging_every_definition(merge_dir, forked,
+                                                                     units):
+    check_merge_against_oracle(merge_dir, units, runs=True)
+
+
 @pytest.mark.parametrize("region", [".debug_info", ".debug_abbrev"])
 def test_mutated_fixture_fails_as_in_the_serial_walk(tmp_path, monkeypatch, capsys, forks,
                                                      region):

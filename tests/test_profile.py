@@ -954,3 +954,14 @@ def test_version_ordering():
     labels = ["10", "9", "14", "11"]
     assert sorted(labels, key=version_key) == ["9", "10", "11", "14"]
     assert version_key("9") < version_key("10") < version_key("14")
+
+
+def test_version_key_orders_any_label_by_its_digit_values():
+    # Decimal digits of any script count by value, leading zeros aside; "²" is
+    # a digit but not a decimal one, so it orders as text, after every number.
+    assert version_key("١٠") == version_key("10") == version_key("010")
+    assert version_key("1.01") == version_key("1.1")
+    long = "9" * 5000  # past int()'s digit limit
+    labels = ["²", "1" + long, long, "0", "10", "9", "8.1a", "8.1"]
+    assert sorted(labels, key=version_key) == ["0", "8.1", "8.1a", "9", "10", long,
+                                               "1" + long, "²"]
