@@ -14,7 +14,7 @@ _EXPORTS = {
                   "impact_score", "member_offset_timeline", "size_timeline",
                   "volatility_stats"),
     "diff": ("ChangeCounts", "DiffReport", "MemberChange", "StructureDiff",
-             "diff_profiles", "diff_structure", "read_diff", "summarize_diff"),
+             "diff_profiles", "diff_structure", "summarize_diff"),
     "errors": ("InvariantError", "MalformedDwarfError", "NoDwarfError", "NotElfError",
                "SchemaError", "StructDriftError"),
     "extract": ("ExtractionMeta", "extract_profile", "extract_profile_with_meta"),

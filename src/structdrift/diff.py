@@ -8,19 +8,7 @@ removed, modified, unchanged.
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import SchemaError
-from .profile import (
-    MemberRecord,
-    Profile,
-    StructureRecord,
-    _check_fields,
-    _check_list,
-    _check_str,
-    _member_record,
-    parse_json_document,
-    read_text,
-)
-from .render import DIFF_SCHEMA
+from .profile import MemberRecord, Profile, StructureRecord
 
 
 class MemberChange(NamedTuple):
@@ -162,36 +150,3 @@ def summarize_diff(report: DiffReport) -> ChangeCounts:
     return ChangeCounts(moves, additions, removals, structure_removals,
                         len(report.added_structures),
                         moves + additions + removals + structure_removals)
-
-
-def _offset_change(doc, where: str) -> MemberChange:
-    return MemberChange(*_check_fields(doc, (("member", str), ("old", int), ("new", int)),
-                                       where))
-
-
-def _structure_diff(doc, where: str) -> StructureDiff:
-    name, old_size, new_size, old_count, shared = _check_fields(doc, (
-        ("name", str), ("old_size", int), ("new_size", int),
-        ("old_member_count", int), ("shared_member_count", int)), where)
-    if not name:
-        raise SchemaError("modified entry needs a non-empty string name")
-    changes = _check_list(doc.get("offset_changes"), f"{where}.offset_changes",
-                          _offset_change)
-    additions, removals = (_check_list(doc.get(key), f"{where}.{key}", _member_record)
-                           for key in ("member_additions", "member_removals"))
-    return StructureDiff(name, old_size, new_size, additions, removals, changes,
-                         old_count, shared)
-
-
-def doc_to_diff(doc: dict) -> DiffReport:
-    """A DiffReport from its document; SchemaError names the first bad field's path."""
-    frm, to, unchanged = _check_fields(doc, (("from", str), ("to", str),
-                                             ("unchanged_count", int)))
-    added, removed = (_check_list(doc.get(key), key, _check_str)
-                      for key in ("added_structures", "removed_structures"))
-    modified = _check_list(doc.get("modified"), "modified", _structure_diff)
-    return DiffReport(frm, to, added, removed, modified, unchanged)
-
-
-def read_diff(source) -> DiffReport:
-    return doc_to_diff(parse_json_document(read_text(source), DIFF_SCHEMA))

@@ -102,21 +102,21 @@ def _walk(units, abbrev, strings) -> tuple:
             table = parse_abbrev_table(abbrev, header.abbrev_offset)
             abbrev_cache[header.abbrev_offset] = table
         walker = UnitWalker(data, header, table, strings, _WANTED, section_name)
-        # The innermost open class/structure DIE or subprogram as (depth, byte
-        # size, members), (-2, None, ()) while none is open; the stack holds
-        # the ones around it. Only direct member DIEs and runs attach to a type.
-        # A subprogram's members are None: no type in its body is kept or counted.
-        top_depth, top_size, top_members = -2, None, ()
-        open_types: List[Tuple[int, Optional[int], Optional[list]]] = []
+        # The innermost open class/structure DIE or subprogram as (depth, member
+        # bound, members), (-2, OFFSET_SANITY_BOUND, ()) while none is open; the stack
+        # holds the ones around it. Direct member DIEs and runs attach below the bound,
+        # min(nonzero byte size, OFFSET_SANITY_BOUND). A subprogram's members are None.
+        top_depth, top_bound, top_members = -2, OFFSET_SANITY_BOUND, ()
+        open_types: List[Tuple[int, int, Optional[list]]] = []
         # (shapes of the name, byte size, members) per complete definition.
         complete: List[Tuple[dict, int, list]] = []
         for depth, tag, attrs in walker:
             while depth <= top_depth:
-                top_depth, top_size, top_members = open_types.pop()
+                top_depth, top_bound, top_members = open_types.pop()
             if tag == MEMBER_RUN:  # attrs: [(name or None, offset)] of sibling members
                 if depth == top_depth + 1 and top_members is not None:
-                    bound = min(top_size or OFFSET_SANITY_BOUND, OFFSET_SANITY_BOUND)
-                    kept = [(name or UNNAMED, offset) for name, offset in attrs if offset < bound]
+                    kept = [(name or UNNAMED, offset) for name, offset in attrs
+                            if offset < top_bound]
                     skipped_members += len(attrs) - len(kept)
                     top_members += kept
             elif tag == TAG_MEMBER:
@@ -130,7 +130,7 @@ def _walk(units, abbrev, strings) -> tuple:
                         if AT_DATA_MEMBER_LOCATION in attrs or AT_DATA_BIT_OFFSET in attrs:
                             skipped_members += 1
                         continue
-                if offset >= OFFSET_SANITY_BOUND or top_size and offset >= top_size:
+                if offset >= top_bound:
                     skipped_members += 1
                     continue
                 top_members.append((_clean_name(attrs.get(AT_NAME)), offset))
@@ -139,14 +139,15 @@ def _walk(units, abbrev, strings) -> tuple:
             elif tag in _TYPE_TAGS:
                 type_die_count += 1
                 name_shapes = shapes.setdefault(_clean_name(attrs.get(AT_NAME)), {})
-                open_types.append((top_depth, top_size, top_members))
-                top_depth, top_size, top_members = \
-                    depth, unsigned_value(attrs.get(AT_BYTE_SIZE)), []
-                if top_size is not None and not attrs.get(AT_DECLARATION):
-                    complete.append((name_shapes, top_size, top_members))
+                size = unsigned_value(attrs.get(AT_BYTE_SIZE))
+                open_types.append((top_depth, top_bound, top_members))
+                top_depth, top_bound, top_members = \
+                    depth, min(size or OFFSET_SANITY_BOUND, OFFSET_SANITY_BOUND), []
+                if size is not None and not attrs.get(AT_DECLARATION):
+                    complete.append((name_shapes, size, top_members))
             elif tag == TAG_SUBPROGRAM:
-                open_types.append((top_depth, top_size, top_members))
-                top_depth, top_size, top_members = depth, None, None
+                open_types.append((top_depth, top_bound, top_members))
+                top_depth, top_members = depth, None
         for name_shapes, byte_size, members in complete:
             name_shapes[byte_size, tuple(members)] = None
     return versions, type_die_count, skipped_members, unit_count, shapes

@@ -26,6 +26,7 @@ PROFILE_SUFFIX = ".profile.json"
 ARCHITECTURES = ("arm32", "arm64", "x86_32", "x86_64")
 
 OFFSET_SANITY_BOUND = 2 ** 32
+SIZE_BOUND = 2 ** 64  # sizes and counts stay below uint64, DWARF data8's and ELF's limit
 
 
 class MemberRecord(NamedTuple):
@@ -154,6 +155,9 @@ def validate_profile(profile: Profile) -> None:
         raise InvariantError(f"unknown architecture {meta.architecture!r}")
     if meta.binary_size_bytes < 0 or meta.raw_type_die_count < 0:
         raise InvariantError("negative size or count in metadata")
+    for field in ("binary_size_bytes", "raw_type_die_count"):
+        if getattr(meta, field) >= SIZE_BOUND:
+            raise InvariantError(f"meta.{field} must be below {SIZE_BOUND}")
     if list(meta.dwarf_versions_seen) != sorted(set(meta.dwarf_versions_seen)):
         raise InvariantError("dwarf_versions_seen must be sorted and duplicate-free")
     names = list(profile.structures)
@@ -167,6 +171,8 @@ def validate_profile(profile: Profile) -> None:
         size = record.byte_size
         if size < 0:
             raise InvariantError(f"{name}: negative byte size")
+        if size >= SIZE_BOUND:
+            raise InvariantError(f"{name}.size must be below {SIZE_BOUND}")
         # (offset, name) order, compared field by field: no key tuple per member.
         prev_offset, prev_name = -1, ""
         for member_name, offset in record.members:
@@ -396,7 +402,7 @@ def _pairs_profile(doc, names) -> Optional[Profile]:
             return None
         (size_key, size), (members_key, members) = body
         if (size_key != "size" or members_key != "members" or type(size) is not int
-                or size < 0 or type(members) is not list):
+                or not 0 <= size < SIZE_BOUND or type(members) is not list):
             return None
         bound, prev_offset, prev_name = size or float("inf"), -1, ""
         keep, records = wanted is None or name in wanted, []

@@ -14,7 +14,7 @@ import pytest
 
 import structdrift.cli as cli
 import structdrift.profile as profile_module
-from structdrift import read_diff, read_profile, write_profile
+from structdrift import read_profile, write_profile
 from structdrift.cli import run
 from structdrift.errors import UnsupportedFormatError
 from structdrift.profile import ARCHITECTURES
@@ -143,8 +143,9 @@ def test_diff_output_round_trips(tmp_path, capsys):
     )
     out = tmp_path / "diff.json"
     assert run(["diff", a, b, "--out", str(out)]) == 0
-    report = read_diff(out)
-    assert {"Object", "Class"} <= set(report.removed_structures)
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["schema"] == "structdrift-diff/1"
+    assert {"Object", "Class"} <= set(doc["removed_structures"])
 
 
 def test_diff_fail_on_break(tmp_path):
@@ -668,6 +669,8 @@ _IMPORT_BOUNDARIES = {
                ("analytics", "diff")),
     "score": (_quiet_run("score", "--repo", str(_PROFILES), "--arch", "x86_64"),
               _EXTRACTOR_MODULES),
+    "diff-module": (["import structdrift.diff"],
+                    ("render", "watch", "analytics") + _EXTRACTOR_MODULES),
     # Lazy loading turns a broken export into an error at first use; use them all.
     "exports": (["import structdrift",
                  "for name in set(structdrift.__all__) - {'__version__'}:",
@@ -880,7 +883,9 @@ def _json_input(tmp_repo, kind):
         "profile": (Path(p10).read_text(), '"size": 2048', p10, [
             ["diff", p9, p10],
             ["index", "--repo", root],
-            ["score", "--repo", root, "--arch", "x86_64"]]),
+            ["score", "--repo", root, "--arch", "x86_64"],
+            ["score", p9, p10],  # named profiles are sorted by version
+            ["stats", p10]]),
         # Two versions: one profile twice is a usage error (exit 2) of its own.
         "watchlist": (_WATCHLIST, '"name": "mine"', other,
                       [["score", p9, p10, "--scope", other]]),
@@ -892,6 +897,7 @@ def _named_json_cases(text: str, site: str):
     key = site.split(":")[0]
     return {
         "digit-limit": text.replace(site, f"{key}: {_DIGITS}", 1).encode(),
+        "huge-number": text.replace(site, f"{key}: {'9' * 400}", 1).encode(),
         "deep-nesting": text.replace(site, f"{key}: {_DEEP}", 1).encode(),
         "lone-surrogate": text.replace('"Runtime"', '"\\ud800"', 1).encode(),
         "utf8-bom": b"\xef\xbb\xbf" + text.encode(),
@@ -922,8 +928,8 @@ def test_mutated_json_inputs_exit_0_or_3(tmp_repo, capsys, kind):
 
 
 @pytest.mark.parametrize("threshold", [SERIAL, 0], ids=["serial", "forked"])
-@pytest.mark.parametrize("name", ["digit-limit", "deep-nesting", "lone-surrogate", "utf8-bom",
-                                  "invalid-utf8"])
+@pytest.mark.parametrize("name", ["digit-limit", "huge-number", "deep-nesting",
+                                  "lone-surrogate", "utf8-bom", "invalid-utf8"])
 @pytest.mark.parametrize("kind", ["profile", "watchlist", "chain-spec"])
 def test_named_json_damage_exits_3(tmp_repo, capsys, monkeypatch, two_cpus, kind, name,
                                    threshold):
@@ -955,8 +961,6 @@ def test_any_version_label_exits_0_or_3(tmp_repo, capsys, monkeypatch, two_cpus,
     text, _, target, commands = _json_input(tmp_repo, kind)
     site = _LABEL_KEYS[kind]
     Path(target).write_text(text.replace(site, f'{site.split(":")[0]}: "{_LABELS[label]}"'))
-    if kind == "profile":  # explicitly named profiles are sorted by version
-        commands.append(["score", commands[0][1], target])
     for argv in commands:
         _assert_exit_0_or_3(argv, capsys, label)
 
@@ -970,8 +974,6 @@ def test_json_error_in_a_named_file_names_it_first(tmp_repo, capsys, monkeypatch
     Path(target).write_text("{broken")
     reason = ("not valid JSON: Expecting property name enclosed in double quotes: "
               "line 1 column 2 (char 1)")
-    if kind == "profile":
-        commands.append(["stats", target])
     for argv in commands:
         code, out, err = _assert_exit_0_or_3(argv, capsys, kind)
         if argv[0] == "index":  # the entry names the path; its reason does not again

@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import stat
+import sys
 import threading
 
 import pytest
@@ -130,11 +131,22 @@ def test_invariant_error_messages(members, message):
     ({}, {"A": StructureRecord("B", 8, [])}, "catalog key 'A' != record name 'B'"),
     ({}, {"": StructureRecord("", 8, [])}, "empty structure name"),
     ({}, {"S": StructureRecord("S", -1, [])}, "S: negative byte size"),
+    ({"binary_size_bytes": 2 ** 64}, {},
+     "meta.binary_size_bytes must be below 18446744073709551616"),
+    ({"raw_type_die_count": 2 ** 64}, {},
+     "meta.raw_type_die_count must be below 18446744073709551616"),
+    ({}, {"S": StructureRecord("S", 2 ** 64, [])}, "S.size must be below 18446744073709551616"),
 ])
 def test_meta_and_catalog_invariant_error_messages(meta, structures, message):
     with pytest.raises(InvariantError) as exc_info:
         validate_profile(Profile(make_meta(**meta), structures))
     assert str(exc_info.value) == message
+
+
+def test_sizes_and_counts_up_to_uint64_are_valid():
+    meta = make_meta(binary_size_bytes=2 ** 64 - 1, raw_type_die_count=2 ** 64 - 1)
+    record = StructureRecord("S", 2 ** 64 - 1, [MemberRecord("x", 2 ** 64 - 2)])
+    validate_profile(Profile(meta, {"S": record}))
 
 
 def test_unknown_architecture_rejected():
@@ -414,6 +426,7 @@ READER_CASES = {
     "float-offset": _rewritten(_set_member("offset", 8.0)),
     "boolean-name": _rewritten(_set_member("name", False)),
     "float-size": _rewritten(lambda doc: doc["structures"]["T"].update(size=8.0)),
+    "uint64-size": _rewritten(lambda doc: doc["structures"]["T"].update(size=2 ** 64)),
     "boolean-binary-size": _rewritten(_set_meta("binary_size_bytes", True)),
     "float-die-count": _rewritten(_set_meta("raw_type_die_count", 50.0)),
     "boolean-dwarf-version": _rewritten(_set_meta("dwarf_versions_seen", [True])),
@@ -478,6 +491,7 @@ READER_OUTCOMES = {
     "float-offset": (SchemaError, "ns::S.members[1].offset has wrong type float"),
     "boolean-name": (SchemaError, "ns::S.members[1].name has wrong type bool"),
     "float-size": (SchemaError, "T.size has wrong type float"),
+    "uint64-size": (InvariantError, "T.size must be below 18446744073709551616"),
     "boolean-binary-size": (
         SchemaError, "meta.binary_size_bytes must be an integer, got a boolean"),
     "float-die-count": (SchemaError, "meta.raw_type_die_count has wrong type float"),
@@ -520,6 +534,33 @@ def test_reader_outcome_is_pinned(case):
         with pytest.raises(expected[0]) as exc_info:
             loads_profile(READER_CASES[case])
         assert (type(exc_info.value), str(exc_info.value)) == expected
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Python before 3.10.7: int() and json read a number of any length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+_HUGE = "9" * 5000  # past the digit limit where there is one
+
+
+@pytest.mark.parametrize("site, message", [
+    ('"size": 16', "ns::S.size must be below 18446744073709551616"),
+    ('"binary_size_bytes": 1000', "meta.binary_size_bytes must be below 18446744073709551616"),
+    ('"offset": 8', f"ns::S.b: offset {_HUGE} outside size 16"),
+], ids=["size", "binary-size", "offset"])
+def test_a_number_past_the_digit_limit_is_refused_by_a_bound(no_digit_limit, site, message):
+    text = _replace(_BASE_TEXT, (site, f'{site.split(":")[0]}: {_HUGE}'))
+    with pytest.raises(InvariantError) as exc_info:
+        loads_profile(text)
+    assert str(exc_info.value) == message
+    assert_reads_like_reference(text)
 
 
 # A fault in T, the structure a read of {"ns::S"} leaves out, still fails that read.
@@ -748,6 +789,7 @@ _AWKWARD_TEXT = st.text(st.one_of(
     st.characters()), max_size=6)
 _AWKWARD_NAMES = _AWKWARD_TEXT.filter(bool)
 _LARGE = st.integers(0, 2 ** 80)
+_SIZES = st.integers(0, 2 ** 64 - 1)  # sizes and counts below the reader's bound
 
 
 @st.composite
@@ -755,14 +797,14 @@ def _awkward_profiles(draw):
     meta = make_meta(
         draw(_AWKWARD_TEXT), draw(st.sampled_from(ARCHITECTURES)),
         build_variant=draw(_AWKWARD_TEXT),
-        binary_size_bytes=draw(_LARGE),
+        binary_size_bytes=draw(_SIZES),
         dwarf_versions_seen=tuple(sorted(draw(st.sets(_LARGE, max_size=3)))),
-        raw_type_die_count=draw(_LARGE),
+        raw_type_die_count=draw(_SIZES),
         extraction_tool_version=draw(_AWKWARD_TEXT),
     )
     catalog = {}
     for name in sorted(draw(st.sets(_AWKWARD_NAMES, max_size=4))):
-        size = draw(st.one_of(st.just(0), _LARGE))
+        size = draw(st.one_of(st.just(0), _SIZES))
         offsets = st.integers(0, size - 1) if size else _LARGE
         members = [MemberRecord(draw(_AWKWARD_NAMES), draw(offsets))
                    for _ in range(draw(st.integers(0, 3)))]
